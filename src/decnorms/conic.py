@@ -11,10 +11,16 @@ runs ADMM on the homogeneous self-dual embedding (the splitting SCS made
 standard): primal and dual are folded into one monotone inclusion whose
 fixed point encodes either an optimal pair or an infeasibility
 certificate.  Each iteration solves one quasi-definite linear system
-(factored once) and projects onto the cone product; over-relaxation and
-Ruiz equilibration speed up the linear rate, and when the primal and dual
+and projects onto the cone product; over-relaxation and Ruiz
+equilibration speed up the linear rate, and when the primal and dual
 residuals drift far apart the embedded right-hand side is rescaled in
 place, which only costs two triangular solves.
+
+The constraint matrix A stays sparse (CSR) from assembly through Ruiz
+scaling, residual checks and infeasibility tests; the linear system is
+reduced to ``I + A^T A``, which is factored once by sparse LU.  The
+package's programs have about two nonzeros per column of A, so memory
+and per-iteration cost scale with the nonzeros, not with rows x columns.
 
 Hermitian matrices travel through the cone machinery in "svec"
 coordinates: the q real diagonal entries first, then sqrt(2) * Re and
@@ -34,8 +40,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from decnorms import linalg
 
@@ -49,11 +55,6 @@ class SolverError(Exception):
 # ---------------------------------------------------------------------------
 # svec coordinates for complex Hermitian matrices
 # ---------------------------------------------------------------------------
-
-def svec_dim(q: int) -> int:
-    """Real dimension of the Hermitian q x q matrices, which is q**2."""
-    return q * q
-
 
 def _triu_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(q, k=1)
@@ -436,18 +437,22 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
 # The HSDE ADMM engine
 # ---------------------------------------------------------------------------
 
-def _ruiz_equilibrate(a: np.ndarray, block_slices: list[slice], iters: int):
-    """Diagonal row/column scaling; PSD block rows share one scalar.
+def _ruiz_equilibrate(a: scipy.sparse.csr_matrix, block_slices: list[slice], iters: int):
+    """Diagonal row/column scaling of a CSR matrix; PSD block rows share one scalar.
 
-    Zero-cone (equality) rows scale individually.  Returns (d, e) with the
-    scaled matrix D A E written into ``a`` in place.
+    Zero-cone (equality) rows scale individually.  Only the stored
+    nonzeros are touched: row and column maxima are gathered over the row
+    and column index of each entry.  Returns (d, e) with the scaled matrix
+    D A E written into ``a.data`` in place.
     """
     rows, cols = a.shape
     d = np.ones(rows)
     e = np.ones(cols)
+    row_of = np.repeat(np.arange(rows), np.diff(a.indptr))
+    col_of = a.indices
     for _ in range(iters):
-        am = np.abs(a)
-        row_max = am.max(axis=1, initial=0.0)
+        row_max = np.zeros(rows)
+        np.maximum.at(row_max, row_of, np.abs(a.data))
         # uniform scale inside each PSD block keeps the cone geometry intact
         for sl in block_slices:
             if sl.stop > sl.start:
@@ -455,13 +460,14 @@ def _ruiz_equilibrate(a: np.ndarray, block_slices: list[slice], iters: int):
         row_scale = np.ones_like(row_max)
         nz = row_max > 0
         row_scale[nz] = 1.0 / np.sqrt(row_max[nz])
-        a *= row_scale[:, None]
+        a.data *= row_scale[row_of]
         d *= row_scale
-        col_max = np.abs(a).max(axis=0, initial=0.0)
+        col_max = np.zeros(cols)
+        np.maximum.at(col_max, col_of, np.abs(a.data))
         col_scale = np.ones_like(col_max)
         nz = col_max > 0
         col_scale[nz] = 1.0 / np.sqrt(col_max[nz])
-        a *= col_scale[None, :]
+        a.data *= col_scale[col_of]
         e *= col_scale
     return d, e
 
@@ -496,11 +502,11 @@ def solve(
     cone_rows = sum(q * q for q in qs)
     rows = p + cone_rows
 
-    # --- assemble A (rows x m) and b in svec coordinates -------------------
-    a = np.zeros((rows, m), dtype=np.float64)
+    # --- assemble A (rows x m, CSR) and b in svec coordinates ---------------
+    parts = []
     b = np.zeros(rows, dtype=np.float64)
     if p:
-        a[:p] = program.eq_a
+        parts.append(scipy.sparse.csr_matrix(program.eq_a))
         b[:p] = program.eq_b
     block_slices: list[slice] = []
     off = p
@@ -509,9 +515,10 @@ def solve(
         sl = slice(off, off + q2)
         block_slices.append(sl)
         # cone row: s_block = svec(F0) + lin y  =>  -lin y + s = svec(F0)
-        a[sl] = -blk.lin.toarray()
+        parts.append(-blk.lin)
         b[sl] = svec(blk.f0)
         off += q2
+    a = scipy.sparse.vstack(parts, format="csr")
     c = program.objective.copy()
 
     # --- equilibration and b/c normalization -------------------------------
@@ -525,17 +532,22 @@ def solve(
     b_s *= beta
     c_s *= gamma
 
-    at = np.ascontiguousarray(a.T)
+    at = a.T.tocsr()
 
     # --- linear system: M = [[I, A^T], [-A, I]] via (I + A^T A) ------------
+    # The gram is SPD with every eigenvalue >= 1, so LU with diagonal
+    # pivots on a symmetric ordering is a stable sparse Cholesky substitute.
     if m:
-        gram = np.eye(m) + at @ a
-        chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        gram = scipy.sparse.identity(m, format="csr") + at @ a
+        lu = scipy.sparse.linalg.splu(
+            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def solve_m(wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if m == 0:
             return wx, wy.copy()
-        x = scipy.linalg.cho_solve(chol, wx - at @ wy, check_finite=False)
+        x = lu.solve(wx - at @ wy)
         return x, wy + a @ x
 
     def refresh_h():

@@ -32,14 +32,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermitian_defect(a) -> float:
-    """Operator-norm distance from ``a`` to its adjoint, ``||a - a*||``."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"hermitian defect needs a square matrix, got {m.shape}")
-    return operator_norm(m - m.conj().T)
-
-
 def symmetrize(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Return ``(a + a*) / 2`` after checking ``a`` is Hermitian within ``rtol``.
 

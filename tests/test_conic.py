@@ -5,12 +5,14 @@ solver is checked against answers it cannot influence.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from decnorms import conic
-from decnorms.testkit import eigenvalue_program, make_generator, random_hermitian
+from decnorms.decomposable import dec_norm_linf
+from decnorms.testkit import eigenvalue_program, make_generator, random_hermitian, random_matrix_tuple
 
 
 def test_svec_round_trip_and_isometry():
@@ -180,3 +182,31 @@ def test_dump_diagnostics(tmp_path):
     text = out.read_text()
     assert "status: optimal" in text
     assert "block_0_min_eig" in text
+
+
+def test_solver_determinism_multi_block():
+    # Several PSD blocks of different sizes, so the sparse assembly, the
+    # per-block Ruiz scalars and the grouped projection all take part.
+    xs = random_matrix_tuple(make_generator(38), 6, 4)
+    c1 = dec_norm_linf(xs)
+    c2 = dec_norm_linf(xs)
+    assert len(c1.solver.dual_psd) > 1
+    assert c1.solver.iterations == c2.solver.iterations
+    assert np.array_equal(c1.solver.y, c2.solver.y)
+    assert c1.solver.primal_value == c2.solver.primal_value
+    assert c1.solver.dual_value == c2.solver.dual_value
+    assert c1.value == c2.value
+
+
+def test_large_program_memory_stays_sparse():
+    # At 16x10 a dense constraint matrix alone would take 169 MB.
+    xs = random_matrix_tuple(make_generator(39), 16, 10)
+    tracemalloc.start()
+    try:
+        cert = dec_norm_linf(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.solver.status == "optimal"
+    assert not cert.flagged
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"

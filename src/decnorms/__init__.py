@@ -50,7 +50,6 @@ from decnorms.cbnorm import (
     SeeSawResult,
     cb_norm_linf,
     evaluate_tensor_norm,
-    min_norm_factorization_sdp,
     seesaw_min_norm,
 )
 from decnorms.freetensor import (
@@ -95,7 +94,6 @@ __all__ = [
     "CbAgreement",
     "evaluate_tensor_norm",
     "seesaw_min_norm",
-    "min_norm_factorization_sdp",
     "cb_norm_linf",
     "FreeTensor",
     "free_tensor",

@@ -152,22 +152,6 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.zeros((d, d), dtype=np.complex128) for d in shape.block_dims])
 
 
-def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def adjoint(x: AlgebraElement) -> AlgebraElement:
-    return x.adjoint()
-
-
-def scale(x: AlgebraElement, a) -> AlgebraElement:
-    return complex(a) * x
-
-
 def element_norm(x: AlgebraElement) -> float:
     """Operator norm: max over blocks of the largest singular value."""
     return max(linalg.operator_norm(b) for b in x.blocks)

@@ -6,15 +6,15 @@ families of unitaries of any size.  Two independent routes bracket it:
 
 * a see-saw search (alternating maximization over the unitaries and the
   top singular pair) climbs toward the supremum from below, and
-* a factorization semidefinite program reaches the value from above,
-  producing families ``y_i, z_i`` with ``x_i = y_i z_i`` whose Gram norms
-  certify the bound.
+* the decomposable-norm semidefinite program reaches the value from
+  above; its certificate factors ``x_i = y_i z_i`` with ``y_i = a_i*`` and
+  ``z_i = b_i``, and the Gram norms of those witnesses certify the bound.
 
-The factorization program is, coefficient for coefficient, the same
-semidefinite program that computes the decomposable norm; the equality of
-the two variational formulas over a full matrix algebra is exactly what
-the package's agreement checks exercise, with the see-saw confirming from
-below that neither program stopped short.
+For maps into M_d the decomposable norm equals the completely bounded
+norm, which is exactly what the package's agreement checks exercise, with
+the see-saw confirming from below that the program did not stop short.
+``cb_norm_linf`` is the one bracket routine; with ``pin_first`` it also
+brackets the min tensor norm of ``decnorms.freetensor``.
 """
 
 from __future__ import annotations
@@ -181,56 +181,20 @@ def seesaw_min_norm(
 
 
 @dataclass
-class FactorizationResult:
-    """Upper bound with witnesses ``x_i = y_i z_i`` and their Gram norms."""
-
-    value: float
-    y: list[np.ndarray] = field(repr=False)
-    z: list[np.ndarray] = field(repr=False)
-    residual: float = 0.0
-    gram_bound: float = 0.0
-    certificate: DecCertificate = field(default=None, repr=False)
-
-
-def min_norm_factorization_sdp(
-    xs,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> FactorizationResult:
-    """Factorization value inf ||sum y y*||^(1/2) ||sum z* z||^(1/2).
-
-    The infimum runs over factorizations ``x_i = y_i z_i`` and is attained;
-    substituting ``y_i = a_i*, z_i = b_i`` shows the program is the
-    decomposable-norm SDP, whose certificate supplies the witnesses.
-    """
-    mats = _coerce_mats(xs)
-    cert = dec_norm_linf(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
-    y = [a.blocks[0].conj().T for a in cert.factor_a]
-    z = [b.blocks[0].copy() for b in cert.factor_b]
-    resid = max(
-        linalg.operator_norm(x - yi @ zi) for x, yi, zi in zip(mats, y, z)
-    )
-    gram_y = sum(yi @ yi.conj().T for yi in y)
-    gram_z = sum(zi.conj().T @ zi for zi in z)
-    gram = float(np.sqrt(linalg.operator_norm(gram_y) * linalg.operator_norm(gram_z)))
-    return FactorizationResult(
-        value=float(cert.value), y=y, z=z,
-        residual=float(resid), gram_bound=gram, certificate=cert,
-    )
-
-
-@dataclass
 class CbAgreement:
-    """Two-sided bracket of a completely bounded norm."""
+    """Two-sided bracket of a completely bounded norm.
+
+    ``certificate`` is the decomposable-norm certificate behind ``upper``;
+    its factors give the witnesses ``x_i = y_i z_i`` with
+    ``y_i = factor_a[i]*`` and ``z_i = factor_b[i]``.
+    """
 
     upper: float
     lower: float
     gap: float
     verdict: str
     seesaw: SeeSawResult = field(repr=False)
-    factorization: FactorizationResult = field(repr=False)
+    certificate: DecCertificate = field(repr=False)
 
 
 def cb_norm_linf(
@@ -243,34 +207,37 @@ def cb_norm_linf(
     feas_tol: float = 1e-8,
     max_iter: int = 200_000,
     aux_dim: int | None = None,
-    escalate: bool = True,
+    pin_first: bool = False,
 ) -> CbAgreement:
     """cb norm of ``e_i -> x_i`` into M_d, bracketed from both sides.
 
-    The factorization SDP gives the upper value; the see-saw starts at
+    The decomposable-norm SDP gives the upper value; the see-saw starts at
     auxiliary dimension d (or ``aux_dim``) and, if the bracket stays wider
     than ``agree_tol`` (relative), retries at twice that with double the
-    restarts.  Verdict ``"agree"`` means the bracket closed within
+    restarts.  ``pin_first`` keeps the see-saw's first unitary at the
+    identity.  Verdict ``"agree"`` means the bracket closed within
     ``agree_tol``.
     """
     mats = _coerce_mats(xs)
     k0 = int(aux_dim) if aux_dim is not None else mats[0].shape[0]
-    fact = min_norm_factorization_sdp(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    cert = dec_norm_linf(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    upper = float(cert.value)
 
-    saw = seesaw_min_norm(mats, aux_dim=k0, restarts=restarts, seed=seed)
-    gap = (fact.value - saw.lower) / max(1.0, fact.value)
-    if escalate and gap > agree_tol:
-        saw2 = seesaw_min_norm(mats, aux_dim=2 * k0, restarts=2 * restarts, seed=seed)
+    saw = seesaw_min_norm(mats, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)
+    gap = (upper - saw.lower) / max(1.0, upper)
+    if gap > agree_tol:
+        saw2 = seesaw_min_norm(mats, aux_dim=2 * k0, restarts=2 * restarts, seed=seed,
+                               pin_first=pin_first)
         if saw2.lower > saw.lower:
             saw = saw2
-        gap = (fact.value - saw.lower) / max(1.0, fact.value)
+        gap = (upper - saw.lower) / max(1.0, upper)
 
     verdict = "agree" if gap <= agree_tol else "inconclusive"
     return CbAgreement(
-        upper=float(fact.value),
+        upper=upper,
         lower=float(saw.lower),
         gap=float(gap),
         verdict=verdict,
         seesaw=saw,
-        factorization=fact,
+        certificate=cert,
     )

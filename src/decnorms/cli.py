@@ -92,11 +92,11 @@ def _norm_results(parsed, opts) -> dict:
             },
         }
     aux_dim = opts.get("aux_dim")
+    aux_dim = int(aux_dim) if aux_dim is not None else None
     if parsed.kind == "cb_linf":
         mats = [c.blocks[0] for c in parsed.coefficients]
         agg = cb_norm_linf(mats, restarts=restarts, seed=seed, agree_tol=agree_tol,
-                           gap_tol=tol, feas_tol=tol,
-                           aux_dim=int(aux_dim) if aux_dim else None)
+                           gap_tol=tol, feas_tol=tol, aux_dim=aux_dim)
         return {
             "upper": agg.upper,
             "lower": agg.lower,
@@ -107,14 +107,13 @@ def _norm_results(parsed, opts) -> dict:
                 "converged": agg.seesaw.converged,
                 "aux_dimension": agg.seesaw.aux_dimension,
             },
-            "factorization_residual": agg.factorization.residual,
-            "solver": _solver_summary(agg.factorization.certificate),
+            "factorization_residual": agg.certificate.reconstruction_residual,
+            "solver": _solver_summary(agg.certificate),
         }
     if parsed.kind == "free_tensor":
         t = FreeTensor(coeffs=tuple(c.blocks[0] for c in parsed.coefficients))
         rep = nuclearity_gap(t, restarts=restarts, seed=seed, agree_tol=agree_tol,
-                             gap_tol=tol, feas_tol=tol,
-                             aux_dim=int(aux_dim) if aux_dim else None)
+                             gap_tol=tol, feas_tol=tol, aux_dim=aux_dim)
         return {
             "max": rep.max_value,
             "min_upper": rep.min_upper,
@@ -226,7 +225,7 @@ def cmd_bench(args) -> int:
     except InstanceError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    from decnorms.cbnorm import min_norm_factorization_sdp, seesaw_min_norm
+    from decnorms.cbnorm import seesaw_min_norm
 
     lines = [f"{'n':>3} {'d':>3} {'sdp_s':>8} {'seesaw_s':>9} {'value':>12} {'gap':>10}"]
     try:
@@ -234,14 +233,14 @@ def cmd_bench(args) -> int:
             gen = make_generator(args.seed, stream=900 + i)
             xs = random_matrix_tuple(gen, n, d)
             t0 = time.perf_counter()
-            fact = min_norm_factorization_sdp(xs)
+            value = dec_norm_linf(xs).value
             sdp_s = time.perf_counter() - t0
             t0 = time.perf_counter()
             saw = seesaw_min_norm(xs, restarts=8, seed=args.seed)
             saw_s = time.perf_counter() - t0
-            gap = (fact.value - saw.lower) / max(1.0, fact.value)
+            gap = (value - saw.lower) / max(1.0, value)
             lines.append(
-                f"{n:>3} {d:>3} {sdp_s:>8.3f} {saw_s:>9.3f} {fact.value:>12.8f} {gap:>10.2e}"
+                f"{n:>3} {d:>3} {sdp_s:>8.3f} {saw_s:>9.3f} {value:>12.8f} {gap:>10.2e}"
             )
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -266,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="auxiliary unitary dimension for the see-saw")
     p_norm.add_argument("--restarts", type=int, default=None,
                         help="see-saw restart count")
-    fmt = p_norm.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable report")
-    fmt.add_argument("--text", action="store_true", help="line-oriented report (default)")
+    p_norm.add_argument("--json", action="store_true",
+                        help="machine-readable report instead of the line-oriented one")
     p_norm.add_argument("--out", default=None, help="write the report to this file")
 
     p_verify = sub.add_parser("verify", help="run the seeded verification corpus")

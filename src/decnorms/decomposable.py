@@ -35,7 +35,7 @@ from decnorms.algebra import (
     is_selfadjoint,
     zero,
 )
-from decnorms.maps import LinearMapRep, matrix_units
+from decnorms.maps import LinearMapRep, choi, matrix_units
 
 
 @dataclass
@@ -212,27 +212,24 @@ def extract_factorization(
     Q: list[AlgebraElement],
     *,
     rcond: float = 1e-9,
-) -> tuple[list[AlgebraElement], list[AlgebraElement], float]:
+) -> tuple[list[AlgebraElement], list[AlgebraElement]]:
     """Factor each coefficient as ``x_j = a_j* b_j`` through a dressing.
 
     Writes ``x_j = P_j^(1/2) C_j Q_j^(1/2)`` with ``C_j`` the pseudo-inverse
     sandwich clipped to a contraction, then returns
-    ``a_j = (P_j^(1/2) C_j)*`` and ``b_j = Q_j^(1/2)`` together with the
-    worst reconstruction error.  With a feasible dressing the column norms
-    obey ``sum a* a <= sum P`` and ``sum b* b <= sum Q``.
+    ``a_j = (P_j^(1/2) C_j)*`` and ``b_j = Q_j^(1/2)``.  With a feasible
+    dressing the column norms obey ``sum a* a <= sum P`` and
+    ``sum b* b <= sum Q``.
     """
     elems = _coerce_elements(xs)
     a_out, b_out = [], []
-    resid = 0.0
     for x, p, q in zip(elems, P, Q):
         a_blocks, b_blocks = [], []
         for t in range(x.shape.num_blocks):
             ph = (p.blocks[t] + p.blocks[t].conj().T) / 2.0
             qh = (q.blocks[t] + q.blocks[t].conj().T) / 2.0
-            p_half = linalg.psd_sqrt(ph)
-            q_half = linalg.psd_sqrt(qh)
-            p_inv = linalg.psd_pinv_sqrt(ph, rcond=rcond)
-            q_inv = linalg.psd_pinv_sqrt(qh, rcond=rcond)
+            p_half, p_inv = linalg.psd_roots(ph, rcond=rcond)
+            q_half, q_inv = linalg.psd_roots(qh, rcond=rcond)
             contraction = p_inv @ x.blocks[t] @ q_inv
             uu, sv, vh = linalg.svd(contraction)
             sv = np.clip(sv, 0.0, 1.0)
@@ -240,12 +237,9 @@ def extract_factorization(
             contraction = (uu[:, :k] * sv[:k]) @ vh[:k, :]
             a_blocks.append((p_half @ contraction).conj().T)
             b_blocks.append(q_half)
-        a = AlgebraElement(x.shape, a_blocks)
-        b = AlgebraElement(x.shape, b_blocks)
-        resid = max(resid, element_norm(x - a.adjoint() * b))
-        a_out.append(a)
-        b_out.append(b)
-    return a_out, b_out, resid
+        a_out.append(AlgebraElement(x.shape, a_blocks))
+        b_out.append(AlgebraElement(x.shape, b_blocks))
+    return a_out, b_out
 
 
 def dec_upper_bound_factored(a: list[AlgebraElement], b: list[AlgebraElement]) -> float:
@@ -304,7 +298,7 @@ def dec_norm_linf(
     sol = _solver_or_raise(program, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
     ps, qs = decode(sol.y)
     ps, qs, value = _repair_linf(scaled, ps, qs)
-    a, b, _ = extract_factorization(scaled, ps, qs, rcond=rcond)
+    a, b = extract_factorization(scaled, ps, qs, rcond=rcond)
 
     # undo the input scaling: value and dressing scale linearly, factors by sqrt
     root = np.sqrt(scale)
@@ -327,7 +321,26 @@ def dec_norm_linf(
 # Matrix domains: Choi-variable formulation
 # ---------------------------------------------------------------------------
 
-def _choi_program(u: LinearMapRep):
+def _choi_data(u: LinearMapRep) -> dict:
+    """Choi data of ``u`` per (domain block i, codomain block t).
+
+    Entry ``(i, t)`` is the ``n_i * c_t`` square matrix whose ``(r, s)``
+    sub-block of size ``c_t`` is block t of ``u(e_rs)``: the rows and
+    columns of codomain block t in the i-th block of :func:`maps.choi`.
+    """
+    cn = u.codomain.block_dims
+    m = u.codomain.embed_dim
+    offs = np.cumsum((0, *cn))
+    out = {}
+    for i, (n_i, full) in enumerate(zip(u.domain.block_dims, choi(u))):
+        full = full.reshape(n_i, m, n_i, m)
+        for t, c_t in enumerate(cn):
+            o = offs[t]
+            out[(i, t)] = full[:, o:o + c_t, :, o:o + c_t].reshape(n_i * c_t, n_i * c_t)
+    return out
+
+
+def _choi_program(u: LinearMapRep, x_choi: dict):
     """SDP over Choi blocks of the dressing maps S1, S2.
 
     For each pair (domain block i of size n_i, codomain block t of size
@@ -335,9 +348,9 @@ def _choi_program(u: LinearMapRep):
 
         [[C1, X], [X*, C2]] is PSD
 
-    with X the fixed Choi data of u, plus for each codomain block t the
-    operator-norm constraints s - sum_i ptr(C1) >= 0 and likewise for C2,
-    the partial trace running over the domain index.
+    with X = ``x_choi[(i, t)]`` the fixed Choi data of u, plus for each
+    codomain block t the operator-norm constraints s - sum_i ptr(C1) >= 0
+    and likewise for C2, the partial trace running over the domain index.
     """
     dn = u.domain.block_dims
     cn = u.codomain.block_dims
@@ -356,15 +369,10 @@ def _choi_program(u: LinearMapRep):
     for i, n_i in enumerate(dn):
         for t, c_t in enumerate(cn):
             q = n_i * c_t
-            x_choi = np.zeros((q, q), dtype=np.complex128)
-            for r in range(n_i):
-                for s in range(n_i):
-                    img = u.image(i, r, s).blocks[t]
-                    x_choi[r * c_t:(r + 1) * c_t, s * c_t:(s + 1) * c_t] = img
             bb = conic.BlockBuilder(2 * q, m)
             bb.add_hermitian_var(offs1[(i, t)], q, 0, +1.0)
             bb.add_hermitian_var(offs2[(i, t)], q, q, +1.0)
-            bb.add_constant_offdiag(x_choi, 0, q)
+            bb.add_constant_offdiag(x_choi[(i, t)], 0, q)
             blocks.append(bb.build())
     for offs in (offs1, offs2):
         for t, c_t in enumerate(cn):
@@ -393,7 +401,7 @@ def _ptr_domain(c: np.ndarray, n: int, cdim: int) -> np.ndarray:
     return c.reshape(n, cdim, n, cdim).trace(axis1=0, axis2=2)
 
 
-def _repair_choi(u: LinearMapRep, c1: dict, c2: dict):
+def _repair_choi(u: LinearMapRep, x_choi: dict, c1: dict, c2: dict):
     """Exact-feasibility shift and balancing for the Choi dressing."""
     dn = u.domain.block_dims
     cn = u.codomain.block_dims
@@ -401,13 +409,10 @@ def _repair_choi(u: LinearMapRep, c1: dict, c2: dict):
     for i, n_i in enumerate(dn):
         for t, c_t in enumerate(cn):
             q = n_i * c_t
-            x_choi = np.zeros((q, q), dtype=np.complex128)
-            for r in range(n_i):
-                for s in range(n_i):
-                    x_choi[r * c_t:(r + 1) * c_t, s * c_t:(s + 1) * c_t] = u.image(i, r, s).blocks[t]
+            x = x_choi[(i, t)]
             h1 = (c1[(i, t)] + c1[(i, t)].conj().T) / 2.0
             h2 = (c2[(i, t)] + c2[(i, t)].conj().T) / 2.0
-            big = np.block([[h1, x_choi], [x_choi.conj().T, h2]])
+            big = np.block([[h1, x], [x.conj().T, h2]])
             w = np.linalg.eigvalsh(big)
             eps = max(0.0, -float(w[0]))
             r1[(i, t)] = h1 + eps * np.eye(q)
@@ -432,32 +437,48 @@ def _repair_choi(u: LinearMapRep, c1: dict, c2: dict):
     return r1, r2, float(np.sqrt(lam1 * lam2))
 
 
-def _extract_matrix_factors(u: LinearMapRep, c1: dict, c2: dict, rcond: float):
-    """Row factorizations u(e_ij) = sum_k a_ki* b_kj from the Choi dressing."""
-    dn = u.domain.block_dims
+def _solve_choi(u: LinearMapRep, scale: float, options: dict):
+    """Solve the Choi program for ``u / scale`` and repair its dressing.
+
+    Returns the Choi data of ``u / scale``, the solver's solution, the
+    repaired Choi blocks of S1 and S2 and their value, all at that scale.
+    """
+    su = LinearMapRep(u.domain, u.codomain, [(1.0 / scale) * img for img in u.images])
+    x_choi = _choi_data(su)
+    program, decode = _choi_program(su, x_choi)
+    sol = _solver_or_raise(program, options)
+    c1, c2 = decode(sol.y)
+    c1, c2, value = _repair_choi(su, x_choi, c1, c2)
+    return x_choi, sol, c1, c2, value
+
+
+def _diagonal_images(u: LinearMapRep, cs: dict) -> list[AlgebraElement]:
+    """Images ``S(e_jj)`` of the diagonal domain units, read off Choi blocks."""
     cn = u.codomain.block_dims
-    if len(dn) != 1:
-        raise ValueError("factor extraction needs a single-block domain")
-    n = dn[0]
+    out = []
+    for i, n_i in enumerate(u.domain.block_dims):
+        for j in range(n_i):
+            out.append(AlgebraElement(u.codomain, [
+                cs[(i, t)][j * c_t:(j + 1) * c_t, j * c_t:(j + 1) * c_t].copy()
+                for t, c_t in enumerate(cn)]))
+    return out
+
+
+def _extract_matrix_factors(u: LinearMapRep, x_choi: dict, c1: dict, c2: dict, rcond: float):
+    """Row factorizations u(e_ij) = sum_k a_ki* b_kj from the Choi dressing."""
+    n = u.domain.block_dims[0]
+    cn = u.codomain.block_dims
     a_mats, b_mats = [], []
-    resid = 0.0
     for t, c_t in enumerate(cn):
-        q = n * c_t
-        x_choi = np.zeros((q, q), dtype=np.complex128)
-        for r in range(n):
-            for s in range(n):
-                x_choi[r * c_t:(r + 1) * c_t, s * c_t:(s + 1) * c_t] = u.image(0, r, s).blocks[t]
-        h1, h2 = c1[(0, t)], c2[(0, t)]
-        p_half = linalg.psd_sqrt(h1)
-        q_half = linalg.psd_sqrt(h2)
-        contraction = linalg.psd_pinv_sqrt(h1, rcond=rcond) @ x_choi @ linalg.psd_pinv_sqrt(h2, rcond=rcond)
+        p_half, p_inv = linalg.psd_roots(c1[(0, t)], rcond=rcond)
+        q_half, q_inv = linalg.psd_roots(c2[(0, t)], rcond=rcond)
+        contraction = p_inv @ x_choi[(0, t)] @ q_inv
         uu, sv, vh = linalg.svd(contraction)
         sv = np.clip(sv, 0.0, 1.0)
         contraction = (uu * sv) @ vh
         a_mats.append((p_half @ contraction).conj().T)  # A with A* B = X
         b_mats.append(q_half)
 
-    shape = u.codomain
     factor_a, factor_b = [], []
     for k in range(n):
         for j in range(n):
@@ -465,16 +486,9 @@ def _extract_matrix_factors(u: LinearMapRep, c1: dict, c2: dict, rcond: float):
                         for t, c_t in enumerate(cn)]
             b_blocks = [b_mats[t][k * c_t:(k + 1) * c_t, j * c_t:(j + 1) * c_t].copy()
                         for t, c_t in enumerate(cn)]
-            factor_a.append(AlgebraElement(shape, a_blocks))
-            factor_b.append(AlgebraElement(shape, b_blocks))
-
-    for idx_i in range(n):
-        for idx_j in range(n):
-            acc = zero(shape)
-            for k in range(n):
-                acc = acc + factor_a[k * n + idx_i].adjoint() * factor_b[k * n + idx_j]
-            resid = max(resid, element_norm(u.image(0, idx_i, idx_j) - acc))
-    return factor_a, factor_b, resid
+            factor_a.append(AlgebraElement(u.codomain, a_blocks))
+            factor_b.append(AlgebraElement(u.codomain, b_blocks))
+    return factor_a, factor_b
 
 
 def dec_norm_matrix_domain(
@@ -500,28 +514,15 @@ def dec_norm_matrix_domain(
         cert.factor_a = [zero(u.codomain) for _ in range(n * n)]
         cert.factor_b = [zero(u.codomain) for _ in range(n * n)]
         return cert
-    su = LinearMapRep(u.domain, u.codomain, [(1.0 / scale) * img for img in u.images])
 
-    program, decode = _choi_program(su)
-    sol = _solver_or_raise(program, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
-    c1, c2 = decode(sol.y)
-    c1, c2, value = _repair_choi(su, c1, c2)
-    factor_a, factor_b, _ = _extract_matrix_factors(su, c1, c2, rcond)
-
-    cn = u.codomain.block_dims
-    ps, qs = [], []
-    for j in range(n):
-        p_blocks = [c1[(0, t)][j * c_t:(j + 1) * c_t, j * c_t:(j + 1) * c_t].copy()
-                    for t, c_t in enumerate(cn)]
-        q_blocks = [c2[(0, t)][j * c_t:(j + 1) * c_t, j * c_t:(j + 1) * c_t].copy()
-                    for t, c_t in enumerate(cn)]
-        ps.append(AlgebraElement(u.codomain, p_blocks))
-        qs.append(AlgebraElement(u.codomain, q_blocks))
+    x_choi, sol, c1, c2, value = _solve_choi(
+        u, scale, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
+    factor_a, factor_b = _extract_matrix_factors(u, x_choi, c1, c2, rcond)
 
     root = np.sqrt(scale)
     value *= scale
-    ps = [scale * p for p in ps]
-    qs = [scale * q for q in qs]
+    c1 = {k: scale * v for k, v in c1.items()}
+    c2 = {k: scale * v for k, v in c2.items()}
     factor_a = [root * x for x in factor_a]
     factor_b = [root * x for x in factor_b]
 
@@ -535,12 +536,13 @@ def dec_norm_matrix_domain(
     bound = dec_upper_bound_factored(factor_a, factor_b)
 
     return DecCertificate(
-        value=float(value), kind="matrix_domain", P=ps, Q=qs,
+        value=float(value), kind="matrix_domain",
+        P=_diagonal_images(u, c1), Q=_diagonal_images(u, c2),
         factor_a=factor_a, factor_b=factor_b,
         reconstruction_residual=float(resid), factor_bound=float(bound),
         flagged=bool(resid > FLAG_RESIDUAL * max(1.0, scale)), solver=sol,
-        choi_s1=[scale * c1[k] for k in sorted(c1)],
-        choi_s2=[scale * c2[k] for k in sorted(c2)],
+        choi_s1=[c1[k] for k in sorted(c1)],
+        choi_s2=[c2[k] for k in sorted(c2)],
     )
 
 
@@ -602,27 +604,15 @@ def dec_norm_direct_sum(
     if scale == 0.0:
         cert = _zero_certificate([zero(u.codomain)], "direct_sum")
         return DirectSumDecReport(0.0, block_values, max(block_values), cert)
-    su = LinearMapRep(u.domain, u.codomain, [(1.0 / scale) * img for img in u.images])
-    program, decode = _choi_program(su)
-    sol = _solver_or_raise(program, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
-    c1, c2 = decode(sol.y)
-    c1, c2, value = _repair_choi(su, c1, c2)
+    _, sol, c1, c2, value = _solve_choi(
+        u, scale, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
     value *= scale
-
-    ps, qs = [], []
-    for i, n_i in enumerate(dn):
-        for j in range(n_i):
-            p_blocks, q_blocks = [], []
-            for t, c_t in enumerate(cn):
-                blk1 = c1[(i, t)][j * c_t:(j + 1) * c_t, j * c_t:(j + 1) * c_t]
-                blk2 = c2[(i, t)][j * c_t:(j + 1) * c_t, j * c_t:(j + 1) * c_t]
-                p_blocks.append(scale * blk1)
-                q_blocks.append(scale * blk2)
-            ps.append(AlgebraElement(u.codomain, p_blocks))
-            qs.append(AlgebraElement(u.codomain, q_blocks))
+    c1 = {k: scale * v for k, v in c1.items()}
+    c2 = {k: scale * v for k, v in c2.items()}
 
     cert = DecCertificate(
-        value=float(value), kind="direct_sum", P=ps, Q=qs,
+        value=float(value), kind="direct_sum",
+        P=_diagonal_images(u, c1), Q=_diagonal_images(u, c2),
         factor_a=[], factor_b=[], reconstruction_residual=0.0,
         factor_bound=float(value), flagged=False, solver=sol,
     )

@@ -128,26 +128,21 @@ def polar_unitary(a) -> np.ndarray:
     return u @ vh
 
 
-def psd_sqrt(a, *, clip: float = 0.0) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, clipping tiny negative modes."""
-    w, v = herm_eigensystem(a)
-    w = np.clip(w, clip, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def psd_roots(a, *, rcond: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Square root and pseudo-inverse square root of a PSD matrix.
 
-
-def psd_pinv_sqrt(a, *, rcond: float = 1e-9) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix.
-
-    Eigenvalues below ``rcond * max(eigenvalue)`` are treated as zero, so
-    the result acts as ``a**(-1/2)`` on the numerical range of ``a`` and as
-    zero on its kernel.
+    Both come from one eigendecomposition.  The square root clips tiny
+    negative modes to zero.  In the pseudo-inverse root, eigenvalues below
+    ``rcond * max(eigenvalue)`` are treated as zero, so it acts as
+    ``a**(-1/2)`` on the numerical range of ``a`` and as zero on its kernel.
     """
     w, v = herm_eigensystem(a)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     top = max(float(w[-1]), 0.0)
     inv = np.zeros_like(w)
     keep = w > rcond * max(top, np.finfo(float).tiny)
     inv[keep] = 1.0 / np.sqrt(w[keep])
-    return (v * inv) @ v.conj().T
+    return root, (v * inv) @ v.conj().T
 
 
 def top_singular_triple(a) -> tuple[float, np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from decnorms.algebra import (
     AlgebraElement,
     AlgebraShape,
     element_norm,
-    from_assembled,
     unit,
 )
 from decnorms.maps import LinearMapRep, apply_map, is_cp, is_unital, matrix_units
@@ -102,16 +101,9 @@ def _unit_images(u: LinearMapRep) -> tuple[list, list[tuple]]:
     imgs = []
     idx = []
     for k, i, r, s in matrix_units(u.domain):
-        del k
-        imgs.append(apply_map(u, _unit_element(u.domain, i, r, s)).assemble())
+        imgs.append(u.images[k].assemble())
         idx.append((i, r, s))
     return imgs, idx
-
-
-def _unit_element(shape: AlgebraShape, block: int, r: int, s: int) -> AlgebraElement:
-    blocks = [np.zeros((d, d), dtype=np.complex128) for d in shape.block_dims]
-    blocks[block][r, s] = 1.0
-    return AlgebraElement(shape=shape, blocks=tuple(blocks))
 
 
 def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBasis:

@@ -24,7 +24,7 @@ import numpy as np
 
 from decnorms import linalg
 from decnorms.algebra import AlgebraShape, element, matrix_algebra
-from decnorms.cbnorm import cb_norm_linf, min_norm_factorization_sdp, seesaw_min_norm
+from decnorms.cbnorm import cb_norm_linf, seesaw_min_norm
 from decnorms.conic import solve, verify_certificate
 from decnorms.decomposable import (
     dec_norm_direct_sum,
@@ -167,14 +167,13 @@ def _run_dec_cb_agreement(manifest, profile, seed, cap, inject):
         xs = random_matrix_tuple(gen, nn, dd)
         sub = _sub_seed(seed, i)
         if frozen:
-            fact = min_norm_factorization_sdp(xs)
+            cert = dec_norm_linf(xs)
             saw = seesaw_min_norm(xs, aux_dim=dd, restarts=1, max_sweeps=1, seed=sub)
-            upper, lower = fact.value, saw.lower
-            cert = fact.certificate
+            upper, lower = cert.value, saw.lower
         else:
             agg = cb_norm_linf(xs, restarts=16, seed=sub, agree_tol=tol)
             upper, lower = agg.upper, agg.lower
-            cert = agg.factorization.certificate
+            cert = agg.certificate
         rel = (upper - lower) / max(1.0, upper)
         worst_gap = max(worst_gap, rel)
         most_negative = min(most_negative, rel)
@@ -546,9 +545,9 @@ def _run_oracle_cross_check(manifest, profile, seed, cap, inject):
         xs = random_matrix_tuple(gen, nn, dd)
         oracle = grid_oracle_min_norm(xs)
         saw = seesaw_min_norm(xs, restarts=8, seed=_sub_seed(seed, i))
-        fact = min_norm_factorization_sdp(xs)
+        upper = dec_norm_linf(xs).value
         worst = max(worst, abs(oracle - saw.lower))
-        sound = sound and oracle <= fact.value + upper_slack
+        sound = sound and oracle <= upper + upper_slack
     passed = sound and worst <= tol
     return [CheckResult(
         name="oracle_cross_check", passed=bool(passed), instances=n,

@@ -64,10 +64,6 @@ def random_element(gen: np.random.Generator, shape: AlgebraShape) -> AlgebraElem
     return AlgebraElement(shape, [random_ginibre(gen, d, d) for d in shape.block_dims])
 
 
-def random_selfadjoint_element(gen: np.random.Generator, shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, [random_hermitian(gen, d) for d in shape.block_dims])
-
-
 def random_positive_element(gen: np.random.Generator, shape: AlgebraShape) -> AlgebraElement:
     blocks = []
     for d in shape.block_dims:
@@ -107,7 +103,7 @@ def random_unital_cp_map(gen: np.random.Generator, d: int, num_kraus: int = 3) -
     """Unital CP map on M_d as x -> sum_k a_k* x a_k with sum a_k* a_k = 1."""
     gs = [random_ginibre(gen, d, d) for _ in range(num_kraus)]
     s = sum(g.conj().T @ g for g in gs)
-    s_inv_half = linalg.psd_pinv_sqrt(s, rcond=1e-12)
+    _, s_inv_half = linalg.psd_roots(s, rcond=1e-12)
     kraus = [g @ s_inv_half for g in gs]
     return kraus_map(kraus)
 

@@ -2,8 +2,8 @@
 
 The see-saw is validated against a direct kron-assembly oracle, against
 closed forms, and against the independent grid search in the test kit; the
-factorization route is validated by reconstructing the coefficients from
-its witnesses.
+upper value's certificate is validated by reconstructing the coefficients
+from its factors.
 """
 
 import numpy as np
@@ -93,16 +93,19 @@ def test_seesaw_input_validation():
 def test_factorization_witnesses_rebuild_coefficients():
     gen = make_generator(65)
     xs = random_matrix_tuple(gen, 3, 2)
-    fact = cbnorm.min_norm_factorization_sdp(xs)
-    assert fact.residual <= 1e-6
-    for x, y, z in zip(xs, fact.y, fact.z):
+    cert = cbnorm.cb_norm_linf(xs, restarts=2, seed=0).certificate
+    # witnesses x = y z with y = a*, z = b
+    ys = [a.blocks[0].conj().T for a in cert.factor_a]
+    zs = [b.blocks[0] for b in cert.factor_b]
+    assert cert.reconstruction_residual <= 1e-6
+    for x, y, z in zip(xs, ys, zs):
         assert np.linalg.norm(x - y @ z, 2) <= 1e-6
     # Gram bound recomputed from the witnesses matches the reported value
-    gy = sum(y @ y.conj().T for y in fact.y)
-    gz = sum(z.conj().T @ z for z in fact.z)
+    gy = sum(y @ y.conj().T for y in ys)
+    gz = sum(z.conj().T @ z for z in zs)
     bound = float(np.sqrt(np.linalg.norm(gy, 2) * np.linalg.norm(gz, 2)))
-    assert bound == pytest.approx(fact.gram_bound, rel=1e-12)
-    assert fact.gram_bound == pytest.approx(fact.value, abs=1e-6 * max(1.0, fact.value))
+    assert bound == pytest.approx(cert.factor_bound, rel=1e-12)
+    assert cert.factor_bound == pytest.approx(cert.value, abs=1e-6 * max(1.0, cert.value))
 
 
 def test_bracket_is_sound_and_closes():

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from decnorms.cli import main
 
 SCALAR = "instances/scalar_dec.json"
@@ -73,10 +71,9 @@ def test_norm_malformed_instance(tmp_path, capsys):
     assert "kind" in err
 
 
-def test_norm_rejects_both_formats():
-    with pytest.raises(SystemExit) as ei:
-        main(["norm", SCALAR, "--json", "--text"])
-    assert ei.value.code == 2
+def test_norm_zero_aux_dim_is_rejected(capsys):
+    assert main(["norm", PAULI, "--K", "0"]) == 2
+    assert "auxiliary dimension must be positive" in capsys.readouterr().err
 
 
 def test_verify_quick_capped(capsys):

@@ -9,7 +9,7 @@ norm beyond dec times the min norm.
 import numpy as np
 import pytest
 
-from decnorms import freetensor, maps
+from decnorms import conic, freetensor, maps
 from decnorms.algebra import matrix_algebra
 from decnorms.testkit import (
     make_generator,
@@ -96,6 +96,23 @@ def test_nuclearity_gap_closes_for_matrix_coefficients():
         assert rep.rel_gap <= 5e-4
         assert rep.seesaw_gap <= 5e-4
         assert rep.min_lower <= rep.max_value + 1e-8
+
+
+def test_nuclearity_gap_solves_one_sdp(monkeypatch):
+    # the max norm and the min-norm upper value are the same SDP
+    calls = []
+    solve = conic.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting_solve)
+    t = random_free_tensor(make_generator(84), 3, 2)
+    rep = freetensor.nuclearity_gap(t, restarts=2, seed=0)
+    assert len(calls) == 1
+    assert rep.max_value == rep.min_upper
+    assert rep.max_certificate is rep.min_bracket.certificate
 
 
 def test_contraction_through_unital_cp_map():

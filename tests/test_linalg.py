@@ -74,9 +74,8 @@ def test_psd_sqrt_and_pinv_sqrt():
         d = int(gen.integers(2, 6))
         g = random_ginibre(gen, d, d - 1 if d > 2 else d)
         p = g @ g.conj().T
-        r = linalg.psd_sqrt(p)
+        r, rinv = linalg.psd_roots(p)
         assert np.allclose(r @ r, p, atol=1e-10)
-        rinv = linalg.psd_pinv_sqrt(p)
         proj = rinv @ p @ rinv
         # rinv is the square root of the pseudoinverse: sandwiching gives
         # the orthogonal projector onto the range.

@@ -5,7 +5,8 @@ import pytest
 
 from decnorms import testkit
 from decnorms.algebra import AlgebraShape, element_norm, unit
-from decnorms.cbnorm import min_norm_factorization_sdp, seesaw_min_norm
+from decnorms.cbnorm import seesaw_min_norm
+from decnorms.decomposable import dec_norm_linf
 from decnorms.maps import apply_map, is_cp, is_unital
 
 
@@ -88,7 +89,7 @@ def test_grid_oracle_against_seesaw_and_sdp():
         xs = testkit.random_matrix_tuple(gen, n, d)
         grid = testkit.grid_oracle_min_norm(xs)
         saw = seesaw_min_norm(xs, restarts=16, seed=1000 + i)
-        sdp = min_norm_factorization_sdp(xs)
+        sdp = dec_norm_linf(xs)
         assert abs(grid - saw.lower) <= 1e-3 * max(1.0, sdp.value)
         assert grid <= sdp.value + 1e-5 * max(1.0, sdp.value)
         assert saw.lower <= sdp.value + 1e-9 * max(1.0, sdp.value)

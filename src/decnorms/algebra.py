@@ -157,12 +157,6 @@ def element_norm(x: AlgebraElement) -> float:
     return max(linalg.operator_norm(b) for b in x.blocks)
 
 
-def hilbert_schmidt_inner(x: AlgebraElement, y: AlgebraElement) -> complex:
-    """Trace inner product ``tr(x* y)`` on the assembled matrices."""
-    _require_same_shape(x, y)
-    return complex(sum(np.trace(a.conj().T @ b) for a, b in zip(x.blocks, y.blocks)))
-
-
 def is_positive(x: AlgebraElement, tol: float = 1e-9) -> bool:
     """True iff every block is Hermitian within ``tol`` and PSD within ``tol``.
 

@@ -83,6 +83,13 @@ class SeeSawResult:
     objective_history: list[float] = field(default_factory=list, repr=False)
 
 
+def _check_seesaw_args(aux_dim: int, restarts: int):
+    if aux_dim < 1:
+        raise ValueError("auxiliary dimension must be positive")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+
+
 def _assemble(us: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
     return sum(np.kron(u, x) for u, x in zip(us, xs))
 
@@ -118,10 +125,7 @@ def seesaw_min_norm(
     n = len(mats)
     d = mats[0].shape[0]
     k = int(aux_dim) if aux_dim is not None else d
-    if k < 1:
-        raise ValueError("auxiliary dimension must be positive")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    _check_seesaw_args(k, restarts)
 
     gen = make_generator(seed, stream=k)
     best: SeeSawResult | None = None
@@ -220,6 +224,7 @@ def cb_norm_linf(
     """
     mats = _coerce_mats(xs)
     k0 = int(aux_dim) if aux_dim is not None else mats[0].shape[0]
+    _check_seesaw_args(k0, restarts)  # before the SDP, which bad arguments would waste
     cert = dec_norm_linf(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
     upper = float(cert.value)
 

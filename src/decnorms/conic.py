@@ -68,15 +68,7 @@ def svec(mat: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(mat, dtype=np.complex128)
     q = m.shape[0]
-    iu = _triu_pairs(q)
-    t = iu[0].size
-    out = np.empty(q * q, dtype=np.float64)
-    out[:q] = m.diagonal().real
-    if t:
-        off = m[iu]
-        out[q:q + t] = _SQRT2 * off.real
-        out[q + t:] = _SQRT2 * off.imag
-    return out
+    return _svec_batch(m[None], q, _triu_pairs(q))[0]
 
 
 def unsvec(vec: np.ndarray, q: int) -> np.ndarray:
@@ -84,15 +76,7 @@ def unsvec(vec: np.ndarray, q: int) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64)
     if v.shape != (q * q,):
         raise ValueError(f"svec vector for size {q} must have length {q * q}")
-    iu = _triu_pairs(q)
-    t = iu[0].size
-    m = np.zeros((q, q), dtype=np.complex128)
-    m[np.arange(q), np.arange(q)] = v[:q]
-    if t:
-        off = (v[q:q + t] + 1j * v[q + t:]) / _SQRT2
-        m[iu] = off
-        m[iu[1], iu[0]] = off.conj()
-    return m
+    return _unsvec_batch(v[None], q, _triu_pairs(q))[0]
 
 
 def _unsvec_batch(vecs: np.ndarray, q: int, iu) -> np.ndarray:
@@ -348,6 +332,15 @@ def block_matrices(program: ConicProgram, y: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _psd_residual(program: ConicProgram, y: np.ndarray) -> float:
+    """Largest PSD violation (negated smallest eigenvalue) over the blocks at ``y``."""
+    res = 0.0
+    for mat in block_matrices(program, y):
+        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        res = max(res, max(0.0, -float(w[0])))
+    return res
+
+
 def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> CertificateReport:
     """Recompute all residuals of a reported solution from scratch.
 
@@ -364,10 +357,7 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
     if sol.status != "optimal":
         issues.append(f"status is {sol.status!r}, not optimal")
 
-    psd_res = 0.0
-    for idx, mat in enumerate(block_matrices(program, y)):
-        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        psd_res = max(psd_res, max(0.0, -float(w[0])))
+    psd_res = _psd_residual(program, y)
     eq_res = 0.0
     if program.eq_a is not None:
         eq_res = float(np.max(np.abs(program.eq_a @ y - program.eq_b), initial=0.0))
@@ -748,10 +738,7 @@ def solve(
                    f"primal {res_p:.3e} dual {res_d:.3e} gap {res_g:.3e} at iteration {seen_at}")
 
     # direct feasibility measurements at the returned point
-    psd_res = 0.0
-    for mat in block_matrices(program, x):
-        wv = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        psd_res = max(psd_res, max(0.0, -float(wv[0])))
+    psd_res = _psd_residual(program, x)
     eq_res = 0.0
     if p:
         eq_res = float(np.max(np.abs(program.eq_a @ x - program.eq_b), initial=0.0))

@@ -96,11 +96,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def frobenius_norm(a) -> float:
-    m = as_matrix(a)
-    return float(np.linalg.norm(m))
-
-
 def psd_check(a, tol: float = 1e-9) -> tuple[bool, float]:
     """Decide positive semidefiniteness of a Hermitian matrix.
 

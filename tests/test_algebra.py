@@ -49,8 +49,6 @@ def test_arithmetic_matches_assembled():
         assert np.allclose((-x).assemble(), -ax)
         assert np.allclose(x.adjoint().assemble(), ax.conj().T)
         assert algebra.element_norm(x) == pytest.approx(np.linalg.norm(ax, 2), rel=1e-12)
-        hs = algebra.hilbert_schmidt_inner(x, y)
-        assert hs == pytest.approx(np.trace(ax.conj().T @ ay), rel=1e-12)
 
 
 def test_shape_mismatch_raises():

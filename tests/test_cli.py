@@ -2,6 +2,7 @@
 
 import json
 
+from decnorms import conic
 from decnorms.cli import main
 
 SCALAR = "instances/scalar_dec.json"
@@ -74,6 +75,21 @@ def test_norm_malformed_instance(tmp_path, capsys):
 def test_norm_zero_aux_dim_is_rejected(capsys):
     assert main(["norm", PAULI, "--K", "0"]) == 2
     assert "auxiliary dimension must be positive" in capsys.readouterr().err
+
+
+def test_norm_bad_aux_dim_is_rejected_before_the_sdp(monkeypatch, capsys):
+    calls = []
+    solve = conic.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting_solve)
+    for k in ("0", "-1"):
+        assert main(["norm", PAULI, "--K", k]) == 2
+        assert "auxiliary dimension must be positive" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_verify_quick_capped(capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from decnorms import decomposable, maps
 from decnorms.algebra import (
+    AlgebraShape,
     abelian_algebra,
     element,
     element_norm,
@@ -19,6 +20,7 @@ from decnorms.algebra import (
     matrix_algebra,
     scalar_element,
     unit,
+    zero,
 )
 from decnorms.testkit import (
     make_generator,
@@ -123,25 +125,37 @@ def test_triangle_inequality():
 
 def test_certificate_contents_linf():
     gen = make_generator(48)
-    xs = random_matrix_tuple(gen, 3, 2)
-    cert = decomposable.dec_norm_linf(xs)
-    scale = max(np.linalg.norm(x, 2) for x in xs)
-    assert cert.reconstruction_residual <= 1e-6 * max(1.0, scale)
-    assert not cert.flagged
-    assert cert.factor_bound == pytest.approx(cert.value, abs=1e-6 * max(1.0, cert.value))
-    # the repaired dressing is exactly feasible: pair blocks PSD, sums bounded
-    for x, p, q in zip(xs, cert.P, cert.Q):
-        big = np.block([[p.blocks[0], x], [x.conj().T, q.blocks[0]]])
-        assert float(np.linalg.eigvalsh(big)[0]) >= -1e-10
-    sp = cert.P[0] + cert.P[1] + cert.P[2]
-    sq = cert.Q[0] + cert.Q[1] + cert.Q[2]
-    assert element_norm(sp) <= cert.value + 1e-8
-    assert element_norm(sq) <= cert.value + 1e-8
-    # rebuilding the coefficients from the factors reproduces the map
-    for x, a, b in zip(xs, cert.factor_a, cert.factor_b):
-        assert np.linalg.norm(a.adjoint().blocks[0] @ b.blocks[0] - x, 2) <= 1e-6
-    assert decomposable.dec_upper_bound_factored(cert.factor_a, cert.factor_b) == pytest.approx(
-        cert.factor_bound)
+    single = [element(matrix_algebra(2), [x]) for x in random_matrix_tuple(gen, 3, 2)]
+    # into M_2 + M_1: one coefficient vanishes on M_1, the last one everywhere
+    shape = AlgebraShape((2, 1))
+    multi = [
+        element(shape, [random_ginibre(gen, 2, 2), random_ginibre(gen, 1, 1)]),
+        element(shape, [random_ginibre(gen, 2, 2), np.zeros((1, 1))]),
+        zero(shape),
+    ]
+    for xs in (single, multi):
+        cert = decomposable.dec_norm_linf(xs)
+        scale = max(element_norm(x) for x in xs)
+        assert cert.reconstruction_residual <= 1e-6 * max(1.0, scale)
+        assert not cert.flagged
+        assert cert.factor_bound == pytest.approx(cert.value, abs=1e-6 * max(1.0, cert.value))
+        # the repaired dressing is exactly feasible: pair blocks PSD, sums bounded
+        for x, p, q in zip(xs, cert.P, cert.Q):
+            for xt, pt, qt in zip(x.blocks, p.blocks, q.blocks):
+                big = np.block([[pt, xt], [xt.conj().T, qt]])
+                assert float(np.linalg.eigvalsh(big)[0]) >= -1e-10
+        sp = cert.P[0] + cert.P[1] + cert.P[2]
+        sq = cert.Q[0] + cert.Q[1] + cert.Q[2]
+        assert element_norm(sp) <= cert.value + 1e-8
+        assert element_norm(sq) <= cert.value + 1e-8
+        # rebuilding the coefficients from the factors reproduces the map
+        for x, a, b in zip(xs, cert.factor_a, cert.factor_b):
+            assert element_norm(a.adjoint() * b - x) <= 1e-6
+        assert decomposable.dec_upper_bound_factored(cert.factor_a, cert.factor_b) == pytest.approx(
+            cert.factor_bound)
+    # the zero coefficient gets no variables, so its dressing and factors are exact zeros
+    for part in (cert.P[2], cert.Q[2], cert.factor_a[2], cert.factor_b[2]):
+        assert not any(np.any(b) for b in part.blocks)
 
 
 def test_identity_map_has_norm_one():
@@ -226,8 +240,6 @@ def test_direct_sum_joint_equals_max_block():
     gen = make_generator(54)
     dom = np.array([2, 2])
     shape = tuple(int(t) for t in dom)
-    from decnorms.algebra import AlgebraShape
-
     domain = AlgebraShape(shape)
     codomain = AlgebraShape(shape)
     images = []
@@ -242,9 +254,34 @@ def test_direct_sum_joint_equals_max_block():
     assert len(rep.block_values) == 2
 
 
-def test_direct_sum_rejects_off_block_support():
-    from decnorms.algebra import AlgebraShape
+def test_direct_sum_certificate_rebuilds_the_map():
+    gen = make_generator(58)
+    domain = AlgebraShape((2, 1))
+    codomain = AlgebraShape((3, 2))
+    images = []
+    for i, di in enumerate(domain.block_dims):
+        for _ in range(di * di):
+            blocks = [np.zeros((c, c), dtype=np.complex128) for c in codomain.block_dims]
+            blocks[i] = random_ginibre(gen, codomain.block_dims[i], codomain.block_dims[i])
+            images.append(element(codomain, blocks))
+    u = maps.LinearMapRep(domain, codomain, images)
+    cert = decomposable.dec_norm_direct_sum(u).certificate
+    assert len(cert.factor_a) == len(cert.factor_b) == domain.total_dim
+    worst = 0.0
+    for k, i, r, s in maps.matrix_units(domain):
+        acc = zero(codomain)
+        for l in range(domain.block_dims[i]):
+            a = cert.factor_a[maps.matrix_unit_index(domain, i, l, r)]
+            b = cert.factor_b[maps.matrix_unit_index(domain, i, l, s)]
+            acc = acc + a.adjoint() * b
+        worst = max(worst, element_norm(u.images[k] - acc))
+    assert worst <= 1e-6
+    assert cert.reconstruction_residual == pytest.approx(worst, abs=1e-12)
+    assert cert.factor_bound == pytest.approx(cert.value, abs=1e-5 * max(1.0, cert.value))
+    assert not cert.flagged
 
+
+def test_direct_sum_rejects_off_block_support():
     domain = AlgebraShape((2, 2))
     codomain = AlgebraShape((2, 2))
     images = []

@@ -94,17 +94,21 @@ def matrix_unit_element(shape: AlgebraShape, block: int, r: int, s: int) -> Alge
 
 
 def apply_map(u: LinearMapRep, x: AlgebraElement) -> AlgebraElement:
-    """Evaluate ``u`` on an element by expanding it over matrix units."""
+    """Evaluate ``u`` on an element as one contraction per codomain block.
+
+    The coefficients of ``x`` over the matrix units (blocks flattened in
+    enumeration order) are contracted against the stacked images of the
+    units, so codomain block j is ``sum_k x_k * u(e_k)_j``.
+    """
     if x.shape != u.domain:
         raise ValueError(
             f"element shape {x.shape.block_dims} does not match domain {u.domain.block_dims}"
         )
-    out = zero(u.codomain)
-    for k, i, r, s in matrix_units(u.domain):
-        c = x.blocks[i][r, s]
-        if c != 0:
-            out = out + c * u.images[k]
-    return out
+    coeffs = np.concatenate([b.reshape(-1) for b in x.blocks])
+    return AlgebraElement(u.codomain, [
+        np.tensordot(coeffs, np.stack([img.blocks[j] for img in u.images]), axes=1)
+        for j in range(u.codomain.num_blocks)
+    ])
 
 
 def map_from_function(domain: AlgebraShape, codomain: AlgebraShape, f) -> LinearMapRep:

@@ -9,9 +9,13 @@ Those quadratic equalities are equivalent to the linear system
 u(ea) = u(e)u(a), u(ae) = u(a)u(e) over all matrix units e, so the
 computation here is one singular value decomposition: stack the linear
 conditions, read the kernel at cutoff 1e-9 times the largest singular
-value, and verify the Schwarz equalities on the result afterwards.
+value (or the squared image scale, if larger), and verify the Schwarz
+equalities on the result afterwards.
 Products of matrix units are again matrix units, so every entry of the
 system matrix comes from precomputed images, no generic map application.
+The system has 2 * dim * m^2 rows for dim columns, but the kernel needs
+only the singular values and the right singular vectors, so it takes the
+reduced SVD, no U: memory stays at the size of the system itself.
 """
 
 from __future__ import annotations
@@ -60,11 +64,18 @@ def element_from_coefficients(shape: AlgebraShape, v: np.ndarray) -> AlgebraElem
     return AlgebraElement(shape=shape, blocks=tuple(blocks))
 
 
-def span_projector(basis) -> np.ndarray:
-    """Orthogonal projector onto the span of the given elements."""
-    cols = np.stack([coefficient_vector(b) for b in basis], axis=1)
+def _basis_columns(basis) -> np.ndarray:
+    return np.stack([coefficient_vector(b) for b in basis], axis=1)
+
+
+def _column_projector(cols: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(cols)
     return q @ q.conj().T
+
+
+def span_projector(basis) -> np.ndarray:
+    """Orthogonal projector onto the span of the given elements."""
+    return _column_projector(_basis_columns(basis))
 
 
 def subalgebra_closure_report(d: SubalgebraBasis) -> dict:
@@ -74,7 +85,8 @@ def subalgebra_closure_report(d: SubalgebraBasis) -> dict:
     each as the Hilbert-Schmidt distance from the span, and the largest
     deviation of the basis Gram matrix from the identity.
     """
-    proj = span_projector(d.basis)
+    cols = _basis_columns(d.basis)
+    proj = _column_projector(cols)
     shape = d.ambient
 
     def dist(x: AlgebraElement) -> float:
@@ -85,7 +97,6 @@ def subalgebra_closure_report(d: SubalgebraBasis) -> dict:
     unit_res = dist(one) / max(1.0, float(np.linalg.norm(coefficient_vector(one))))
     adj_res = max(dist(b.adjoint()) for b in d.basis)
     prod_res = max(dist(a * b) for a in d.basis for b in d.basis)
-    cols = np.stack([coefficient_vector(b) for b in d.basis], axis=1)
     gram = cols.conj().T @ cols
     ortho = float(np.abs(gram - np.eye(d.dimension)).max())
     return {
@@ -111,8 +122,11 @@ def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBa
 
     Requires a unital completely positive map.  Solves the linear system
     u(ea) = u(e)u(a), u(ae) = u(a)u(e) over all matrix units e; the kernel
-    is read off at singular-value cutoff 1e-9 relative to the largest
-    singular value, orthonormalized in the Hilbert-Schmidt inner product.
+    is read off a reduced SVD (singular values and right singular vectors,
+    no U) at singular-value cutoff 1e-9 relative to the largest singular
+    value or the squared image scale, whichever is larger; the rows of
+    ``vh`` past the rank are orthonormal in the Hilbert-Schmidt inner
+    product.
     The Schwarz equalities u(a*a) = u(a)*u(a) and u(aa*) = u(a)u(a)* are
     re-checked on the returned basis and a violation raises.
     """
@@ -146,8 +160,7 @@ def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBa
             rows.append((right - imgs[t] @ imgs[k]).reshape(-1))
         cols[:, k] = np.concatenate(rows)
 
-    sing = np.linalg.svd(cols, compute_uv=True)
-    s, vh = sing[1], sing[2]
+    _, s, vh = np.linalg.svd(cols, full_matrices=False)
     top = float(s[0]) if s.size else 0.0
     # anchor the cutoff to the image scale too: a homomorphism leaves only
     # roundoff in the system, and a purely relative cutoff would then count

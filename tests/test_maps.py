@@ -105,6 +105,26 @@ def test_apply_map_shape_check():
         maps.apply_map(u, unit(matrix_algebra(3)))
 
 
+def test_apply_map_matches_unit_expansion():
+    # Reference: sum_k x_k u(e_k) accumulated block by block from u.images,
+    # in the matrix-unit order of maps.matrix_units.
+    gen = make_generator(23)
+    dom, cod = AlgebraShape((2, 1)), AlgebraShape((3, 1))
+    u = _random_map(gen, dom, cod)
+    x = random_element(gen, dom)
+    x.blocks[0][0, 1] = 0.0
+    x.blocks[0][1, 1] = 0.0
+    x.blocks[1][0, 0] = 0.0
+    want = [np.zeros((3, 3), dtype=complex), np.zeros((1, 1), dtype=complex)]
+    for k, i, r, s in maps.matrix_units(dom):
+        for j in range(cod.num_blocks):
+            want[j] += x.blocks[i][r, s] * u.images[k].blocks[j]
+    got = maps.apply_map(u, x)
+    assert got.shape == cod
+    for g, w in zip(got.blocks, want):
+        assert np.abs(g - w).max() <= 1e-12
+
+
 def test_compose_matches_sequential_application():
     gen = make_generator(22)
     a, b, c = AlgebraShape((2,)), AlgebraShape((1, 2)), AlgebraShape((3,))

@@ -8,6 +8,8 @@ enumerating the matrix-unit conditions directly, without the kernel
 machinery under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,15 +70,19 @@ def test_span_projector_is_projector():
     assert np.allclose(p @ v, v, atol=1e-10)
 
 
+def _assert_closed(md):
+    rep = multdomain.subalgebra_closure_report(md)
+    for key in ("unit", "adjoint", "product", "orthonormality"):
+        assert rep[key] <= 1e-9, key
+
+
 def test_identity_map_has_full_domain():
-    for d in (2, 3):
-        md = multdomain.multiplicative_domain(identity_map(matrix_algebra(d)))
-        assert md.dimension == d * d
-        rep = multdomain.subalgebra_closure_report(md)
-        assert rep["unit"] <= 1e-9
-        assert rep["adjoint"] <= 1e-9
-        assert rep["product"] <= 1e-9
-        assert rep["orthonormality"] <= 1e-9
+    # M_1 and M_2 + M_1 are the edge and multi-block inputs (dimensions 1, 5)
+    for dims in ((2,), (3,), (1,), (2, 1)):
+        shape = AlgebraShape(dims)
+        md = multdomain.multiplicative_domain(identity_map(shape))
+        assert md.dimension == shape.total_dim
+        _assert_closed(md)
 
 
 def test_pinching_domain_is_diagonal():
@@ -226,3 +232,29 @@ def test_pinch_after_unitary_domain_is_rotated_diagonal():
         rot = AlgebraElement(shape, [w @ e.blocks[0] @ w.conj().T])
         vv = multdomain.coefficient_vector(rot)
         assert float(np.linalg.norm(vv - proj @ vv)) <= 1e-8
+
+
+def test_block_pinching_on_multi_block_domain():
+    # pinch the M_2 block to its diagonal, keep the M_1 block: the domain is
+    # the diagonal of M_2 plus the M_1 block
+    shape = AlgebraShape((2, 1))
+    u = map_from_function(
+        shape, shape,
+        lambda e: AlgebraElement(shape, [np.diag(np.diagonal(e.blocks[0])), e.blocks[1]]),
+    )
+    md = multdomain.multiplicative_domain(u)
+    assert md.dimension == 3
+    _assert_closed(md)
+
+
+def test_domain_memory_stays_at_system_size():
+    # At d=7 the system is 4802x49; a full left factor U alone would be 369 MB.
+    u = random_unital_cp_map(make_generator(96), 7)
+    tracemalloc.start()
+    try:
+        md = multdomain.multiplicative_domain(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert md.dimension == 1
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"

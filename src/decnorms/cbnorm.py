@@ -5,7 +5,9 @@ map ``e_i -> x_i`` equals the supremum of ``||sum u_i (x) x_i||`` over
 families of unitaries of any size.  Two independent routes bracket it:
 
 * a see-saw search (alternating maximization over the unitaries and the
-  top singular pair) climbs toward the supremum from below, and
+  top singular pair) climbs toward the supremum from below; its restarts
+  run as stacked arrays, chunked to a fixed memory budget, and each sweep
+  takes two stacked SVDs for all of them, and
 * the decomposable-norm semidefinite program reaches the value from
   above; its certificate factors ``x_i = y_i z_i`` with ``y_i = a_i*`` and
   ``z_i = b_i``, and the Gram norms of those witnesses certify the bound.
@@ -27,6 +29,11 @@ from decnorms import linalg
 from decnorms.algebra import AlgebraElement
 from decnorms.decomposable import DecCertificate, dec_norm_linf
 from decnorms.testkit import make_generator, random_haar_unitary
+
+# Bytes of stacked kd x kd see-saw matrices that one chunk of restarts may
+# hold at once: per restart the n products u_i (x) x_i, their sum and the
+# two unitary factors of its SVD.
+SWEEP_BYTES = 8 << 20
 
 
 def _coerce_mats(xs) -> list[np.ndarray]:
@@ -90,10 +97,6 @@ def _check_seesaw_args(aux_dim: int, restarts: int):
         raise ValueError("need at least one restart")
 
 
-def _assemble(us: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
-    return sum(np.kron(u, x) for u, x in zip(us, xs))
-
-
 def seesaw_min_norm(
     xs,
     *,
@@ -111,7 +114,7 @@ def seesaw_min_norm(
     maximizes the pairing -- those updates are independent across i -- then
     recomputes the top singular pair.  Both half-steps are exact
     maximizations of the same functional, so the objective never decreases;
-    the sweep stops after the improvement stays below ``tol`` (relative)
+    a restart stops after its improvement stays below ``tol`` (relative)
     three times in a row.
 
     Restart 0 is deterministic: ``u_i`` is the unitary polar factor of
@@ -120,66 +123,78 @@ def seesaw_min_norm(
     a Philox stream keyed by ``(seed, aux_dim)``.  With ``pin_first`` the
     first unitary stays the identity throughout, which computes the norm
     of a tensor whose first generator is the unit.
+
+    The restarts run together, in chunks that keep their stacked kd x kd
+    matrices within ``SWEEP_BYTES``.  A sweep updates every active restart
+    of a chunk at once: one broadcast product assembles every tensor, one
+    stacked SVD gives every polar factor and one stacked SVD every top
+    pair.  A restart leaves the active set when it converges, so each
+    restart ends where it would on its own, bit for bit, whatever the
+    chunk split.
     """
-    mats = _coerce_mats(xs)
-    n = len(mats)
-    d = mats[0].shape[0]
+    x = np.stack(_coerce_mats(xs))
+    n, d = x.shape[:2]
     k = int(aux_dim) if aux_dim is not None else d
     _check_seesaw_args(k, restarts)
+    kd = k * d
+    chunk = max(1, SWEEP_BYTES // ((n + 3) * 16 * kd * kd))
+    lo = 1 if pin_first else 0
+
+    def top_pairs(us):
+        # sum over i of the broadcast products u_i (x) x_i, added in order:
+        # the same bits as a sum of np.kron terms (einsum's fused
+        # multiply-add is not), so degenerate polar steps complete alike
+        t = (us[:, :, :, None, :, None] * x[:, None, :, None, :]).sum(axis=1)
+        return linalg.top_singular_triple(t.reshape(len(us), kd, kd))
 
     gen = make_generator(seed, stream=k)
     best: SeeSawResult | None = None
-
-    for restart in range(restarts):
-        if restart == 0:
-            us = []
-            for x in mats:
-                pad = np.eye(k, dtype=np.complex128)
+    for first in range(0, restarts, chunk):
+        us = []
+        for restart in range(first, min(first + chunk, restarts)):
+            if restart == 0:
+                pad = np.tile(np.eye(k, dtype=np.complex128), (n, 1, 1))
                 c = min(k, d)
-                pad[:c, :c] = x.conj()[:c, :c]
+                pad[:, :c, :c] = x.conj()[:, :c, :c]
                 us.append(linalg.polar_unitary(pad))
-        else:
-            us = [random_haar_unitary(gen, k) for _ in range(n)]
-        if pin_first:
-            us[0] = np.eye(k, dtype=np.complex128)
-
-        t_mat = _assemble(us, mats)
-        sigma, xi, eta = linalg.top_singular_triple(t_mat)
-        history = [sigma]
-        streak = 0
-        converged = False
-        sweeps = 0
-        for sweep in range(1, max_sweeps + 1):
-            sweeps = sweep
-            xi_m = xi.reshape(k, d)
-            eta_m = eta.reshape(k, d)
-            for i in range(n):
-                if pin_first and i == 0:
-                    continue
-                g = xi_m.conj() @ mats[i] @ eta_m.T
-                us[i] = linalg.polar_unitary(g.conj())
-            t_mat = _assemble(us, mats)
-            new_sigma, xi, eta = linalg.top_singular_triple(t_mat)
-            history.append(new_sigma)
-            if new_sigma - sigma <= tol * max(1.0, new_sigma):
-                streak += 1
             else:
-                streak = 0
-            sigma = new_sigma
-            if streak >= 3:
-                converged = True
-                break
+                us.append(np.stack([random_haar_unitary(gen, k) for _ in range(n)]))
+        us = np.stack(us)
+        if pin_first:
+            us[:, 0] = np.eye(k)
 
-        if best is None or sigma > best.lower:
+        sigma, xi, eta = top_pairs(us)
+        history = np.full((max_sweeps + 1, len(us)), np.nan)
+        history[0] = sigma
+        streak = np.zeros(len(us), dtype=int)
+        sweeps = np.zeros(len(us), dtype=int)
+        active = np.arange(len(us))
+        for sweep in range(1, max_sweeps + 1):
+            if active.size == 0:
+                break
+            xi_m = xi[active].reshape(-1, 1, k, d)
+            eta_m = eta[active].reshape(-1, 1, k, d)
+            g = xi_m.conj() @ x @ eta_m.swapaxes(-1, -2)
+            us[active, lo:] = linalg.polar_unitary(g[:, lo:].conj())
+            new_sigma, xi[active], eta[active] = top_pairs(us[active])
+            history[sweep, active] = new_sigma
+            sweeps[active] = sweep
+            small = new_sigma - sigma[active] <= tol * np.maximum(1.0, new_sigma)
+            streak[active] = np.where(small, streak[active] + 1, 0)
+            sigma[active] = new_sigma
+            active = active[streak[active] < 3]
+
+        r = int(np.argmax(sigma))
+        if best is None or sigma[r] > best.lower:
             best = SeeSawResult(
-                lower=float(sigma),
-                witness_unitaries=[u.copy() for u in us],
-                witness_vectors=(xi.copy(), eta.copy()),
-                iterations=sweeps,
+                lower=float(sigma[r]),
+                witness_unitaries=list(us[r].copy()),
+                witness_vectors=(xi[r].copy(), eta[r].copy()),
+                iterations=int(sweeps[r]),
                 restarts_used=restarts,
-                converged=converged,
+                converged=bool(streak[r] >= 3),
                 aux_dimension=k,
-                objective_history=history,
+                objective_history=history[:sweeps[r] + 1, r].tolist(),
             )
     return best
 

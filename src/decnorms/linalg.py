@@ -22,10 +22,14 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array, rejecting non-finite entries."""
+def as_matrix(a, *, stack: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a 2-D complex128 array, rejecting non-finite entries.
+
+    With ``stack`` any array of ndim >= 2 is accepted as a stack of
+    matrices over its last two axes.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ValueError(f"expected a matrix, got an array of ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
@@ -75,14 +79,15 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Singular values are descending; ``u`` and ``vh`` are unitary.  Shapes
     follow the full (not reduced) convention so ``u`` is m-by-m and ``vh``
-    is n-by-n for an m-by-n input.
+    is n-by-n for an m-by-n input.  A stack ``(..., m, n)`` is factored
+    matrix by matrix in one call, each exactly as it would be on its own.
     """
-    m = as_matrix(a)
+    m = as_matrix(a, stack=True)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise np.linalg.LinAlgError(
-            f"svd failed to converge on a {m.shape[0]}x{m.shape[1]} matrix "
+            f"svd failed to converge on an array of shape {m.shape} "
             f"with max entry {np.abs(m).max():.3e}"
         ) from exc
     return u, s, vh
@@ -114,11 +119,12 @@ def polar_unitary(a) -> np.ndarray:
     For ``a = u @ diag(s) @ vh`` this is ``u @ vh``; it maximizes
     ``Re tr(w* a)`` over all unitaries ``w``, which is what the alternating
     maximization in the min-norm search needs.  Rank-deficient inputs get
-    the deterministic completion LAPACK's full SVD provides.
+    the deterministic completion LAPACK's full SVD provides.  A stack
+    ``(..., m, m)`` gets one polar factor per matrix.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"polar factor needs a square matrix, got {m.shape}")
+    m = as_matrix(a, stack=True)
+    if m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"polar factor needs square matrices, got {m.shape}")
     u, _, vh = svd(m)
     return u @ vh
 
@@ -140,12 +146,13 @@ def psd_roots(a, *, rcond: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     return root, (v * inv) @ v.conj().T
 
 
-def top_singular_triple(a) -> tuple[float, np.ndarray, np.ndarray]:
+def top_singular_triple(a) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Largest singular value with its left and right unit vectors.
 
-    Returns ``(sigma, left, right)`` with ``a @ right = sigma * left``.
+    Returns ``(sigma, left, right)`` with ``a @ right = sigma * left``.  For
+    a stack ``(..., m, n)`` the three carry the stack's leading axes.
     """
     u, s, vh = svd(a)
-    if s.size == 0:
+    if s.shape[-1] == 0:
         raise ValueError("matrix has no singular values")
-    return float(s[0]), u[:, 0].copy(), vh[0, :].conj().copy()
+    return s[..., 0], u[..., :, 0].copy(), vh[..., 0, :].conj()

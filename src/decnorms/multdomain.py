@@ -12,7 +12,8 @@ conditions, read the kernel at cutoff 1e-9 times the largest singular
 value (or the squared image scale, if larger), and verify the Schwarz
 equalities on the result afterwards.
 Products of matrix units are again matrix units, so every entry of the
-system matrix comes from precomputed images, no generic map application.
+system matrix comes from precomputed images, no generic map application:
+one stacked product of the images and one gather by index arrays.
 The system has 2 * dim * m^2 rows for dim columns, but the kernel needs
 only the singular values and the right singular vectors, so it takes the
 reduced SVD, no U: memory stays at the size of the system itself.
@@ -107,14 +108,12 @@ def subalgebra_closure_report(d: SubalgebraBasis) -> dict:
     }
 
 
-def _unit_images(u: LinearMapRep) -> tuple[list, list[tuple]]:
-    """Assembled codomain matrices of u on every matrix unit, in index order."""
-    imgs = []
-    idx = []
-    for k, i, r, s in matrix_units(u.domain):
-        imgs.append(u.images[k].assemble())
-        idx.append((i, r, s))
-    return imgs, idx
+def _unit_images(u: LinearMapRep) -> tuple[np.ndarray, np.ndarray]:
+    """Assembled codomain matrices of u on every matrix unit, stacked in
+    index order, with each unit's ``(block, r, s)`` as the rows of an array."""
+    units = list(matrix_units(u.domain))
+    imgs = np.stack([u.images[k].assemble() for k, _, _, _ in units])
+    return imgs, np.array([unit[1:] for unit in units])
 
 
 def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBasis:
@@ -139,26 +138,23 @@ def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBa
     dim = shape.total_dim
     m = u.codomain.embed_dim
     imgs, idx = _unit_images(u)
-    pos_of = {key: p for p, key in enumerate(idx)}
+    blk, r, c = idx.T
 
-    # Column k of the system: both products against every unit e_t, stacked.
-    zero = np.zeros((m, m), dtype=np.complex128)
-    cols = np.empty((2 * dim * m * m, dim), dtype=np.complex128)
-    for k, (bk, rk, sk) in enumerate(idx):
-        rows = []
-        for t, (bt, rt, st) in enumerate(idx):
-            if bk == bt and sk == rt:
-                left = imgs[pos_of[(bk, rk, st)]]
-            else:
-                left = zero
-            rows.append((left - imgs[k] @ imgs[t]).reshape(-1))
-        for t, (bt, rt, st) in enumerate(idx):
-            if bt == bk and st == rk:
-                right = imgs[pos_of[(bt, rt, sk)]]
-            else:
-                right = zero
-            rows.append((right - imgs[t] @ imgs[k]).reshape(-1))
-        cols[:, k] = np.concatenate(rows)
+    # lhs[k, t] = u(e_k e_t) - u(e_k) u(e_t).  e_k e_t is zero unless the
+    # blocks agree and c_k = r_t; then it is e_k with its column set to c_t,
+    # at flat position k - c_k + c_t.  Row k of ``system`` is column k of
+    # the linear system: lhs[k, t] and lhs[t, k] over every t.
+    # The system is allocated before the temporaries and they are freed
+    # before the SVD, so the SVD's buffers reuse their memory.
+    system = np.empty((dim, 2, dim, m, m), dtype=np.complex128)
+    is_unit = (blk[:, None] == blk[None, :]) & (c[:, None] == r[None, :])
+    lhs = np.zeros((dim, dim, m, m), dtype=np.complex128)
+    lhs[is_unit] = imgs[((np.arange(dim) - c)[:, None] + c)[is_unit]]
+    lhs -= imgs[:, None] @ imgs[None, :]
+    system[:, 0] = lhs
+    system[:, 1] = lhs.swapaxes(0, 1)
+    del lhs
+    cols = system.reshape(dim, -1).T
 
     _, s, vh = np.linalg.svd(cols, full_matrices=False)
     top = float(s[0]) if s.size else 0.0

@@ -6,6 +6,8 @@ upper value's certificate is validated by reconstructing the coefficients
 from its factors.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,112 @@ def test_aux_dim_override_and_escalation():
     assert agg.seesaw.aux_dimension in (3, 6)
     frozen = cbnorm.seesaw_min_norm(xs, aux_dim=1, restarts=1, seed=2, max_sweeps=1)
     assert frozen.lower <= agg.upper + 1e-9
+
+
+def _oracle_seesaw(xs, k, restarts, seed, max_sweeps, pin_first, tol=1e-11):
+    """The see-saw one restart at a time: kron assembly, one polar SVD per
+    coefficient, the same starts and stopping rule."""
+
+    def top(us):
+        u, s, vh = np.linalg.svd(sum(np.kron(a, x) for a, x in zip(us, xs)))
+        return float(s[0]), u[:, 0], vh[0].conj()
+
+    def polar(a):
+        u, _, vh = np.linalg.svd(a)
+        return u @ vh
+
+    n, d = len(xs), xs[0].shape[0]
+    gen = make_generator(seed, stream=k)
+    best = None
+    for restart in range(restarts):
+        if restart == 0:
+            us = []
+            for x in xs:
+                pad = np.eye(k, dtype=np.complex128)
+                c = min(k, d)
+                pad[:c, :c] = x.conj()[:c, :c]
+                us.append(polar(pad))
+        else:
+            us = [random_haar_unitary(gen, k) for _ in range(n)]
+        if pin_first:
+            us[0] = np.eye(k, dtype=np.complex128)
+        sigma, xi, eta = top(us)
+        streak, sweeps, converged = 0, 0, False
+        for sweeps in range(1, max_sweeps + 1):
+            for i in range(1 if pin_first else 0, n):
+                g = xi.reshape(k, d).conj() @ xs[i] @ eta.reshape(k, d).T
+                us[i] = polar(g.conj())
+            new_sigma, xi, eta = top(us)
+            streak = streak + 1 if new_sigma - sigma <= tol * max(1.0, new_sigma) else 0
+            sigma = new_sigma
+            if streak >= 3:
+                converged = True
+                break
+        if best is None or sigma > best[0]:
+            best = (sigma, sweeps, converged)
+    return best
+
+
+@pytest.mark.parametrize("n,d,k", [(1, 1, 1), (3, 2, 2), (2, 3, 2), (2, 2, 4), (4, 3, 3)])
+@pytest.mark.parametrize("pin_first", [False, True])
+@pytest.mark.parametrize("max_sweeps", [1, 400])
+def test_seesaw_matches_one_restart_at_a_time_oracle(n, d, k, pin_first, max_sweeps):
+    # k > d, and a pinned pair, leave the pairings rank-deficient, where the
+    # polar completion follows the last bits of the assembled tensor
+    xs = random_matrix_tuple(make_generator(100 + 10 * n + d), n, d)
+    saw = cbnorm.seesaw_min_norm(xs, aux_dim=k, restarts=6, seed=4, max_sweeps=max_sweeps,
+                                 pin_first=pin_first)
+    lower, iterations, converged = _oracle_seesaw(xs, k, 6, 4, max_sweeps, pin_first)
+    assert saw.lower == pytest.approx(lower, rel=1e-12)
+    assert saw.iterations == iterations
+    assert saw.converged == converged
+
+
+def test_seesaw_svd_calls_do_not_grow_with_restarts(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    xs = random_matrix_tuple(make_generator(71), 5, 2)
+    cbnorm.seesaw_min_norm(xs, restarts=12, seed=0, max_sweeps=4)
+    # one start and, per sweep, one polar and one top-pair call for the chunk
+    assert len(calls) <= 2 * (4 + 1)
+
+
+def test_seesaw_memory_is_chunked():
+    # One restart of this 4x16 tuple at k=16 holds about 5 MB (the four
+    # 256x256 products u_i (x) x_i and their sum); all 32 restarts at once
+    # would hold 32 times that.
+    xs = random_matrix_tuple(make_generator(72), 4, 16)
+    tracemalloc.start()
+    try:
+        cbnorm.seesaw_min_norm(xs, aux_dim=16, restarts=32, seed=1, max_sweeps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+@pytest.mark.parametrize("pin_first", [False, True])
+def test_seesaw_is_bitwise_independent_of_the_chunk_split(monkeypatch, pin_first):
+    xs = random_matrix_tuple(make_generator(73), 3, 2)
+    per_restart = (3 + 3) * 16 * (4 * 2) ** 2
+    runs = []
+    for chunk in (1, 3, 7):  # 7 restarts: one at a time, uneven chunks, all at once
+        monkeypatch.setattr(cbnorm, "SWEEP_BYTES", chunk * per_restart)
+        runs.append(cbnorm.seesaw_min_norm(xs, aux_dim=4, restarts=7, seed=2,
+                                           pin_first=pin_first))
+    first = runs[0]
+    for other in runs[1:]:
+        assert other.lower == first.lower
+        assert other.iterations == first.iterations
+        assert other.converged == first.converged
+        assert other.objective_history == first.objective_history
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(other.witness_unitaries, first.witness_unitaries))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(other.witness_vectors, first.witness_vectors))

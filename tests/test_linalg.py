@@ -65,6 +65,17 @@ def test_polar_unitary_is_optimal_rotation():
         for _ in range(8):
             u = random_haar_unitary(gen, d)
             assert np.real(np.trace(u.conj().T @ a)) <= best + 1e-10
+    # a stack gets one factor per matrix, each the one it gets on its own
+    stack = np.stack([random_ginibre(gen, 3, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    ws = linalg.polar_unitary(stack)
+    assert ws.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(ws[idx], linalg.polar_unitary(stack[idx]))
+    with pytest.raises(ValueError):
+        linalg.polar_unitary(np.zeros((2, 3, 4)))
+    stack[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        linalg.polar_unitary(stack)
 
 
 def test_psd_sqrt_and_pinv_sqrt():
@@ -91,3 +102,12 @@ def test_top_singular_triple():
         assert np.allclose(a @ right, sigma * left, atol=1e-10)
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
+    stack = np.stack([random_ginibre(gen, 4, 3) for _ in range(5)])
+    sigmas, lefts, rights = linalg.top_singular_triple(stack)
+    assert sigmas.shape == (5,) and lefts.shape == (5, 4) and rights.shape == (5, 3)
+    for a, sigma, left, right in zip(stack, sigmas, lefts, rights):
+        one = linalg.top_singular_triple(a)
+        assert sigma == one[0]
+        assert np.array_equal(left, one[1]) and np.array_equal(right, one[2])
+    with pytest.raises(ValueError):
+        linalg.top_singular_triple(np.full((2, 2, 2), np.inf))

@@ -77,8 +77,9 @@ def _assert_closed(md):
 
 
 def test_identity_map_has_full_domain():
-    # M_1 and M_2 + M_1 are the edge and multi-block inputs (dimensions 1, 5)
-    for dims in ((2,), (3,), (1,), (2, 1)):
+    # M_1 is the edge input; M_2 + M_1, M_3 + M_1 and M_1 + M_2 are the
+    # multi-block inputs, with the larger block first and last
+    for dims in ((2,), (3,), (1,), (2, 1), (3, 1), (1, 2)):
         shape = AlgebraShape(dims)
         md = multdomain.multiplicative_domain(identity_map(shape))
         assert md.dimension == shape.total_dim

@@ -27,7 +27,13 @@ coordinates: the q real diagonal entries first, then sqrt(2) * Re and
 sqrt(2) * Im of the strict upper triangle in row-major order.  This makes
 the Euclidean inner product of two svec vectors equal the real
 Hilbert-Schmidt pairing of the matrices, so PSD cones stay self-dual in
-coordinates.
+coordinates.  The index arrays of these coordinates are built once per
+block size and cached (``_svec_map``): svec, unsvec, the block builder
+and the solver's projection all read them.  Per iteration the projection
+is one gather of the whole cone segment into stacked complex matrices
+(real arithmetic on their float64 view), one ``eigh`` per block size and
+one gather back into svec order; the other iterate updates run on
+preallocated full-length vectors.
 
 Everything is deterministic: no randomness, fixed iteration order, and a
 fixed factorization, so repeated solves of the same program give
@@ -36,8 +42,11 @@ bit-identical output.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -56,8 +65,50 @@ class SolverError(Exception):
 # svec coordinates for complex Hermitian matrices
 # ---------------------------------------------------------------------------
 
-def _triu_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(q, k=1)
+class _SvecMap(NamedTuple):
+    """Index arrays of the svec coordinates of one block size q.
+
+    ``pair[a, b]`` is the row-major strict-upper index of (a, b), a < b;
+    ``diag``, ``upper`` and ``lower`` are the flat positions of the
+    diagonal and of the strict upper triangle and its mirror.  The other
+    arrays address the float64 view of a C-ordered complex q x q matrix,
+    where flat position k has its real part at 2k and imaginary part at
+    2k + 1: ``mat_f64[dst] = vec[src] * scale`` is unsvec and
+    ``mat_f64[read] * read_scale`` is svec.
+    """
+
+    pair: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    scale: np.ndarray
+    read: np.ndarray
+    read_scale: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _svec_map(q: int) -> _SvecMap:
+    rows, cols = np.triu_indices(q, k=1)
+    t = rows.size
+    pair = np.full((q, q), -1)
+    pair[rows, cols] = np.arange(t)
+    diag, upper, lower = np.arange(q) * (q + 1), rows * q + cols, cols * q + rows
+    re_c, im_c = q + np.arange(t), q + t + np.arange(t)
+    # complex division by sqrt(2) is a multiply by 1/sqrt(2)
+    half = np.full(t, 1.0 / _SQRT2)
+    out = _SvecMap(
+        pair, diag, upper, lower,
+        np.concatenate([np.arange(q), re_c, re_c, im_c, im_c]),
+        np.concatenate([2 * diag, 2 * upper, 2 * lower, 2 * upper + 1, 2 * lower + 1]),
+        np.concatenate([np.ones(q), half, half, half, -half]),
+        np.concatenate([2 * diag, 2 * upper, 2 * upper + 1]),
+        np.concatenate([np.ones(q), np.full(2 * t, _SQRT2)]),
+    )
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
@@ -66,41 +117,28 @@ def svec(mat: np.ndarray) -> np.ndarray:
     Layout: q diagonal entries (real parts), then sqrt(2) * Re of the
     strict upper triangle row-major, then sqrt(2) * Im of the same.
     """
-    m = np.asarray(mat, dtype=np.complex128)
-    q = m.shape[0]
-    return _svec_batch(m[None], q, _triu_pairs(q))[0]
+    m = np.ascontiguousarray(mat, dtype=np.complex128)
+    mp = _svec_map(m.shape[0])
+    return m.reshape(-1).view(np.float64)[mp.read] * mp.read_scale
 
 
 def unsvec(vec: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`.
+
+    This runs in complex arithmetic, not through the real gather of the
+    map, so a -0.0 coordinate yields the signed zeros complex division gives.
+    """
     v = np.asarray(vec, dtype=np.float64)
     if v.shape != (q * q,):
         raise ValueError(f"svec vector for size {q} must have length {q * q}")
-    return _unsvec_batch(v[None], q, _triu_pairs(q))[0]
-
-
-def _unsvec_batch(vecs: np.ndarray, q: int, iu) -> np.ndarray:
-    nb = vecs.shape[0]
-    t = iu[0].size
-    mats = np.zeros((nb, q, q), dtype=np.complex128)
-    mats[:, np.arange(q), np.arange(q)] = vecs[:, :q]
-    if t:
-        off = (vecs[:, q:q + t] + 1j * vecs[:, q + t:]) / _SQRT2
-        mats[:, iu[0], iu[1]] = off
-        mats[:, iu[1], iu[0]] = off.conj()
-    return mats
-
-
-def _svec_batch(mats: np.ndarray, q: int, iu) -> np.ndarray:
-    nb = mats.shape[0]
-    t = iu[0].size
-    out = np.empty((nb, q * q), dtype=np.float64)
-    out[:, :q] = mats[:, np.arange(q), np.arange(q)].real
-    if t:
-        off = mats[:, iu[0], iu[1]]
-        out[:, q:q + t] = _SQRT2 * off.real
-        out[:, q + t:] = _SQRT2 * off.imag
-    return out
+    mp = _svec_map(q)
+    t = mp.upper.size
+    out = np.zeros(q * q, dtype=np.complex128)
+    out[mp.diag] = v[:q]
+    off = (v[q:q + t] + 1j * v[q + t:]) / _SQRT2
+    out[mp.upper] = off
+    out[mp.lower] = off.conj()
+    return out.reshape(q, q)
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +231,10 @@ class BlockBuilder:
     def _svec_coords(self, qsub: int, row0: int):
         """svec coordinates in the big block for a qsub-sized diagonal slot."""
         q = self.size
-        iu_big = _triu_pairs(q)
-        t_big = iu_big[0].size
-        # map: pair (a, b), a < b inside the sub-block -> big pair (row0+a, row0+b)
-        diag_big = np.arange(row0, row0 + qsub)
-        iu_sub = _triu_pairs(qsub)
-        if iu_sub[0].size:
-            a_big = iu_sub[0] + row0
-            b_big = iu_sub[1] + row0
-            # row-major strict-upper index of (a, b) in the big block
-            pair_idx = a_big * q - (a_big * (a_big + 1)) // 2 + (b_big - a_big - 1)
-            re_big = q + pair_idx
-            im_big = q + t_big + pair_idx
-        else:
-            re_big = np.array([], dtype=int)
-            im_big = np.array([], dtype=int)
-        return diag_big, re_big, im_big
+        # pair (a, b), a < b inside the sub-block -> big pair (row0+a, row0+b)
+        a_sub, b_sub = np.triu_indices(qsub, k=1)
+        pair_idx = _svec_map(q).pair[a_sub + row0, b_sub + row0]
+        return np.arange(row0, row0 + qsub), q + pair_idx, q + q * (q - 1) // 2 + pair_idx
 
     def add_constant(self, mat: np.ndarray, row0: int = 0):
         m = np.asarray(mat, dtype=np.complex128)
@@ -250,7 +276,8 @@ class BlockBuilder:
         qv = n * c
         tv = qv * (qv - 1) // 2
         diag_big, re_big, im_big = self._svec_coords(c, row0)
-        iu_sub = _triu_pairs(c)
+        a_sub, b_sub = np.triu_indices(c, k=1)
+        pair = _svec_map(qv).pair
         rows_all, cols_all, vals_all = [], [], []
         for r in range(n):
             # diagonal coordinates of C at ((r, a), (r, a))
@@ -258,10 +285,8 @@ class BlockBuilder:
             rows_all.append(diag_big)
             cols_all.append(var_offset + src_diag)
             vals_all.append(np.full(c, float(sign)))
-            if iu_sub[0].size:
-                a_big = r * c + iu_sub[0]
-                b_big = r * c + iu_sub[1]
-                pair_idx = a_big * qv - (a_big * (a_big + 1)) // 2 + (b_big - a_big - 1)
+            if a_sub.size:
+                pair_idx = pair[r * c + a_sub, r * c + b_sub]
                 rows_all.append(re_big)
                 cols_all.append(var_offset + qv + pair_idx)
                 vals_all.append(np.full(pair_idx.size, float(sign)))
@@ -308,6 +333,8 @@ class ConicSolution:
     dual_eq: np.ndarray | None = field(default=None, repr=False)
     message: str = ""
     solve_seconds: float = 0.0
+    # (iteration, res_primal, res_dual, gap) at every residual check
+    history: list[tuple[int, float, float, float]] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -462,6 +489,46 @@ def _ruiz_equilibrate(a: scipy.sparse.csr_matrix, block_slices: list[slice], ite
     return d, e
 
 
+def _psd_projector(qs: list[int]):
+    """In-place projection of a cone segment onto PSD blocks of sizes ``qs``.
+
+    The segment holds the blocks' svec vectors back to back.  Blocks are
+    grouped by size: one gather fills every group's stacked matrices (real
+    arithmetic on their float64 view), each group takes one ``eigh``, and
+    one gather reads the projections back in segment order.
+    """
+    sizes = np.array([q * q for q in qs])
+    offs = np.cumsum(sizes) - sizes  # segment offset of each block
+    order = np.argsort(qs, kind="stable")
+    base = np.empty_like(offs)  # complex offset of each block in the matrix buffers
+    base[order] = np.cumsum(sizes[order]) - sizes[order]
+    maps = [_svec_map(q) for q in qs]
+    src = np.concatenate([o + mp.src for o, mp in zip(offs, maps)])
+    dst = np.concatenate([2 * o + mp.dst for o, mp in zip(base, maps)])
+    scale = np.concatenate([mp.scale for mp in maps])
+    read = np.concatenate([2 * o + mp.read for o, mp in zip(base, maps)])
+    read_scale = np.concatenate([mp.read_scale for mp in maps])
+    groups, start = [], 0
+    for q in sorted(set(qs)):
+        nb = qs.count(q)
+        groups.append((slice(start, start + nb * q * q), (nb, q, q)))
+        start += nb * q * q
+    mats = np.zeros(start, dtype=np.complex128)  # imaginary diagonal parts stay zero
+    projs = np.empty(start, dtype=np.complex128)
+    mats_f, projs_f = mats.view(np.float64), projs.view(np.float64)
+
+    def project(seg: np.ndarray):
+        mats_f[dst] = seg[src] * scale
+        for sl, shape in groups:
+            w, vecs = np.linalg.eigh(mats[sl].reshape(shape))
+            np.maximum(w, 0.0, out=w)
+            np.matmul(vecs * w[:, None, :], vecs.conj().swapaxes(-1, -2),
+                      out=projs[sl].reshape(shape))
+        np.multiply(projs_f[read], read_scale, out=seg)
+
+    return project
+
+
 def solve(
     program: ConicProgram,
     *,
@@ -473,7 +540,6 @@ def solve(
     ruiz_iters: int = 10,
     adaptive: bool = True,
     infeas_tol: float = 1e-8,
-    verbose: bool = False,
 ) -> ConicSolution:
     """Solve a program to the requested normalized tolerances.
 
@@ -483,9 +549,16 @@ def solve(
     status ``max_iterations``; infeasibility certificates come back as
     ``infeasible_suspected`` (a dual-infeasibility certificate, meaning an
     unbounded primal, is reported the same way and distinguished in the
-    message).
+    message).  Tolerances must be positive and finite, ``max_iter`` and
+    ``check_every`` at least 1; anything else raises ``ValueError``.
     """
     t0 = time.perf_counter()
+    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol), ("infeas_tol", infeas_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+    for name, count in (("max_iter", max_iter), ("check_every", check_every)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count!r}")
     m = program.num_vars
     p = program.num_eq
     qs = [blk.size for blk in program.psd_blocks]
@@ -534,53 +607,37 @@ def solve(
             options={"SymmetricMode": True},
         )
 
-    def solve_m(wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if m == 0:
-            return wx, wy.copy()
-        x = lu.solve(wx - at @ wy)
-        return x, wy + a @ x
+    def solve_m(wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solve M (x, y) = (wx, wy) into ``out[:m]``, ``out[m:m + rows]``; return x."""
+        x = lu.solve(wx - at @ wy) if m else wx
+        out[:m] = x
+        np.add(wy, a @ x, out=out[m:m + rows])
+        return x
 
-    def refresh_h():
-        hx, hy = c_s, b_s
-        gx, gy = solve_m(hx, hy)
-        denom = 1.0 + float(hx @ gx + hy @ gy)
-        return gx, gy, denom
+    size = m + rows + 1
+    g = np.zeros(size)  # (g_x, g_y, 0), restacked by every refresh
 
-    g_x, g_y, denom = refresh_h()
+    def refresh_h() -> float:
+        g_x = solve_m(c_s, b_s, g)
+        return 1.0 + float(c_s @ g_x + b_s @ g[m:-1])
 
-    # --- cone projection of the dual segment -------------------------------
-    groups: dict[int, list[int]] = {}
-    for idx, q in enumerate(qs):
-        groups.setdefault(q, []).append(idx)
-    group_data = []
-    for q, idxs in sorted(groups.items()):
-        gather = np.concatenate([
-            np.arange(block_slices[i].start - p, block_slices[i].stop - p) for i in idxs
-        ])
-        group_data.append((q, len(idxs), gather, _triu_pairs(q)))
+    denom = refresh_h()
 
-    def project_psd_segment(seg: np.ndarray) -> np.ndarray:
-        out = np.empty_like(seg)
-        for q, nb, gather, iu in group_data:
-            mats = _unsvec_batch(seg[gather].reshape(nb, q * q), q, iu)
-            w, v = np.linalg.eigh(mats)
-            np.clip(w, 0.0, None, out=w)
-            proj = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-            out[gather] = _svec_batch(proj, q, iu).ravel()
-        return out
+    project_psd_segment = _psd_projector(qs)
 
     # --- iterate ------------------------------------------------------------
     alpha = float(over_relax)
-    u = np.zeros(m + rows + 1)
-    v = np.zeros(m + rows + 1)
-    u[-1] = 1.0
-    v[-1] = 1.0
+    u, v = np.zeros(size), np.zeros(size)
+    u[-1] = v[-1] = 1.0
+    un, w, t, r = (np.empty(size) for _ in range(4))
+    cone = slice(m + p, m + rows)
 
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
 
     best_score = np.inf
     best_point: tuple | None = None
+    history: list[tuple[int, float, float, float]] = []
     status = None
     message = ""
     iterations = 0
@@ -598,31 +655,26 @@ def solve(
         return float(np.sqrt(sq))
 
     for it in range(1, max_iter + 1):
-        w = u + v
-        t_x, t_y = solve_m(w[:m], w[m:-1])
-        tau_t = (w[-1] + c_s @ t_x + b_s @ t_y) / denom
-        z_x = t_x - tau_t * g_x
-        z_y = t_y - tau_t * g_y
+        np.add(u, v, out=w)
+        t_x = solve_m(w[:m], w[m:-1], t)
+        t[-1] = tau_t = (w[-1] + c_s @ t_x + b_s @ t[m:-1]) / denom
 
-        # over-relaxed point
-        r_x = alpha * z_x + (1 - alpha) * u[:m]
-        r_y = alpha * z_y + (1 - alpha) * u[m:-1]
-        r_t = alpha * tau_t + (1 - alpha) * u[-1]
+        # over-relaxed point r = alpha (t - tau_t g) + (1 - alpha) u; w is scratch now
+        np.multiply(g, tau_t, out=r)
+        np.subtract(t, r, out=r)
+        r *= alpha
+        np.multiply(u, 1 - alpha, out=w)
+        r += w
 
-        # u update: project (relaxed - v) onto R^m x (R^p x PSD) x R_+
-        un = np.empty_like(u)
-        un[:m] = r_x - v[:m]
-        dual_seg = r_y - v[m:-1]
-        if p:
-            un[m:m + p] = dual_seg[:p]
-        un[m + p:-1] = project_psd_segment(dual_seg[p:])
-        un[-1] = max(r_t - v[-1], 0.0)
+        # u update: project (r - v) onto R^m x (R^p x PSD) x R_+
+        np.subtract(r, v, out=un)
+        project_psd_segment(un[cone])
+        un[-1] = max(un[-1], 0.0)
 
         # v update keeps the pair complementary
-        v[:m] += un[:m] - r_x
-        v[m:-1] += un[m:-1] - r_y
-        v[-1] += un[-1] - r_t
-        u = un
+        np.subtract(un, r, out=w)
+        v += w
+        u, un = un, u
 
         if it % check_every and it != max_iter:
             continue
@@ -649,9 +701,7 @@ def solve(
             dobj = -float(b @ eta)
             res_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
-            if verbose:
-                print(f"  iter {it:6d}  res_p {res_p:.3e}  res_d {res_d:.3e}  gap {res_g:.3e}")
-
+            history.append((it, res_p, res_d, res_g))
             score = max(res_p, res_d, res_g)
             if score < best_score:
                 best_score = score
@@ -673,11 +723,9 @@ def solve(
                     u[:m] *= f
                     v[m:-1] *= f
                     v[-1] *= f
-                    g_x, g_y, denom = refresh_h()
+                    denom = refresh_h()
                     last_adapt = it
                     adapt_count += 1
-                    if verbose:
-                        print(f"  iter {it:6d}  rebalanced rhs by {f:.3g}")
         else:
             # tau collapsed: look for infeasibility certificates
             eta_c = d_row * u[m:-1] / gamma
@@ -724,6 +772,7 @@ def solve(
             res_dual=np.nan,
             message=message,
             solve_seconds=elapsed,
+            history=history,
         )
 
     if best_point is None:
@@ -761,35 +810,6 @@ def solve(
         dual_eq=dual_eq,
         message=message,
         solve_seconds=elapsed,
+        history=history,
     )
 
-
-def dump_diagnostics(program: ConicProgram, sol: ConicSolution, path: str):
-    """Write a plain-text account of a solved program next to its solution.
-
-    The format is line-oriented ``key: value`` pairs followed by the
-    variable vector and per-block minimum eigenvalues, meant for attaching
-    to bug reports rather than for machine consumption.
-    """
-    lines = [
-        f"variables: {program.num_vars}",
-        f"equalities: {program.num_eq}",
-        f"psd_block_sizes: {[blk.size for blk in program.psd_blocks]}",
-        f"status: {sol.status}",
-        f"primal_value: {sol.primal_value!r}",
-        f"dual_value: {sol.dual_value!r}",
-        f"gap: {sol.gap!r}",
-        f"psd_residual: {sol.psd_residual!r}",
-        f"equality_residual: {sol.equality_residual!r}",
-        f"res_primal: {sol.res_primal!r}",
-        f"res_dual: {sol.res_dual!r}",
-        f"iterations: {sol.iterations}",
-        f"message: {sol.message}",
-    ]
-    if np.all(np.isfinite(sol.y)):
-        for idx, mat in enumerate(block_matrices(program, sol.y)):
-            wv = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-            lines.append(f"block_{idx}_min_eig: {float(wv[0])!r}")
-        lines.append("y: " + " ".join(repr(float(t)) for t in sol.y))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -92,6 +92,22 @@ def test_norm_bad_aux_dim_is_rejected_before_the_sdp(monkeypatch, capsys):
     assert calls == []
 
 
+def test_norm_bad_tolerance_exits_2_without_iterating(monkeypatch, capsys):
+    iterations = []
+    solve = conic.solve
+
+    def counting_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(conic, "solve", counting_solve)
+    for tol in ("0", "-1", "nan"):
+        assert main(["norm", SCALAR, "--tol", tol]) == 2
+        assert "gap_tol must be positive and finite" in capsys.readouterr().err
+    assert iterations == []
+
+
 def test_verify_quick_capped(capsys):
     assert main(["verify", "--instances", "1", "--profile", "quick", "--seed", "42"]) == 0
     out = capsys.readouterr().out

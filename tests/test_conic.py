@@ -17,8 +17,7 @@ from decnorms.testkit import eigenvalue_program, make_generator, random_hermitia
 
 def test_svec_round_trip_and_isometry():
     gen = make_generator(30)
-    for _ in range(20):
-        q = int(gen.integers(1, 7))
+    for q in [1, 1, 2, 3] + [int(q) for q in gen.integers(1, 7, size=20)]:
         a = random_hermitian(gen, q)
         b = random_hermitian(gen, q)
         va, vb = conic.svec(a), conic.svec(b)
@@ -173,15 +172,71 @@ def test_solver_determinism():
     assert s1.dual_value == s2.dual_value
 
 
-def test_dump_diagnostics(tmp_path):
+def test_residual_history_ends_at_the_stopping_check():
     gen = make_generator(37)
     prog = eigenvalue_program(random_hermitian(gen, 3))
     sol = conic.solve(prog)
-    out = tmp_path / "diag.txt"
-    conic.dump_diagnostics(prog, sol, str(out))
-    text = out.read_text()
-    assert "status: optimal" in text
-    assert "block_0_min_eig" in text
+    assert sol.status == "optimal"
+    assert sol.history
+    assert np.all(np.isfinite(np.array(sol.history)))
+    assert [h[0] for h in sol.history] == sorted({h[0] for h in sol.history})
+    it, res_p, res_d, gap = sol.history[-1]
+    assert it == sol.iterations
+    assert (res_p, res_d, gap) == (sol.res_primal, sol.res_dual, sol.gap)
+
+
+def test_bad_solver_arguments_are_rejected_by_name():
+    prog = eigenvalue_program(np.eye(2))
+    for name in ("gap_tol", "feas_tol", "infeas_tol"):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                conic.solve(prog, **{name: bad})
+    for name in ("max_iter", "check_every"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                conic.solve(prog, **{name: bad})
+    assert conic.solve(prog, max_iter=1, check_every=1).iterations == 1
+
+
+def _multi_size_program(gen, sizes):
+    """Minimize s subject to s*I - h_l >= 0 for one random h_l per block size."""
+    hs = [random_hermitian(gen, q) for q in sizes]
+    blocks = []
+    for h in hs:
+        builder = conic.BlockBuilder(h.shape[0], 1)
+        builder.add_constant(-h)
+        builder.add_scalar_identity(0, h.shape[0], 0)
+        blocks.append(builder.build())
+    return conic.ConicProgram(objective=np.array([1.0]), psd_blocks=blocks), hs
+
+
+def test_projection_matches_per_block_reference_bitwise():
+    # One segment with blocks of sizes 1, 2, 2, 3 and 5, in that order.
+    gen = make_generator(40)
+    sizes = [1, 2, 2, 3, 5]
+    seg = np.concatenate([conic.svec(random_hermitian(gen, q)) for q in sizes])
+    want, off = [], 0
+    for q in sizes:
+        w, v = np.linalg.eigh(conic.unsvec(seg[off:off + q * q], q))
+        w = np.clip(w, 0.0, None)
+        want.append(conic.svec((v * w[None, :]) @ v.conj().T))
+        off += q * q
+    got = seg.copy()
+    conic._psd_projector(sizes)(got)
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_multi_size_solve_is_repeatable_across_map_rebuilds():
+    gen = make_generator(41)
+    prog, hs = _multi_size_program(gen, [3, 1, 2, 5, 2])
+    s1 = conic.solve(prog)
+    conic._svec_map.cache_clear()
+    s2 = conic.solve(prog)
+    assert s1.status == s2.status == "optimal"
+    assert s1.iterations == s2.iterations
+    assert s1.y.tobytes() == s2.y.tobytes()
+    top = max(float(np.linalg.eigvalsh(h)[-1]) for h in hs)
+    assert s1.primal_value == pytest.approx(top, abs=1e-7)
 
 
 def test_solver_determinism_multi_block():

@@ -12,9 +12,11 @@ standard): primal and dual are folded into one monotone inclusion whose
 fixed point encodes either an optimal pair or an infeasibility
 certificate.  Each iteration solves one quasi-definite linear system
 and projects onto the cone product; over-relaxation and Ruiz
-equilibration speed up the linear rate, and when the primal and dual
-residuals drift far apart the embedded right-hand side is rescaled in
-place, which only costs two triangular solves.
+equilibration speed up the linear rate, and safeguarded type-II Anderson
+acceleration of the fixed-point map z = (u, v) -> (u+, v+) cuts the
+iteration count (Zhang, O'Donoghue and Boyd, 2020): residual checks read
+plain iterates, and an extrapolated point that halves tau, or whose image
+grows the fixed-point residual, is dropped for the plain one.
 
 The constraint matrix A stays sparse (CSR) from assembly through Ruiz
 scaling, residual checks and infeasibility tests; the linear system is
@@ -49,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -529,6 +532,16 @@ def _psd_projector(qs: list[int]):
     return project
 
 
+# Fixed solver settings; no caller tunes them.
+OVER_RELAX = 1.5
+RUIZ_ITERS = 10
+# Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
+AA_MEMORY = 10
+AA_REG = 1e-9  # Tikhonov weight relative to the trace of the Gram matrix
+AA_SAFEGUARD = 4.0  # largest growth of the fixed-point residual an extrapolation may cause
+AA_MAX_WEIGHT = 1e6
+
+
 def solve(
     program: ConicProgram,
     *,
@@ -536,9 +549,6 @@ def solve(
     feas_tol: float = 1e-8,
     max_iter: int = 100_000,
     check_every: int = 25,
-    over_relax: float = 1.5,
-    ruiz_iters: int = 10,
-    adaptive: bool = True,
     infeas_tol: float = 1e-8,
 ) -> ConicSolution:
     """Solve a program to the requested normalized tolerances.
@@ -585,7 +595,7 @@ def solve(
     c = program.objective.copy()
 
     # --- equilibration and b/c normalization -------------------------------
-    d_row, e_col = _ruiz_equilibrate(a, block_slices, ruiz_iters)
+    d_row, e_col = _ruiz_equilibrate(a, block_slices, RUIZ_ITERS)
     b_s = d_row * b
     c_s = e_col * c
     beta = 1.0 / max(float(np.linalg.norm(b_s)), 1e-10)
@@ -615,21 +625,24 @@ def solve(
         return x
 
     size = m + rows + 1
-    g = np.zeros(size)  # (g_x, g_y, 0), restacked by every refresh
-
-    def refresh_h() -> float:
-        g_x = solve_m(c_s, b_s, g)
-        return 1.0 + float(c_s @ g_x + b_s @ g[m:-1])
-
-    denom = refresh_h()
+    g = np.zeros(size)  # (g_x, g_y, 0)
+    g_x = solve_m(c_s, b_s, g)
+    denom = 1.0 + float(c_s @ g_x + b_s @ g[m:-1])
 
     project_psd_segment = _psd_projector(qs)
 
     # --- iterate ------------------------------------------------------------
-    alpha = float(over_relax)
-    u, v = np.zeros(size), np.zeros(size)
-    u[-1] = v[-1] = 1.0
-    un, w, t, r = (np.empty(size) for _ in range(4))
+    # z = (u, v) is the map's input and zo its output; zg keeps the last
+    # plain output while an extrapolated z is on trial.
+    z, zo, zg = (np.zeros(2 * size) for _ in range(3))
+    z[size - 1] = z[-1] = 1.0  # tau = kappa = 1
+    w, t, r = (np.empty(size) for _ in range(3))
+    f, f_old = np.empty(2 * size), np.empty(2 * size)
+    d_f, d_g = np.zeros((AA_MEMORY, 2 * size)), np.zeros((AA_MEMORY, 2 * size))
+    aa_gram, aa_eye = np.zeros((AA_MEMORY, AA_MEMORY)), np.eye(AA_MEMORY)
+    stored = slot = 0
+    have_f = on_trial = False
+    f_sq_old = 0.0
     cone = slice(m + p, m + rows)
 
     norm_b = float(np.linalg.norm(b))
@@ -641,8 +654,6 @@ def solve(
     status = None
     message = ""
     iterations = 0
-    last_adapt = 0
-    adapt_count = 0
 
     def dist_to_cone(neg_w: np.ndarray) -> float:
         """Euclidean distance of a row-space vector to the cone K."""
@@ -655,6 +666,8 @@ def solve(
         return float(np.sqrt(sq))
 
     for it in range(1, max_iter + 1):
+        u, v = z[:size], z[size:]
+        un, vn = zo[:size], zo[size:]
         np.add(u, v, out=w)
         t_x = solve_m(w[:m], w[m:-1], t)
         t[-1] = tau_t = (w[-1] + c_s @ t_x + b_s @ t[m:-1]) / denom
@@ -662,8 +675,8 @@ def solve(
         # over-relaxed point r = alpha (t - tau_t g) + (1 - alpha) u; w is scratch now
         np.multiply(g, tau_t, out=r)
         np.subtract(t, r, out=r)
-        r *= alpha
-        np.multiply(u, 1 - alpha, out=w)
+        r *= OVER_RELAX
+        np.multiply(u, 1 - OVER_RELAX, out=w)
         r += w
 
         # u update: project (r - v) onto R^m x (R^p x PSD) x R_+
@@ -672,12 +685,49 @@ def solve(
         un[-1] = max(un[-1], 0.0)
 
         # v update keeps the pair complementary
-        np.subtract(un, r, out=w)
-        v += w
-        u, un = un, u
+        np.subtract(un, r, out=vn)
+        vn += v
 
-        if it % check_every and it != max_iter:
+        # Anderson step on z; residual checks read plain output, so they never extrapolate
+        check = it % check_every == 0 or it == max_iter
+        np.subtract(zo, z, out=f)
+        f_sq = float(np.dot(f, f))
+        if on_trial and not f_sq <= AA_SAFEGUARD ** 2 * f_sq_old:
+            # the extrapolated point made the residual grow (or overflow):
+            # drop its image, restart from the plain output, clear the memory
+            z, zg = zg, z
+            on_trial = False
+            stored = slot = 0
+        else:
+            if have_f:
+                np.subtract(f, f_old, out=d_f[slot])
+                np.subtract(zo, zg if on_trial else z, out=d_g[slot])
+                stored = min(stored + 1, AA_MEMORY)
+                np.dot(d_f[:stored], d_f[slot], out=aa_gram[slot, :stored])
+                aa_gram[:stored, slot] = aa_gram[slot, :stored]
+                slot = (slot + 1) % AA_MEMORY
+            f, f_old = f_old, f
+            f_sq_old, have_f = f_sq, True
+            on_trial = False
+            if stored and not check:
+                lhs = aa_gram[:stored, :stored]
+                lhs = lhs + AA_REG * lhs.trace() * aa_eye[:stored, :stored]
+                _, weights, info = scipy.linalg.lapack.dposv(lhs, d_f[:stored] @ f_old)
+                if info or not np.abs(weights).max() <= AA_MAX_WEIGHT:
+                    stored = slot = 0  # degenerate memory: singular Gram, huge or non-finite weights
+                else:
+                    np.dot(weights, d_g[:stored], out=z)
+                    np.subtract(zo, z, out=z)
+                    # an extrapolation may not collapse tau towards the infeasible branch
+                    on_trial = z[size - 1] >= 0.5 * zo[size - 1]
+            if on_trial:
+                zg, zo = zo, zg
+            else:
+                z, zo = zo, z
+
+        if not check:
             continue
+        u, v = z[:size], z[size:]
         if not np.all(np.isfinite(u)):
             raise SolverError(f"iterate diverged to non-finite values at iteration {it}")
 
@@ -711,21 +761,6 @@ def solve(
                 status = "optimal"
                 iterations = it
                 break
-
-            # rebalance the embedding when one residual lags far behind
-            if (adaptive and adapt_count < 5 and it - last_adapt >= 500 and it >= 500
-                    and max(res_p, res_d) > 10 * feas_tol and res_d > 0):
-                ratio = res_p / res_d
-                if ratio > 100.0 or ratio < 0.01:
-                    f = float(np.clip(np.sqrt(ratio), 1.0 / 16, 16.0))
-                    b_s *= f
-                    beta *= f
-                    u[:m] *= f
-                    v[m:-1] *= f
-                    v[-1] *= f
-                    denom = refresh_h()
-                    last_adapt = it
-                    adapt_count += 1
         else:
             # tau collapsed: look for infeasibility certificates
             eta_c = d_row * u[m:-1] / gamma
@@ -748,10 +783,6 @@ def solve(
                     iterations = it
                     break
 
-        if it == max_iter:
-            status = "max_iterations"
-            iterations = it
-
     if status is None:
         status = "max_iterations"
         iterations = max_iter
@@ -759,19 +790,11 @@ def solve(
     elapsed = time.perf_counter() - t0
 
     if status == "infeasible_suspected":
+        nan = np.nan
         return ConicSolution(
-            status=status,
-            primal_value=np.nan,
-            y=np.full(m, np.nan),
-            dual_value=np.nan,
-            psd_residual=np.nan,
-            equality_residual=np.nan,
-            gap=np.nan,
-            iterations=iterations,
-            res_primal=np.nan,
-            res_dual=np.nan,
-            message=message,
-            solve_seconds=elapsed,
+            status=status, primal_value=nan, y=np.full(m, nan), dual_value=nan,
+            psd_residual=nan, equality_residual=nan, gap=nan, iterations=iterations,
+            res_primal=nan, res_dual=nan, message=message, solve_seconds=elapsed,
             history=history,
         )
 

@@ -48,9 +48,6 @@ class AlgebraShape:
         """Size of the block-diagonal matrix an element assembles into."""
         return int(sum(self.block_dims))
 
-    def is_abelian(self) -> bool:
-        return all(d == 1 for d in self.block_dims)
-
     def is_factor(self) -> bool:
         return len(self.block_dims) == 1
 

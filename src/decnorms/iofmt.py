@@ -98,11 +98,6 @@ def parse_complex_matrix(obj, field_path: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def encode_complex_matrix(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _parse_shape(obj, field_path: str, *, total: int | None = None) -> AlgebraShape:
     _require(isinstance(obj, list) and len(obj) > 0, field_path, "expected a nonempty array of block sizes")
     for i, d in enumerate(obj):

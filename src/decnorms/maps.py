@@ -129,12 +129,6 @@ def map_from_linf(xs: list[AlgebraElement]) -> LinearMapRep:
     return LinearMapRep(abelian_algebra(len(xs)), codomain, [x.copy() for x in xs])
 
 
-def linf_coefficients(u: LinearMapRep) -> list[AlgebraElement]:
-    if not u.domain.is_abelian():
-        raise ValueError("map does not have an abelian domain")
-    return [img.copy() for img in u.images]
-
-
 def choi(u: LinearMapRep) -> list[np.ndarray]:
     """Choi matrices of ``u``, one per domain block (domain index major)."""
     m = u.codomain.embed_dim
@@ -186,13 +180,6 @@ def star_map(u: LinearMapRep) -> LinearMapRep:
     for k, i, r, s in matrix_units(u.domain):
         images[k] = u.image(i, s, r).adjoint()
     return LinearMapRep(u.domain, u.codomain, images)
-
-
-def is_selfadjoint_map(u: LinearMapRep, tol: float = 1e-10) -> bool:
-    """True iff ``u = u_*``, i.e. u maps self-adjoints to self-adjoints."""
-    v = star_map(u)
-    from decnorms.algebra import element_norm
-    return all(element_norm(a - b) <= tol for a, b in zip(u.images, v.images))
 
 
 def compose(v: LinearMapRep, u: LinearMapRep) -> LinearMapRep:

@@ -19,6 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from decnorms.decomposable import (
     dec_upper_bound_factored,
     selfadjoint_dec_norm,
 )
-from decnorms.freetensor import FreeTensor, check_finite_rank_contraction, nuclearity_gap
+from decnorms.freetensor import check_finite_rank_contraction, nuclearity_gap
 from decnorms.maps import (
     LinearMapRep,
     compose,
@@ -55,6 +56,7 @@ from decnorms.testkit import (
     random_ginibre,
     random_haar_unitary,
     random_hermitian,
+    random_free_tensor,
     random_matrix_tuple,
     random_unital_cp_map,
 )
@@ -97,13 +99,6 @@ def _cfg(manifest: dict, name: str) -> dict:
     raise KeyError(f"check {name} missing from the corpus manifest")
 
 
-def _count(cfg: dict, profile: str, cap: int | None) -> int:
-    n = int(cfg[profile])
-    if cap is not None:
-        n = min(n, cap)
-    return max(n, 1)
-
-
 def _sub_seed(seed: int, idx: int) -> int:
     return (seed * 1_000_003 + 7_919 * idx + 17) % (2**31)
 
@@ -114,17 +109,44 @@ def _random_map(gen, d: int, scale: float = 1.0) -> LinearMapRep:
     return LinearMapRep(domain=alg, codomain=alg, images=images)
 
 
+class _Outcome(NamedTuple):
+    """What a runner found; ``run_suite`` turns it into a ``CheckResult``.
+
+    The check passes when ``ok`` holds and ``worst`` is within the
+    tolerance.  ``instances`` and ``tolerance`` default to the instance
+    count and the manifest tolerance.
+    """
+
+    worst: float
+    detail: str
+    ok: bool = True
+    instances: int | None = None
+    tolerance: float | None = None
+
+
+_RUNNERS: dict = {}
+
+
+def _check(*names):
+    """Register a runner for the manifest checks ``names``, in report order.
+
+    The runner is called with the manifest entry of each name, the instance
+    count, a generator fresh from the first entry's stream, the seed and the
+    injected regressions.  It returns one ``_Outcome`` per name.
+    """
+    def register(fn):
+        _RUNNERS[names] = fn
+        return fn
+    return register
+
+
 # ---------------------------------------------------------------------------
-# check runners; each returns a list of CheckResult
+# check runners, in the manifest's order
 # ---------------------------------------------------------------------------
 
-def _run_solver_eigenvalue(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "solver_eigenvalue")
-    n = _count(cfg, profile, cap)
+@_check("solver_eigenvalue")
+def _solver_eigenvalue(cfg, n, gen, seed, inject):
     lo, hi = cfg["sizes"]
-    tol = float(cfg["tolerance"])
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     clean = True
     for i in range(n):
@@ -136,27 +158,17 @@ def _run_solver_eigenvalue(manifest, profile, seed, cap, inject):
         worst = max(worst, abs(sol.primal_value - lam), abs(sol.gap))
         if sol.status != "optimal" or not verify_certificate(prog, sol).clean:
             clean = False
-    passed = clean and worst <= tol
-    return [CheckResult(
-        name="solver_eigenvalue", passed=passed, instances=n, worst=worst,
-        tolerance=tol,
-        detail=f"eigensolver match and duality gap over sizes {lo}..{hi}"
-               + ("" if clean else "; certificate verification failed"),
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, f"eigensolver match and duality gap over sizes {lo}..{hi}"
+                           + ("" if clean else "; certificate verification failed"), ok=clean)
 
 
-def _run_dec_cb_agreement(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "dec_cb_agreement")
-    cert_cfg = _cfg(manifest, "dec_certificates")
-    n = _count(cfg, profile, cap)
+@_check("dec_cb_agreement", "dec_certificates")
+def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
     tol = float(cfg["tolerance"])
     lower_slack = float(cfg["lower_slack"])
     rec_tol = float(cert_cfg["tolerance"])
     val_tol = float(cert_cfg["value_tolerance"])
     grid = list(product(cfg["grid_n"], cfg["grid_d"]))
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst_gap = -np.inf
     most_negative = np.inf
     worst_rec = 0.0
@@ -180,34 +192,21 @@ def _run_dec_cb_agreement(manifest, profile, seed, cap, inject):
         scale = max(1.0, max(linalg.operator_norm(x) for x in xs))
         worst_rec = max(worst_rec, cert.reconstruction_residual / scale)
         worst_val = max(worst_val, abs(cert.factor_bound - cert.value) / max(1.0, cert.value))
-    elapsed = time.perf_counter() - t0
-    agree_ok = worst_gap <= tol and most_negative >= -lower_slack
-    cert_ok = worst_rec <= rec_tol and worst_val <= val_tol
-    return [
-        CheckResult(
-            name="dec_cb_agreement", passed=bool(agree_ok), instances=n,
-            worst=float(worst_gap), tolerance=tol,
-            detail=f"relative upper-lower gap in [-{lower_slack:g}, {tol:g}]; "
-                   f"most negative {most_negative:.2e}",
-            seconds=elapsed,
-        ),
-        CheckResult(
-            name="dec_certificates", passed=bool(cert_ok), instances=n,
-            worst=float(max(worst_rec, worst_val)), tolerance=max(rec_tol, val_tol),
-            detail=f"reconstruction {worst_rec:.2e} (tol {rec_tol:g}), "
-                   f"value match {worst_val:.2e} (tol {val_tol:g})",
-            seconds=0.0,
-        ),
-    ]
+    return (
+        _Outcome(worst_gap, f"relative upper-lower gap in [-{lower_slack:g}, {tol:g}]; "
+                            f"most negative {most_negative:.2e}",
+                 ok=most_negative >= -lower_slack),
+        _Outcome(max(worst_rec, worst_val),
+                 f"reconstruction {worst_rec:.2e} (tol {rec_tol:g}), "
+                 f"value match {worst_val:.2e} (tol {val_tol:g})",
+                 ok=worst_rec <= rec_tol and worst_val <= val_tol,
+                 tolerance=max(rec_tol, val_tol)),
+    )
 
 
-def _run_closed_form_scalars(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "closed_form_scalars")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("closed_form_scalars")
+def _closed_form_scalars(cfg, n, gen, seed, inject):
     lo, hi = cfg["n_range"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for i in range(n):
         nn = lo + (i % (hi - lo + 1))
@@ -216,22 +215,13 @@ def _run_closed_form_scalars(manifest, profile, seed, cap, inject):
         cert = dec_norm_linf(xs, gap_tol=1e-10, feas_tol=1e-10)
         target = float(np.abs(vals).sum())
         worst = max(worst, abs(cert.value - target) / max(1.0, target))
-    return [CheckResult(
-        name="closed_form_scalars", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="dec of scalar coefficients against the absolute-value sum",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "dec of scalar coefficients against the absolute-value sum")
 
 
-def _run_closed_form_unitary(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "closed_form_unitary")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("closed_form_unitary")
+def _closed_form_unitary(cfg, n, gen, seed, inject):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for i in range(n):
         nn = nlo + (i % (nhi - nlo + 1))
@@ -240,21 +230,12 @@ def _run_closed_form_unitary(manifest, profile, seed, cap, inject):
         cert = dec_norm_linf(xs, gap_tol=1e-10, feas_tol=1e-10)
         saw = seesaw_min_norm(xs, restarts=2, seed=_sub_seed(seed, i))
         worst = max(worst, abs(cert.value - nn) / nn, abs(saw.lower - nn) / nn)
-    return [CheckResult(
-        name="closed_form_unitary", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="dec and see-saw of a unitary family against the count n",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "dec and see-saw of a unitary family against the count n")
 
 
-def _run_closed_form_trace(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "closed_form_trace")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("closed_form_trace")
+def _closed_form_trace(cfg, n, gen, seed, inject):
     lo, hi = cfg["n_range"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for i in range(n):
         nn = lo + (i % (hi - lo + 1))
@@ -269,42 +250,24 @@ def _run_closed_form_trace(manifest, profile, seed, cap, inject):
         cert = dec_norm_matrix_domain(u, gap_tol=1e-10, feas_tol=1e-10)
         target = float(np.linalg.svd(a, compute_uv=False).sum())
         worst = max(worst, abs(cert.value - target) / max(1.0, target))
-    return [CheckResult(
-        name="closed_form_trace", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="dec of x -> tr(xa) against the trace norm of a",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "dec of x -> tr(xa) against the trace norm of a")
 
 
-def _run_selfadjoint_consistency(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "selfadjoint_consistency")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("selfadjoint_consistency")
+def _selfadjoint_consistency(cfg, n, gen, seed, inject):
     dd, nn = cfg["d"], cfg["n"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(n):
         xs = [random_hermitian(gen, dd) for _ in range(nn)]
         v1 = selfadjoint_dec_norm(xs, gap_tol=1e-9, feas_tol=1e-9).value
         v2 = dec_norm_linf(xs, gap_tol=1e-9, feas_tol=1e-9).value
         worst = max(worst, abs(v1 - v2))
-    return [CheckResult(
-        name="selfadjoint_consistency", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="self-adjoint two-map program against the general program",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "self-adjoint two-map program against the general program")
 
 
-def _run_ineq_submultiplicative(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "ineq_submultiplicative")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("ineq_submultiplicative")
+def _ineq_submultiplicative(cfg, n, gen, seed, inject):
     dd = cfg["d"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(n):
         u = _random_map(gen, dd, scale=0.7)
@@ -314,22 +277,13 @@ def _run_ineq_submultiplicative(manifest, profile, seed, cap, inject):
         duv = dec_norm_matrix_domain(compose(u, v)).value
         bound = du * dv
         worst = max(worst, (duv - bound) / max(1.0, bound))
-    return [CheckResult(
-        name="ineq_submultiplicative", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="dec(u o v) <= dec(u) dec(v), violation relative to the bound",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "dec(u o v) <= dec(u) dec(v), violation relative to the bound")
 
 
-def _run_ineq_cb_le_dec(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "ineq_cb_le_dec")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("ineq_cb_le_dec")
+def _ineq_cb_le_dec(cfg, n, gen, seed, inject):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for i in range(n):
         nn = nlo + (i % (nhi - nlo + 1))
@@ -338,22 +292,13 @@ def _run_ineq_cb_le_dec(manifest, profile, seed, cap, inject):
         saw = seesaw_min_norm(xs, restarts=8, seed=_sub_seed(seed, i))
         dec = dec_norm_linf(xs).value
         worst = max(worst, (saw.lower - dec) / max(1.0, dec))
-    return [CheckResult(
-        name="ineq_cb_le_dec", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="see-saw lower bound never exceeds the dec value",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "see-saw lower bound never exceeds the dec value")
 
 
-def _run_ineq_factored_bound(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "ineq_factored_bound")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("ineq_factored_bound")
+def _ineq_factored_bound(cfg, n, gen, seed, inject):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for i in range(n):
         nn = nlo + (i % (nhi - nlo + 1))
@@ -365,44 +310,28 @@ def _run_ineq_factored_bound(manifest, profile, seed, cap, inject):
         bound = dec_upper_bound_factored(a, b)
         val = dec_norm_linf(xs).value
         worst = max(worst, (val - bound) / max(1.0, bound))
-    return [CheckResult(
-        name="ineq_factored_bound", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="dec value never exceeds the Gram bound of a given factorization",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "dec value never exceeds the Gram bound of a given factorization")
 
 
-def _run_ineq_contraction(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "ineq_contraction")
-    n = _count(cfg, profile, cap)
+@_check("ineq_contraction")
+def _ineq_contraction(cfg, n, gen, seed, inject):
     tol = float(cfg["tolerance"])
     dd, nn = cfg["d"], cfg["n"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     ok = True
     for i in range(n):
         u = _random_map(gen, dd, scale=0.8)
-        t = FreeTensor(coeffs=tuple(random_ginibre(gen, dd, dd) for _ in range(nn)))
+        t = random_free_tensor(gen, nn, dd)
         rep = check_finite_rank_contraction(u, t, seed=_sub_seed(seed, i), restarts=8, tol=tol)
         ok = ok and rep.ok
         worst = max(worst, (rep.lhs - rep.rhs) / max(1.0, rep.rhs))
-    return [CheckResult(
-        name="ineq_contraction", passed=ok and worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="pushing a tensor through a map grows the max norm at most by dec times min",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "pushing a tensor through a map grows the max norm at most by dec times min",
+                    ok=ok)
 
 
-def _run_ineq_tensor_submult(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "ineq_tensor_submult")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("ineq_tensor_submult")
+def _ineq_tensor_submult(cfg, n, gen, seed, inject):
     dd = cfg["d"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(n):
         u = _random_map(gen, dd, scale=0.6)
@@ -412,20 +341,11 @@ def _run_ineq_tensor_submult(manifest, profile, seed, cap, inject):
         duv = dec_norm_matrix_domain(tensor(u, v)).value
         bound = du * dv
         worst = max(worst, (duv - bound) / max(1.0, bound))
-    return [CheckResult(
-        name="ineq_tensor_submult", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="dec(u (x) v) <= dec(u) dec(v) on matrix algebra factors",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "dec(u (x) v) <= dec(u) dec(v) on matrix algebra factors")
 
 
-def _run_direct_sum(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "direct_sum")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
+@_check("direct_sum")
+def _direct_sum(cfg, n, gen, seed, inject):
     worst = 0.0
     for i in range(n):
         dims = (2, 2) if i % 2 == 0 else (2, 3)
@@ -439,50 +359,33 @@ def _run_direct_sum(manifest, profile, seed, cap, inject):
         u = LinearMapRep(domain=shape, codomain=shape, images=images)
         rep = dec_norm_direct_sum(u)
         worst = max(worst, abs(rep.joint_value - rep.max_block_value) / max(1.0, rep.max_block_value))
-    return [CheckResult(
-        name="direct_sum", passed=worst <= tol, instances=n,
-        worst=worst, tolerance=tol,
-        detail="joint program equals the max of the per-block programs",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "joint program equals the max of the per-block programs")
 
 
-def _run_nuclearity(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "nuclearity")
-    n = _count(cfg, profile, cap)
+@_check("nuclearity")
+def _nuclearity(cfg, n, gen, seed, inject):
     tol = float(cfg["tolerance"])
     dd, nn = cfg["d"], cfg["n"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = -np.inf
     worst_saw = 0.0
     ok = True
     for i in range(n):
-        t = FreeTensor(coeffs=tuple(random_ginibre(gen, dd, dd) for _ in range(nn)))
+        t = random_free_tensor(gen, nn, dd)
         rep = nuclearity_gap(t, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol)
         worst = max(worst, rep.rel_gap)
         worst_saw = max(worst_saw, rep.seesaw_gap)
         ok = ok and rep.rel_gap >= -1e-6
-    passed = ok and worst <= tol and worst_saw <= tol
-    return [CheckResult(
-        name="nuclearity", passed=bool(passed), instances=n,
-        worst=float(max(worst, worst_saw)), tolerance=tol,
-        detail=f"max-min relative gap {worst:.2e}, see-saw bracket {worst_saw:.2e}",
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(max(worst, worst_saw),
+                    f"max-min relative gap {worst:.2e}, see-saw bracket {worst_saw:.2e}", ok=ok)
 
 
-def _run_mult_domain(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "mult_domain")
-    tol = float(cfg["tolerance"])
+@_check("mult_domain")
+def _mult_domain(cfg, n, gen, seed, inject):
     floor = float(cfg["negative_floor"])
     dims = cfg["dims"]
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     worst = 0.0
     dims_ok = True
     neg_ok = True
-    count = 0
     for d in dims:
         alg = matrix_algebra(d)
         ident = multiplicative_domain(identity_map(alg))
@@ -519,24 +422,15 @@ def _run_mult_domain(manifest, profile, seed, cap, inject):
         rnd = multiplicative_domain(random_unital_cp_map(gen, d, num_kraus=2))
         closure = subalgebra_closure_report(rnd)
         worst = max(worst, closure["unit"], closure["adjoint"], closure["product"])
-        count += 4
-    passed = dims_ok and neg_ok and worst <= tol
-    return [CheckResult(
-        name="mult_domain", passed=bool(passed), instances=count,
-        worst=worst, tolerance=tol,
-        detail="dimensions d^2/1/d, closure and bimodularity residuals, "
-               f"negative control {'flagged' if neg_ok else 'MISSED'}",
-        seconds=time.perf_counter() - t0,
-    )]
+    # four maps per size: the identity, the depolarizer, the pinching and a random one
+    return _Outcome(worst, "dimensions d^2/1/d, closure and bimodularity residuals, "
+                           f"negative control {'flagged' if neg_ok else 'MISSED'}",
+                    ok=dims_ok and neg_ok, instances=4 * len(dims))
 
 
-def _run_oracle_cross_check(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "oracle_cross_check")
-    n = _count(cfg, profile, cap)
-    tol = float(cfg["tolerance"])
+@_check("oracle_cross_check")
+def _oracle_cross_check(cfg, n, gen, seed, inject):
     upper_slack = float(cfg["upper_slack"])
-    gen = make_generator(seed, stream=cfg["stream"])
-    t0 = time.perf_counter()
     sizes = [(2, 1), (3, 1), (2, 2), (3, 2)]
     worst = 0.0
     sound = True
@@ -548,24 +442,14 @@ def _run_oracle_cross_check(manifest, profile, seed, cap, inject):
         upper = dec_norm_linf(xs).value
         worst = max(worst, abs(oracle - saw.lower))
         sound = sound and oracle <= upper + upper_slack
-    passed = sound and worst <= tol
-    return [CheckResult(
-        name="oracle_cross_check", passed=bool(passed), instances=n,
-        worst=worst, tolerance=tol,
-        detail="grid oracle against the see-saw; oracle stays below the SDP value"
-               + ("" if sound else " (SOUNDNESS VIOLATED)"),
-        seconds=time.perf_counter() - t0,
-    )]
+    return _Outcome(worst, "grid oracle against the see-saw; oracle stays below the SDP value"
+                           + ("" if sound else " (SOUNDNESS VIOLATED)"), ok=sound)
 
 
-def _run_determinism(manifest, profile, seed, cap, inject):
-    cfg = _cfg(manifest, "determinism")
-    gen_seed = cfg["stream"]
-    t0 = time.perf_counter()
-    worst = 0.0
-
+@_check("determinism")
+def _determinism(cfg, n, gen, seed, inject):
     def one_pass():
-        g = make_generator(seed, stream=gen_seed)
+        g = make_generator(seed, stream=cfg["stream"])
         xs = random_matrix_tuple(g, 3, 2)
         cert = dec_norm_linf(xs)
         saw = seesaw_min_norm(xs, restarts=4, seed=seed)
@@ -574,32 +458,7 @@ def _run_determinism(manifest, profile, seed, cap, inject):
     v1 = one_pass()
     v2 = one_pass()
     worst = max(abs(v1[0] - v2[0]), abs(v1[1] - v2[1]))
-    return [CheckResult(
-        name="determinism", passed=worst == 0.0, instances=2,
-        worst=worst, tolerance=0.0,
-        detail="repeated runs are bitwise identical",
-        seconds=time.perf_counter() - t0,
-    )]
-
-
-_RUNNERS = (
-    _run_solver_eigenvalue,
-    _run_dec_cb_agreement,
-    _run_closed_form_scalars,
-    _run_closed_form_unitary,
-    _run_closed_form_trace,
-    _run_selfadjoint_consistency,
-    _run_ineq_submultiplicative,
-    _run_ineq_cb_le_dec,
-    _run_ineq_factored_bound,
-    _run_ineq_contraction,
-    _run_ineq_tensor_submult,
-    _run_direct_sum,
-    _run_nuclearity,
-    _run_mult_domain,
-    _run_oracle_cross_check,
-    _run_determinism,
-)
+    return _Outcome(worst, "repeated runs are bitwise identical", instances=2)
 
 
 def run_suite(
@@ -612,14 +471,35 @@ def run_suite(
     """Run the whole corpus; canonical check order, one result per check."""
     if profile not in ("quick", "full"):
         raise ValueError("profile must be 'quick' or 'full'")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if max_instances is not None and max_instances < 1:
+        raise ValueError(f"max_instances must be at least 1, got {max_instances}")
     for name in inject:
         if name not in INJECTABLE:
             raise ValueError(f"unknown injected regression {name!r}")
     manifest = load_manifest()
     t0 = time.perf_counter()
     results = []
-    for runner in _RUNNERS:
-        results.extend(runner(manifest, profile, seed, max_instances, inject))
+    for names, runner in _RUNNERS.items():
+        cfgs = [_cfg(manifest, name) for name in names]
+        n = int(cfgs[0][profile])
+        if max_instances is not None:
+            n = min(n, max_instances)
+        gen = make_generator(seed, stream=cfgs[0]["stream"])
+        t1 = time.perf_counter()
+        outcomes = runner(*cfgs, n, gen, seed, inject)
+        seconds = time.perf_counter() - t1
+        if isinstance(outcomes, _Outcome):
+            outcomes = (outcomes,)
+        for name, cfg, out in zip(names, cfgs, outcomes, strict=True):
+            tol = float(cfg["tolerance"]) if out.tolerance is None else out.tolerance
+            results.append(CheckResult(
+                name=name, passed=bool(out.ok and out.worst <= tol),
+                instances=n if out.instances is None else out.instances,
+                worst=float(out.worst), tolerance=tol, detail=out.detail, seconds=seconds,
+            ))
+            seconds = 0.0  # later results of one runner share the first one's time
     report = SuiteReport(
         profile=profile, seed=seed, results=results,
         all_passed=all(r.passed for r in results),
@@ -663,5 +543,8 @@ def suite_report_dict(report: SuiteReport) -> dict:
             }
             for r in report.results
         ],
-        "timing": {"seconds": report.seconds},
+        "timing": {
+            "seconds": report.seconds,
+            "checks": {r.name: r.seconds for r in report.results},
+        },
     }

@@ -108,16 +108,11 @@ def random_unital_cp_map(gen: np.random.Generator, d: int, num_kraus: int = 3) -
     return kraus_map(kraus)
 
 
-def random_free_tensor_coeffs(gen: np.random.Generator, n: int, d: int) -> list[np.ndarray]:
-    """Coefficients x_0..x_{n-1} for a free-unitary tensor, iid Ginibre."""
-    return [random_ginibre(gen, d, d) for _ in range(n)]
-
-
 def random_free_tensor(gen: np.random.Generator, n: int, d: int):
-    """Random tensor over n unitary generators (slot 0 the unit), M_d coefficients."""
+    """Random tensor over n unitary generators (slot 0 the unit), iid Ginibre M_d coefficients."""
     from decnorms.freetensor import FreeTensor
 
-    return FreeTensor(coeffs=tuple(random_free_tensor_coeffs(gen, n, d)))
+    return FreeTensor(coeffs=tuple(random_matrix_tuple(gen, n, d)))
 
 
 # ---------------------------------------------------------------------------

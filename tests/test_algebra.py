@@ -12,9 +12,8 @@ def test_shape_invariants():
     assert s.num_blocks == 3
     assert s.total_dim == 4 + 1 + 9
     assert s.embed_dim == 6
-    assert not s.is_abelian()
     assert not s.is_factor()
-    assert algebra.abelian_algebra(4).is_abelian()
+    assert algebra.abelian_algebra(4).block_dims == (1, 1, 1, 1)
     assert algebra.matrix_algebra(3).is_factor()
     with pytest.raises(ValueError):
         algebra.AlgebraShape(())

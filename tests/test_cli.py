@@ -2,7 +2,7 @@
 
 import json
 
-from decnorms import conic
+from decnorms import conic, suite
 from decnorms.cli import main
 
 SCALAR = "instances/scalar_dec.json"
@@ -127,6 +127,40 @@ def test_verify_json_report(capsys):
     for c in rep["checks"]:
         assert c["passed"] is True
         assert c["instances"] >= 1
+
+
+def test_verify_json_times_every_check(capsys):
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "--instances", "1", "--json", "--seed", "42"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    for rep in reports:
+        checks = rep.pop("timing")["checks"]
+        assert sorted(checks) == sorted(c["name"] for c in rep["checks"])
+        assert all(s >= 0.0 for s in checks.values())
+        # the certificate check shares the agreement check's instances and time
+        assert checks["dec_certificates"] == 0.0
+    assert reports[0] == reports[1]
+
+
+def test_verify_reports_every_manifest_check_once_in_order(capsys):
+    assert main(["verify", "--instances", "1", "--json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert names == [c["name"] for c in suite.load_manifest()["checks"]]
+    assert len(set(names)) == len(names)
+
+
+def test_verify_bad_cap_or_seed_exits_2_before_any_check(monkeypatch, capsys):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check started")
+
+    monkeypatch.setattr(suite, "make_generator", no_check)
+    for flags, field in ((["--instances", "0"], "max_instances"),
+                         (["--instances", "-3"], "max_instances"),
+                         (["--seed", "-1"], "seed")):
+        assert main(["verify", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: " + field)
 
 
 def test_verify_deterministic_modulo_timing(capsys):

@@ -231,7 +231,7 @@ def test_submultiplicativity_under_composition():
         v = random_cp_map(gen, matrix_algebra(2), matrix_algebra(2))
         u = maps.map_from_linf([element(matrix_algebra(2), [x]) for x in xs])
         comp = maps.compose(v, u)
-        lhs = decomposable.dec_norm_linf(maps.linf_coefficients(comp)).value
+        lhs = decomposable.dec_norm_linf(comp.images).value
         rhs = decomposable.dec_norm_linf(xs).value * decomposable.dec_norm_matrix_domain(v).value
         assert lhs <= rhs + 1e-6 * max(1.0, rhs)
 

@@ -69,6 +69,8 @@ def _merged_options(parsed, args) -> dict:
 def _norm_results(parsed, opts) -> dict:
     tol = float(opts.get("tol", 1e-8))
     seed = int(opts.get("seed", 0))
+    if seed < 0:  # the generators reject it too, but only after the SDP
+        raise InstanceError("seed", f"must be a non-negative integer, got {seed}")
     restarts = int(opts.get("restarts", 24))
     agree_tol = float(opts.get("agree_tol", 5e-4))
 
@@ -222,6 +224,8 @@ def _parse_sizes(spec: str) -> list[tuple[int, int]]:
 def cmd_bench(args) -> int:
     try:
         sizes = _parse_sizes(args.sizes)
+        if args.seed < 0:
+            raise InstanceError("--seed", f"must be a non-negative integer, got {args.seed}")
     except InstanceError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -23,6 +23,17 @@ scaling, residual checks and infeasibility tests; the linear system is
 reduced to ``I + A^T A``, which is factored once by sparse LU.  The
 package's programs have about two nonzeros per column of A, so memory
 and per-iteration cost scale with the nonzeros, not with rows x columns.
+A depends only on the block sizes, the linear parts and the equality
+matrix; F0 enters through b alone.  So the assembled and equilibrated A,
+its factorization and the projection's index arrays are kept, read-only,
+for the ``SETUP_CACHE_SIZE`` most recently used structures, keyed by
+their exact bytes; a program that shares its structure with an earlier
+one skips that setup and gets the output a fresh setup would give.
+
+Residual checks are at most ``CHECK_EVERY`` iterations apart.  Each
+check scores the iterate against the tolerances, and while that score
+decays the next check is placed where the measured geometric rate says
+it reaches them, so a solve stops within a few iterations of converging.
 
 Hermitian matrices travel through the cone machinery in "svec"
 coordinates: the q real diagonal entries first, then sqrt(2) * Re and
@@ -37,13 +48,14 @@ is one gather of the whole cone segment into stacked complex matrices
 one gather back into svec order; the other iterate updates run on
 preallocated full-length vectors.
 
-Everything is deterministic: no randomness, fixed iteration order, and a
-fixed factorization, so repeated solves of the same program give
-bit-identical output.
+Everything is deterministic: no randomness, fixed iteration order, a
+fixed factorization and a check schedule read from the iterates, so
+repeated solves of the same program give bit-identical output.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import time
@@ -492,32 +504,60 @@ def _ruiz_equilibrate(a: scipy.sparse.csr_matrix, block_slices: list[slice], ite
     return d, e
 
 
-def _psd_projector(qs: list[int]):
-    """In-place projection of a cone segment onto PSD blocks of sizes ``qs``.
+class _Projection(NamedTuple):
+    """Index arrays of the projection of a cone segment; see :func:`_psd_projector`.
 
-    The segment holds the blocks' svec vectors back to back.  Blocks are
-    grouped by size: one gather fills every group's stacked matrices (real
-    arithmetic on their float64 view), each group takes one ``eigh``, and
-    one gather reads the projections back in segment order.
+    ``seg[src] * scale`` fills the float64 view of the stacked matrices at
+    ``dst``; ``groups`` holds one (slice, stack shape) per block size, and
+    ``mats_f64[read] * read_scale`` reads the segment back.
     """
+
+    src: np.ndarray
+    dst: np.ndarray
+    scale: np.ndarray
+    read: np.ndarray
+    read_scale: np.ndarray
+    groups: tuple
+    length: int  # complex entries of the stacked matrices
+
+
+def _projection(qs: list[int]) -> _Projection:
+    """Read-only index arrays projecting onto PSD blocks of sizes ``qs``."""
     sizes = np.array([q * q for q in qs])
     offs = np.cumsum(sizes) - sizes  # segment offset of each block
     order = np.argsort(qs, kind="stable")
     base = np.empty_like(offs)  # complex offset of each block in the matrix buffers
     base[order] = np.cumsum(sizes[order]) - sizes[order]
     maps = [_svec_map(q) for q in qs]
-    src = np.concatenate([o + mp.src for o, mp in zip(offs, maps)])
-    dst = np.concatenate([2 * o + mp.dst for o, mp in zip(base, maps)])
-    scale = np.concatenate([mp.scale for mp in maps])
-    read = np.concatenate([2 * o + mp.read for o, mp in zip(base, maps)])
-    read_scale = np.concatenate([mp.read_scale for mp in maps])
     groups, start = [], 0
     for q in sorted(set(qs)):
         nb = qs.count(q)
         groups.append((slice(start, start + nb * q * q), (nb, q, q)))
         start += nb * q * q
-    mats = np.zeros(start, dtype=np.complex128)  # imaginary diagonal parts stay zero
-    projs = np.empty(start, dtype=np.complex128)
+    out = _Projection(
+        np.concatenate([o + mp.src for o, mp in zip(offs, maps)]),
+        np.concatenate([2 * o + mp.dst for o, mp in zip(base, maps)]),
+        np.concatenate([mp.scale for mp in maps]),
+        np.concatenate([2 * o + mp.read for o, mp in zip(base, maps)]),
+        np.concatenate([mp.read_scale for mp in maps]),
+        tuple(groups), start,
+    )
+    for arr in out[:5]:
+        arr.setflags(write=False)
+    return out
+
+
+def _psd_projector(plan: _Projection):
+    """In-place projection of a cone segment onto its PSD blocks, with its own buffers.
+
+    The segment holds the blocks' svec vectors back to back.  Blocks are
+    grouped by size: one gather fills every group's stacked matrices (real
+    arithmetic on their float64 view), each group takes one ``eigh``, and
+    one gather reads the projections back in segment order.
+    """
+    src, dst, scale, read, read_scale, groups, length = plan
+    mats = np.zeros(length, dtype=np.complex128)  # imaginary diagonal parts stay zero
+    projs = np.empty(length, dtype=np.complex128)
     mats_f, projs_f = mats.view(np.float64), projs.view(np.float64)
 
     def project(seg: np.ndarray):
@@ -532,9 +572,85 @@ def _psd_projector(qs: list[int]):
     return project
 
 
+class _Setup(NamedTuple):
+    """The part of a solve fixed by the constraint matrix alone; shared, read-only."""
+
+    a: scipy.sparse.csr_matrix  # D A E after Ruiz scaling
+    at: scipy.sparse.csr_matrix
+    d_row: np.ndarray
+    e_col: np.ndarray
+    block_slices: tuple[slice, ...]
+    lu: object  # sparse LU of I + A^T A; None for a program without variables
+    projection: _Projection
+
+
+# Setups of the most recently solved constraint structures, least recent first.
+_setups: collections.OrderedDict[tuple, _Setup] = collections.OrderedDict()
+
+
+def _structure_key(program: ConicProgram) -> tuple:
+    """The exact bytes A is assembled from, so equal keys mean equal A."""
+    eq = None if program.eq_a is None else (program.eq_a.shape, program.eq_a.tobytes())
+    blocks = []
+    for blk in program.psd_blocks:
+        lin = blk.lin.tocsr()
+        blocks.append((blk.size, lin.shape) + tuple(
+            (arr.dtype.str, arr.tobytes()) for arr in (lin.indptr, lin.indices, lin.data)))
+    return eq, tuple(blocks)
+
+
+def _setup(program: ConicProgram) -> _Setup:
+    """The setup of the program's constraint structure, built or reused.
+
+    The setup reads neither F0, b nor c, so programs that share the
+    constraint structure share one setup: the last ``SETUP_CACHE_SIZE``
+    structures are kept, keyed by :func:`_structure_key`.
+    """
+    key = _structure_key(program)
+    setup = _setups.pop(key, None)
+    if setup is None:
+        setup = _build_setup(program)
+    _setups[key] = setup  # most recently used last
+    if len(_setups) > SETUP_CACHE_SIZE:
+        _setups.popitem(last=False)
+    return setup
+
+
+def _build_setup(program: ConicProgram) -> _Setup:
+    """Assemble A, equilibrate it, factor I + A^T A and plan the projection."""
+    p = program.num_eq
+    parts = [scipy.sparse.csr_matrix(program.eq_a)] if p else []
+    block_slices, off = [], p
+    for blk in program.psd_blocks:
+        block_slices.append(slice(off, off + blk.size ** 2))
+        # cone row: s_block = svec(F0) + lin y  =>  -lin y + s = svec(F0)
+        parts.append(-blk.lin)
+        off += blk.size ** 2
+    a = scipy.sparse.vstack(parts, format="csr")
+    d_row, e_col = _ruiz_equilibrate(a, block_slices, RUIZ_ITERS)
+    at = a.T.tocsr()
+    # The gram is SPD with every eigenvalue >= 1, so LU with diagonal
+    # pivots on a symmetric ordering is a stable sparse Cholesky substitute.
+    lu = None
+    if program.num_vars:
+        gram = scipy.sparse.identity(program.num_vars, format="csr") + at @ a
+        lu = scipy.sparse.linalg.splu(
+            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    for arr in (a.data, a.indices, a.indptr, at.data, at.indices, at.indptr, d_row, e_col):
+        arr.setflags(write=False)
+    return _Setup(a, at, d_row, e_col, tuple(block_slices), lu,
+                  _projection([blk.size for blk in program.psd_blocks]))
+
+
 # Fixed solver settings; no caller tunes them.
 OVER_RELAX = 1.5
 RUIZ_ITERS = 10
+# Residual checks are at most this many iterations apart.
+CHECK_EVERY = 25
+# Constraint structures whose setup is kept for reuse.
+SETUP_CACHE_SIZE = 16
 # Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
 AA_MEMORY = 10
 AA_REG = 1e-9  # Tikhonov weight relative to the trace of the Gram matrix
@@ -548,7 +664,6 @@ def solve(
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-8,
     max_iter: int = 100_000,
-    check_every: int = 25,
     infeas_tol: float = 1e-8,
 ) -> ConicSolution:
     """Solve a program to the requested normalized tolerances.
@@ -559,43 +674,38 @@ def solve(
     status ``max_iterations``; infeasibility certificates come back as
     ``infeasible_suspected`` (a dual-infeasibility certificate, meaning an
     unbounded primal, is reported the same way and distinguished in the
-    message).  Tolerances must be positive and finite, ``max_iter`` and
-    ``check_every`` at least 1; anything else raises ``ValueError``.
+    message).  Tolerances must be positive and finite and ``max_iter`` at
+    least 1; anything else raises ``ValueError``.
+
+    Residual checks are scheduled from the measured convergence rate.  A
+    check scores the iterate by sigma = max(res_p / feas_tol, res_d /
+    feas_tol, gap / gap_tol), and the solve stops once sigma <= 1.  When
+    sigma fell since the previous check, the next check goes where the
+    geometric decay between the two predicts sigma = 1, between 1 and
+    ``CHECK_EVERY`` iterations ahead; otherwise it comes ``CHECK_EVERY``
+    iterations later.  The setup that depends on the constraint matrix
+    alone (see :func:`_setup`) is reused across programs that share it,
+    with output byte-identical to a fresh setup.
     """
     t0 = time.perf_counter()
     for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol), ("infeas_tol", infeas_tol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-    for name, count in (("max_iter", max_iter), ("check_every", check_every)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     m = program.num_vars
     p = program.num_eq
     qs = [blk.size for blk in program.psd_blocks]
-    cone_rows = sum(q * q for q in qs)
-    rows = p + cone_rows
+    rows = p + sum(q * q for q in qs)
+    a, at, d_row, e_col, block_slices, lu, projection = _setup(program)
 
-    # --- assemble A (rows x m, CSR) and b in svec coordinates ---------------
-    parts = []
+    # --- b in svec coordinates, and the b/c normalization ------------------
     b = np.zeros(rows, dtype=np.float64)
     if p:
-        parts.append(scipy.sparse.csr_matrix(program.eq_a))
         b[:p] = program.eq_b
-    block_slices: list[slice] = []
-    off = p
-    for blk in program.psd_blocks:
-        q2 = blk.size ** 2
-        sl = slice(off, off + q2)
-        block_slices.append(sl)
-        # cone row: s_block = svec(F0) + lin y  =>  -lin y + s = svec(F0)
-        parts.append(-blk.lin)
+    for blk, sl in zip(program.psd_blocks, block_slices):
         b[sl] = svec(blk.f0)
-        off += q2
-    a = scipy.sparse.vstack(parts, format="csr")
     c = program.objective.copy()
-
-    # --- equilibration and b/c normalization -------------------------------
-    d_row, e_col = _ruiz_equilibrate(a, block_slices, RUIZ_ITERS)
     b_s = d_row * b
     c_s = e_col * c
     beta = 1.0 / max(float(np.linalg.norm(b_s)), 1e-10)
@@ -605,18 +715,7 @@ def solve(
     b_s *= beta
     c_s *= gamma
 
-    at = a.T.tocsr()
-
     # --- linear system: M = [[I, A^T], [-A, I]] via (I + A^T A) ------------
-    # The gram is SPD with every eigenvalue >= 1, so LU with diagonal
-    # pivots on a symmetric ordering is a stable sparse Cholesky substitute.
-    if m:
-        gram = scipy.sparse.identity(m, format="csr") + at @ a
-        lu = scipy.sparse.linalg.splu(
-            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-
     def solve_m(wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve M (x, y) = (wx, wy) into ``out[:m]``, ``out[m:m + rows]``; return x."""
         x = lu.solve(wx - at @ wy) if m else wx
@@ -629,7 +728,7 @@ def solve(
     g_x = solve_m(c_s, b_s, g)
     denom = 1.0 + float(c_s @ g_x + b_s @ g[m:-1])
 
-    project_psd_segment = _psd_projector(qs)
+    project_psd_segment = _psd_projector(projection)
 
     # --- iterate ------------------------------------------------------------
     # z = (u, v) is the map's input and zo its output; zg keeps the last
@@ -654,6 +753,8 @@ def solve(
     status = None
     message = ""
     iterations = 0
+    next_check = min(CHECK_EVERY, max_iter)
+    last_check: tuple[int, float] | None = None  # (iteration, sigma) of the previous check
 
     def dist_to_cone(neg_w: np.ndarray) -> float:
         """Euclidean distance of a row-space vector to the cone K."""
@@ -689,7 +790,7 @@ def solve(
         vn += v
 
         # Anderson step on z; residual checks read plain output, so they never extrapolate
-        check = it % check_every == 0 or it == max_iter
+        check = it == next_check
         np.subtract(zo, z, out=f)
         f_sq = float(np.dot(f, f))
         if on_trial and not f_sq <= AA_SAFEGUARD ** 2 * f_sq_old:
@@ -733,6 +834,7 @@ def solve(
 
         tau = u[-1]
         kappa = v[-1]
+        wait = CHECK_EVERY  # iterations to the next residual check
 
         if tau > 1e-9 * max(1.0, kappa):
             x_hat = u[:m] / tau
@@ -757,11 +859,19 @@ def solve(
                 best_score = score
                 best_point = (x.copy(), eta.copy(), s.copy(), pobj, dobj, res_p, res_d, res_g, it)
 
-            if res_p <= feas_tol and res_d <= feas_tol and res_g <= gap_tol:
+            sigma = max(res_p / feas_tol, res_d / feas_tol, res_g / gap_tol)
+            if sigma <= 1.0:
                 status = "optimal"
                 iterations = it
                 break
+            drop = math.log(last_check[1] / sigma) if last_check else 0.0
+            if drop > 0:
+                # sigma decays geometrically: check where it is predicted to reach 1
+                wait = math.ceil((it - last_check[0]) * math.log(sigma) / drop)
+                wait = max(1, min(CHECK_EVERY, wait))
+            last_check = (it, sigma)
         else:
+            last_check = None
             # tau collapsed: look for infeasibility certificates
             eta_c = d_row * u[m:-1] / gamma
             bty = float(b @ eta_c)
@@ -782,6 +892,7 @@ def solve(
                     message = "dual infeasibility certificate found; primal appears unbounded"
                     iterations = it
                     break
+        next_check = min(it + wait, max_iter)
 
     if status is None:
         status = "max_iterations"

@@ -8,7 +8,7 @@ single summary line.
 import pytest
 
 from decnorms.cli import main
-from decnorms.suite import run_suite
+from decnorms.suite import load_manifest, run_suite
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -112,3 +112,9 @@ def test_10_repeat_determinism(full_report, capsys):
           and first[-1].startswith("overall: pass")
           and second[-1].startswith("overall: pass"))
     _line("10 repeated seeded runs report identical verdicts and residuals", ok)
+
+
+def test_11_instance_counts_match_the_manifest(full_report):
+    want = {c["name"]: c["full"] for c in load_manifest()["checks"]}
+    ok = {r.name: r.instances for r in full_report.results} == want
+    _line("11 every check runs the manifest's full instance count", ok)

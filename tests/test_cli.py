@@ -108,6 +108,27 @@ def test_norm_bad_tolerance_exits_2_without_iterating(monkeypatch, capsys):
     assert iterations == []
 
 
+def test_negative_seed_exits_2_before_any_solve(monkeypatch, tmp_path, capsys):
+    calls = []
+    solve = conic.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting_solve)
+    raw = json.loads(open(PAULI, encoding="utf-8").read())
+    raw["options"]["seed"] = -3
+    from_file = tmp_path / "negative_seed.json"
+    from_file.write_text(json.dumps(raw), encoding="utf-8")
+    for argv, field in ((["norm", PAULI, "--seed", "-1"], "seed"),
+                        (["norm", str(from_file)], "seed"),
+                        (["bench", "--sizes", "2x2", "--seed", "-1"], "--seed")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: {field}: must be a non-negative")
+    assert calls == []
+
+
 def test_verify_quick_capped(capsys):
     assert main(["verify", "--instances", "1", "--profile", "quick", "--seed", "42"]) == 0
     out = capsys.readouterr().out

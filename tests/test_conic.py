@@ -176,15 +176,24 @@ def test_solver_determinism():
 
 def test_residual_history_ends_at_the_stopping_check():
     gen = make_generator(37)
-    prog = eigenvalue_program(random_hermitian(gen, 3))
-    sol = conic.solve(prog)
-    assert sol.status == "optimal"
-    assert sol.history
-    assert np.all(np.isfinite(np.array(sol.history)))
-    assert [h[0] for h in sol.history] == sorted({h[0] for h in sol.history})
-    it, res_p, res_d, gap = sol.history[-1]
-    assert it == sol.iterations
-    assert (res_p, res_d, gap) == (sol.res_primal, sol.res_dual, sol.gap)
+    short = conic.solve(eigenvalue_program(random_hermitian(gen, 3)))
+    # converges after several checks, at one placed from the measured rate
+    long = dec_norm_linf(random_matrix_tuple(make_generator(38), 6, 4)).solver
+    assert len(long.history) > 2 and long.iterations % conic.CHECK_EVERY != 0
+    for sol in (short, long):
+        assert sol.status == "optimal"
+        assert sol.history
+        assert np.all(np.isfinite(np.array(sol.history)))
+        assert [h[0] for h in sol.history] == sorted({h[0] for h in sol.history})
+        it, res_p, res_d, gap = sol.history[-1]
+        assert it == sol.iterations
+        assert (res_p, res_d, gap) == (sol.res_primal, sol.res_dual, sol.gap)
+        # checks come at most CHECK_EVERY apart, and each one before the last failed
+        checks = [h[0] for h in sol.history]
+        assert checks[0] <= conic.CHECK_EVERY
+        assert max(np.diff(checks), default=0) <= conic.CHECK_EVERY
+        for _, rp, rd, g in sol.history[:-1]:
+            assert max(rp / 1e-8, rd / 1e-8, g / 1e-8) > 1.0
 
 
 def test_bad_solver_arguments_are_rejected_by_name():
@@ -193,11 +202,10 @@ def test_bad_solver_arguments_are_rejected_by_name():
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=name):
                 conic.solve(prog, **{name: bad})
-    for name in ("max_iter", "check_every"):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match=name):
-                conic.solve(prog, **{name: bad})
-    assert conic.solve(prog, max_iter=1, check_every=1).iterations == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            conic.solve(prog, max_iter=bad)
+    assert conic.solve(prog, max_iter=1).iterations == 1
 
 
 def _multi_size_program(gen, sizes):
@@ -224,7 +232,7 @@ def test_projection_matches_per_block_reference_bitwise():
         want.append(conic.svec((v * w[None, :]) @ v.conj().T))
         off += q * q
     got = seg.copy()
-    conic._psd_projector(sizes)(got)
+    conic._psd_projector(conic._projection(sizes))(got)
     assert got.tobytes() == np.concatenate(want).tobytes()
 
 
@@ -233,12 +241,40 @@ def test_multi_size_solve_is_repeatable_across_map_rebuilds():
     prog, hs = _multi_size_program(gen, [3, 1, 2, 5, 2])
     s1 = conic.solve(prog)
     conic._svec_map.cache_clear()
+    conic._setups.clear()
     s2 = conic.solve(prog)
     assert s1.status == s2.status == "optimal"
     assert s1.iterations == s2.iterations
     assert s1.y.tobytes() == s2.y.tobytes()
     top = max(float(np.linalg.eigvalsh(h)[-1]) for h in hs)
     assert s1.primal_value == pytest.approx(top, abs=1e-7)
+
+
+def test_setup_reuse_is_exact_and_bounded():
+    # P and Q share every block's linear part and differ only in F0.
+    gen = make_generator(42)
+    prog_p, _ = _multi_size_program(gen, [3, 2, 2])
+    prog_q, _ = _multi_size_program(gen, [3, 2, 2])
+    assert conic._structure_key(prog_p) == conic._structure_key(prog_q)
+    conic._setups.clear()
+    fresh = conic.solve(prog_p)
+    conic.solve(prog_q)
+    assert len(conic._setups) == 1
+    reused = conic.solve(prog_p)
+    for sol in (fresh, reused):
+        assert sol.status == "optimal"
+    assert reused.y.tobytes() == fresh.y.tobytes()
+    assert [z.tobytes() for z in reused.dual_psd] == [z.tobytes() for z in fresh.dual_psd]
+    assert reused.history == fresh.history
+    setup = next(iter(conic._setups.values()))
+    for arr in (setup.a.data, setup.at.indices, setup.d_row, setup.e_col, setup.projection.src):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # one structure per block size: more structures than the cache keeps
+    for q in range(1, conic.SETUP_CACHE_SIZE + 4):
+        conic.solve(eigenvalue_program(random_hermitian(gen, q)))
+        assert len(conic._setups) <= conic.SETUP_CACHE_SIZE
+    assert len(conic._setups) == conic.SETUP_CACHE_SIZE
 
 
 def test_solver_determinism_multi_block():

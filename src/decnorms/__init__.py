@@ -58,7 +58,6 @@ from decnorms.freetensor import (
     free_tensor,
     max_norm,
     min_norm,
-    nuclearity_gap,
 )
 from decnorms.multdomain import (
     SubalgebraBasis,
@@ -99,7 +98,6 @@ __all__ = [
     "free_tensor",
     "max_norm",
     "min_norm",
-    "nuclearity_gap",
     "check_finite_rank_contraction",
     "SubalgebraBasis",
     "multiplicative_domain",

@@ -16,9 +16,6 @@ import numpy as np
 
 from decnorms import linalg
 
-# Relative tolerance for element_equal.
-EQUAL_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class AlgebraShape:
@@ -126,21 +123,6 @@ def element(shape: AlgebraShape, blocks) -> AlgebraElement:
     return AlgebraElement(shape, list(blocks))
 
 
-def scalar_element(values) -> AlgebraElement:
-    """Element of the abelian algebra with the given diagonal entries."""
-    vals = list(values)
-    shape = abelian_algebra(len(vals))
-    return AlgebraElement(shape, [np.array([[complex(v)]]) for v in vals])
-
-
-def matrix_element(m) -> AlgebraElement:
-    """Element of a single matrix block."""
-    a = linalg.as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix block must be square, got {a.shape}")
-    return AlgebraElement(matrix_algebra(a.shape[0]), [a])
-
-
 def unit(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.eye(d, dtype=np.complex128) for d in shape.block_dims])
 
@@ -157,8 +139,8 @@ def element_norm(x: AlgebraElement) -> float:
 def is_positive(x: AlgebraElement, tol: float = 1e-9) -> bool:
     """True iff every block is Hermitian within ``tol`` and PSD within ``tol``.
 
-    Unlike :func:`decnorms.linalg.psd_check` this never raises on
-    non-Hermitian input; such an element is simply not positive.
+    This never raises on non-Hermitian input; such an element is simply
+    not positive.
     """
     for b in x.blocks:
         if linalg.operator_norm(b - b.conj().T) > tol:
@@ -172,14 +154,6 @@ def is_positive(x: AlgebraElement, tol: float = 1e-9) -> bool:
 
 def is_selfadjoint(x: AlgebraElement, tol: float = 1e-10) -> bool:
     return all(linalg.operator_norm(b - b.conj().T) <= tol for b in x.blocks)
-
-
-def element_equal(x: AlgebraElement, y: AlgebraElement, rtol: float = EQUAL_RTOL) -> bool:
-    """Blockwise equality up to ``rtol`` relative to the larger norm."""
-    if x.shape != y.shape:
-        return False
-    scale_ = max(element_norm(x), element_norm(y), 1.0)
-    return element_norm(x - y) <= rtol * scale_
 
 
 def from_assembled(shape: AlgebraShape, full) -> AlgebraElement:

@@ -34,6 +34,9 @@ from decnorms.testkit import make_generator, random_haar_unitary
 # hold at once: per restart the n products u_i (x) x_i, their sum and the
 # two unitary factors of its SVD.
 SWEEP_BYTES = 8 << 20
+# A restart stops once its relative improvement stays at most this small
+# for three sweeps in a row.
+SWEEP_TOL = 1e-11
 
 
 def _coerce_mats(xs) -> list[np.ndarray]:
@@ -104,7 +107,6 @@ def seesaw_min_norm(
     restarts: int = 32,
     seed: int = 0,
     max_sweeps: int = 400,
-    tol: float = 1e-11,
     pin_first: bool = False,
 ) -> SeeSawResult:
     """Lower bound for sup ||sum u_i (x) x_i|| by alternating maximization.
@@ -114,8 +116,8 @@ def seesaw_min_norm(
     maximizes the pairing -- those updates are independent across i -- then
     recomputes the top singular pair.  Both half-steps are exact
     maximizations of the same functional, so the objective never decreases;
-    a restart stops after its improvement stays below ``tol`` (relative)
-    three times in a row.
+    a restart stops after its improvement stays below ``SWEEP_TOL``
+    (relative) three times in a row.
 
     Restart 0 is deterministic: ``u_i`` is the unitary polar factor of
     ``conj(x_i)`` padded by the identity, which is exactly optimal when the
@@ -179,7 +181,7 @@ def seesaw_min_norm(
             new_sigma, xi[active], eta[active] = top_pairs(us[active])
             history[sweep, active] = new_sigma
             sweeps[active] = sweep
-            small = new_sigma - sigma[active] <= tol * np.maximum(1.0, new_sigma)
+            small = new_sigma - sigma[active] <= SWEEP_TOL * np.maximum(1.0, new_sigma)
             streak[active] = np.where(small, streak[active] + 1, 0)
             sigma[active] = new_sigma
             active = active[streak[active] < 3]

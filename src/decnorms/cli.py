@@ -17,7 +17,7 @@ from decnorms.decomposable import (
     dec_norm_matrix_domain,
     selfadjoint_dec_norm,
 )
-from decnorms.freetensor import FreeTensor, nuclearity_gap
+from decnorms.freetensor import FreeTensor, min_norm
 from decnorms.iofmt import (
     InstanceError,
     build_report,
@@ -114,16 +114,17 @@ def _norm_results(parsed, opts) -> dict:
         }
     if parsed.kind == "free_tensor":
         t = FreeTensor(coeffs=tuple(c.blocks[0] for c in parsed.coefficients))
-        rep = nuclearity_gap(t, restarts=restarts, seed=seed, agree_tol=agree_tol,
-                             gap_tol=tol, feas_tol=tol, aux_dim=aux_dim)
+        # the max norm is the bracket's upper value, so one gap serves both
+        br = min_norm(t, restarts=restarts, seed=seed, agree_tol=agree_tol,
+                      gap_tol=tol, feas_tol=tol, aux_dim=aux_dim)
         return {
-            "max": rep.max_value,
-            "min_upper": rep.min_upper,
-            "min_lower": rep.min_lower,
-            "rel_gap": rep.rel_gap,
-            "seesaw_gap": rep.seesaw_gap,
-            "verdict": rep.verdict,
-            "solver": _solver_summary(rep.max_certificate),
+            "max": br.upper,
+            "min_upper": br.upper,
+            "min_lower": br.lower,
+            "rel_gap": br.gap,
+            "seesaw_gap": br.gap,
+            "verdict": br.verdict,
+            "solver": _solver_summary(br.certificate),
         }
     if parsed.kind == "dec_matrix":
         cert = dec_norm_matrix_domain(parsed.linear_map, gap_tol=tol, feas_tol=tol)

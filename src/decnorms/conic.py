@@ -4,31 +4,31 @@ Problems take the variational form
 
     minimize    c . y
     subject to  F0_l + sum_k y_k Fk_l  is PSD      (one block per l)
-                A y = b                            (optional equalities)
 
-with real variables ``y`` and complex Hermitian data ``F``.  The solver
-runs ADMM on the homogeneous self-dual embedding (the splitting SCS made
-standard): primal and dual are folded into one monotone inclusion whose
-fixed point encodes either an optimal pair or an infeasibility
-certificate.  Each iteration solves one quasi-definite linear system
-and projects onto the cone product; over-relaxation and Ruiz
-equilibration speed up the linear rate, and safeguarded type-II Anderson
-acceleration of the fixed-point map z = (u, v) -> (u+, v+) cuts the
-iteration count (Zhang, O'Donoghue and Boyd, 2020): residual checks read
-plain iterates, and an extrapolated point that halves tau, or whose image
-grows the fixed-point residual, is dropped for the plain one.
+with real variables ``y`` and complex Hermitian data ``F``; the cone is
+a product of PSD blocks alone.  The solver runs ADMM on the homogeneous
+self-dual embedding (the splitting SCS made standard): primal and dual
+are folded into one monotone inclusion whose fixed point encodes either
+an optimal pair or an infeasibility certificate.  Each iteration solves
+one quasi-definite linear system and projects onto the cone product;
+over-relaxation and Ruiz equilibration speed up the linear rate, and
+safeguarded type-II Anderson acceleration of the fixed-point map
+z = (u, v) -> (u+, v+) cuts the iteration count (Zhang, O'Donoghue and
+Boyd, 2020): residual checks read plain iterates, and an extrapolated
+point that halves tau, or whose image grows the fixed-point residual, is
+dropped for the plain one.
 
 The constraint matrix A stays sparse (CSR) from assembly through Ruiz
 scaling, residual checks and infeasibility tests; the linear system is
 reduced to ``I + A^T A``, which is factored once by sparse LU.  The
 package's programs have about two nonzeros per column of A, so memory
 and per-iteration cost scale with the nonzeros, not with rows x columns.
-A depends only on the block sizes, the linear parts and the equality
-matrix; F0 enters through b alone.  So the assembled and equilibrated A,
-its factorization and the projection's index arrays are kept, read-only,
-for the ``SETUP_CACHE_SIZE`` most recently used structures, keyed by
-their exact bytes; a program that shares its structure with an earlier
-one skips that setup and gets the output a fresh setup would give.
+A depends only on the block sizes and the linear parts; F0 enters
+through b alone.  So the assembled and equilibrated A, its factorization
+and the projection's index arrays are kept, read-only, for the
+``SETUP_CACHE_SIZE`` most recently used structures, keyed by their exact
+bytes; a program that shares its structure with an earlier one skips
+that setup and gets the output a fresh setup would give.
 
 Residual checks are at most ``CHECK_EVERY`` iterations apart.  Each
 check scores the iterate against the tolerances, and while that score
@@ -190,14 +190,14 @@ class ConicProgram:
 
     objective: np.ndarray
     psd_blocks: list[PsdBlockSpec]
-    eq_a: np.ndarray | None = None
-    eq_b: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64).ravel()
         if not np.all(np.isfinite(self.objective)):
             raise SolverError("objective contains non-finite entries")
         m = self.objective.size
+        if m == 0:
+            raise SolverError("program needs at least one variable")
         if len(self.psd_blocks) == 0:
             raise SolverError("program needs at least one PSD block")
         for blk in self.psd_blocks:
@@ -205,17 +205,6 @@ class ConicProgram:
                 raise SolverError(
                     f"block linear part has {blk.lin.shape[1]} columns, expected {m}"
                 )
-        if (self.eq_a is None) != (self.eq_b is None):
-            raise SolverError("equality data needs both a matrix and a right-hand side")
-        if self.eq_a is not None:
-            self.eq_a = np.asarray(self.eq_a, dtype=np.float64)
-            self.eq_b = np.asarray(self.eq_b, dtype=np.float64).ravel()
-            if self.eq_a.ndim != 2 or self.eq_a.shape[1] != m:
-                raise SolverError(f"equality matrix must be (p, {m})")
-            if self.eq_b.shape[0] != self.eq_a.shape[0]:
-                raise SolverError("equality right-hand side length mismatch")
-            if not (np.all(np.isfinite(self.eq_a)) and np.all(np.isfinite(self.eq_b))):
-                raise SolverError("equality data contains non-finite entries")
 
     @property
     def num_vars(self) -> int:
@@ -223,7 +212,8 @@ class ConicProgram:
 
     @property
     def num_eq(self) -> int:
-        return 0 if self.eq_a is None else self.eq_a.shape[0]
+        """Always 0: the cone has no equality rows.  Kept for callers that count rows."""
+        return 0
 
 
 class BlockBuilder:
@@ -339,13 +329,11 @@ class ConicSolution:
     y: np.ndarray
     dual_value: float
     psd_residual: float
-    equality_residual: float
     gap: float
     iterations: int
     res_primal: float
     res_dual: float
     dual_psd: list[np.ndarray] = field(default_factory=list, repr=False)
-    dual_eq: np.ndarray | None = field(default=None, repr=False)
     message: str = ""
     solve_seconds: float = 0.0
     # (iteration, res_primal, res_dual, gap) at every residual check
@@ -357,7 +345,6 @@ class CertificateReport:
     clean: bool
     discrepancies: list[str]
     psd_residual: float
-    equality_residual: float
     primal_value: float
     dual_value: float
     gap: float
@@ -395,14 +382,11 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
     y = np.asarray(sol.y, dtype=np.float64)
     if y.shape != (program.num_vars,):
         return CertificateReport(False, [f"variable vector has shape {y.shape}"], np.inf,
-                                 np.inf, np.nan, np.nan, np.inf, np.inf, np.inf)
+                                 np.nan, np.nan, np.inf, np.inf, np.inf)
     if sol.status != "optimal":
         issues.append(f"status is {sol.status!r}, not optimal")
 
     psd_res = _psd_residual(program, y)
-    eq_res = 0.0
-    if program.eq_a is not None:
-        eq_res = float(np.max(np.abs(program.eq_a @ y - program.eq_b), initial=0.0))
     primal = float(program.objective @ y)
 
     stat_res = np.inf
@@ -421,11 +405,7 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
             zv = svec(zh)
             stat = stat + blk.lin.T @ zv
             dual -= float(svec(blk.f0) @ zv)
-        if program.eq_a is not None:
-            mu = sol.dual_eq if sol.dual_eq is not None else np.zeros(program.num_eq)
-            stat = stat + program.eq_a.T @ mu
-            dual += float(program.eq_b @ mu)
-        # stationarity: sum_l <F_k, Z_l> + (A^T mu)_k = c_k for every k
+        # stationarity: sum_l <F_k, Z_l> = c_k for every k
         stat_res = float(np.max(np.abs(stat), initial=0.0))
     gap = abs(primal - dual) / (1.0 + abs(primal) + abs(dual)) if np.isfinite(dual) else np.inf
 
@@ -435,10 +415,6 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
     if abs(psd_res - sol.psd_residual) > tol:
         issues.append(f"reported PSD residual {sol.psd_residual:.3e} is off by "
                       f"{abs(psd_res - sol.psd_residual):.3e}")
-    if eq_res > tol:
-        issues.append(f"equality residual {eq_res:.3e} exceeds {tol:.1e}")
-    if abs(eq_res - sol.equality_residual) > tol:
-        issues.append("reported equality residual disagrees with recomputation")
     if abs(primal - sol.primal_value) > tol * scale:
         issues.append(f"reported primal value {sol.primal_value:.9g} differs from "
                       f"recomputed {primal:.9g}")
@@ -456,7 +432,6 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
         clean=(len(issues) == 0),
         discrepancies=issues,
         psd_residual=psd_res,
-        equality_residual=eq_res,
         primal_value=primal,
         dual_value=dual,
         gap=gap,
@@ -472,10 +447,9 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
 def _ruiz_equilibrate(a: scipy.sparse.csr_matrix, block_slices: list[slice], iters: int):
     """Diagonal row/column scaling of a CSR matrix; PSD block rows share one scalar.
 
-    Zero-cone (equality) rows scale individually.  Only the stored
-    nonzeros are touched: row and column maxima are gathered over the row
-    and column index of each entry.  Returns (d, e) with the scaled matrix
-    D A E written into ``a.data`` in place.
+    Only the stored nonzeros are touched: row and column maxima are
+    gathered over the row and column index of each entry.  Returns (d, e)
+    with the scaled matrix D A E written into ``a.data`` in place.
     """
     rows, cols = a.shape
     d = np.ones(rows)
@@ -580,7 +554,7 @@ class _Setup(NamedTuple):
     d_row: np.ndarray
     e_col: np.ndarray
     block_slices: tuple[slice, ...]
-    lu: object  # sparse LU of I + A^T A; None for a program without variables
+    lu: object  # sparse LU of I + A^T A
     projection: _Projection
 
 
@@ -590,13 +564,12 @@ _setups: collections.OrderedDict[tuple, _Setup] = collections.OrderedDict()
 
 def _structure_key(program: ConicProgram) -> tuple:
     """The exact bytes A is assembled from, so equal keys mean equal A."""
-    eq = None if program.eq_a is None else (program.eq_a.shape, program.eq_a.tobytes())
     blocks = []
     for blk in program.psd_blocks:
         lin = blk.lin.tocsr()
         blocks.append((blk.size, lin.shape) + tuple(
             (arr.dtype.str, arr.tobytes()) for arr in (lin.indptr, lin.indices, lin.data)))
-    return eq, tuple(blocks)
+    return tuple(blocks)
 
 
 def _setup(program: ConicProgram) -> _Setup:
@@ -618,9 +591,7 @@ def _setup(program: ConicProgram) -> _Setup:
 
 def _build_setup(program: ConicProgram) -> _Setup:
     """Assemble A, equilibrate it, factor I + A^T A and plan the projection."""
-    p = program.num_eq
-    parts = [scipy.sparse.csr_matrix(program.eq_a)] if p else []
-    block_slices, off = [], p
+    parts, block_slices, off = [], [], 0
     for blk in program.psd_blocks:
         block_slices.append(slice(off, off + blk.size ** 2))
         # cone row: s_block = svec(F0) + lin y  =>  -lin y + s = svec(F0)
@@ -631,13 +602,11 @@ def _build_setup(program: ConicProgram) -> _Setup:
     at = a.T.tocsr()
     # The gram is SPD with every eigenvalue >= 1, so LU with diagonal
     # pivots on a symmetric ordering is a stable sparse Cholesky substitute.
-    lu = None
-    if program.num_vars:
-        gram = scipy.sparse.identity(program.num_vars, format="csr") + at @ a
-        lu = scipy.sparse.linalg.splu(
-            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+    gram = scipy.sparse.identity(program.num_vars, format="csr") + at @ a
+    lu = scipy.sparse.linalg.splu(
+        gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
     for arr in (a.data, a.indices, a.indptr, at.data, at.indices, at.indptr, d_row, e_col):
         arr.setflags(write=False)
     return _Setup(a, at, d_row, e_col, tuple(block_slices), lu,
@@ -649,6 +618,8 @@ OVER_RELAX = 1.5
 RUIZ_ITERS = 10
 # Residual checks are at most this many iterations apart.
 CHECK_EVERY = 25
+# Relative accuracy an infeasibility certificate must reach.
+INFEAS_TOL = 1e-8
 # Constraint structures whose setup is kept for reuse.
 SETUP_CACHE_SIZE = 16
 # Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
@@ -664,7 +635,6 @@ def solve(
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-8,
     max_iter: int = 100_000,
-    infeas_tol: float = 1e-8,
 ) -> ConicSolution:
     """Solve a program to the requested normalized tolerances.
 
@@ -688,21 +658,18 @@ def solve(
     with output byte-identical to a fresh setup.
     """
     t0 = time.perf_counter()
-    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol), ("infeas_tol", infeas_tol)):
+    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     m = program.num_vars
-    p = program.num_eq
     qs = [blk.size for blk in program.psd_blocks]
-    rows = p + sum(q * q for q in qs)
+    rows = sum(q * q for q in qs)
     a, at, d_row, e_col, block_slices, lu, projection = _setup(program)
 
     # --- b in svec coordinates, and the b/c normalization ------------------
     b = np.zeros(rows, dtype=np.float64)
-    if p:
-        b[:p] = program.eq_b
     for blk, sl in zip(program.psd_blocks, block_slices):
         b[sl] = svec(blk.f0)
     c = program.objective.copy()
@@ -718,7 +685,7 @@ def solve(
     # --- linear system: M = [[I, A^T], [-A, I]] via (I + A^T A) ------------
     def solve_m(wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve M (x, y) = (wx, wy) into ``out[:m]``, ``out[m:m + rows]``; return x."""
-        x = lu.solve(wx - at @ wy) if m else wx
+        x = lu.solve(wx - at @ wy)
         out[:m] = x
         np.add(wy, a @ x, out=out[m:m + rows])
         return x
@@ -742,7 +709,7 @@ def solve(
     stored = slot = 0
     have_f = on_trial = False
     f_sq_old = 0.0
-    cone = slice(m + p, m + rows)
+    cone = slice(m, m + rows)
 
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
@@ -758,7 +725,7 @@ def solve(
 
     def dist_to_cone(neg_w: np.ndarray) -> float:
         """Euclidean distance of a row-space vector to the cone K."""
-        sq = float(np.dot(neg_w[:p], neg_w[:p]))  # zero cone: full distance
+        sq = 0.0
         for sl, q in zip(block_slices, qs):
             mat = unsvec(neg_w[sl], q)
             wv = np.linalg.eigvalsh(mat)
@@ -780,7 +747,7 @@ def solve(
         np.multiply(u, 1 - OVER_RELAX, out=w)
         r += w
 
-        # u update: project (r - v) onto R^m x (R^p x PSD) x R_+
+        # u update: project (r - v) onto R^m x PSD x R_+
         np.subtract(r, v, out=un)
         project_psd_segment(un[cone])
         un[-1] = max(un[-1], 0.0)
@@ -846,7 +813,7 @@ def solve(
             s = (s_hat / d_row) / beta
             # residuals in original data coordinates
             rp_vec = (a @ x_hat + s_hat - b_s) / (d_row * beta)
-            rd_vec = (at @ eta_hat + c_s) / (e_col * gamma) if m else np.zeros(0)
+            rd_vec = (at @ eta_hat + c_s) / (e_col * gamma)
             res_p = float(np.linalg.norm(rp_vec)) / (1.0 + norm_b)
             res_d = float(np.linalg.norm(rd_vec)) / (1.0 + norm_c)
             pobj = float(c @ x)
@@ -876,8 +843,8 @@ def solve(
             eta_c = d_row * u[m:-1] / gamma
             bty = float(b @ eta_c)
             if bty < -1e-12:
-                atn = float(np.linalg.norm((at @ u[m:-1]) / (e_col * gamma))) if m else 0.0
-                if atn * max(1.0, norm_b) <= infeas_tol * (-bty):
+                atn = float(np.linalg.norm((at @ u[m:-1]) / (e_col * gamma)))
+                if atn * max(1.0, norm_b) <= INFEAS_TOL * (-bty):
                     status = "infeasible_suspected"
                     message = "primal infeasibility certificate found"
                     iterations = it
@@ -887,7 +854,7 @@ def solve(
             if ctx < -1e-12:
                 w_rows = (a @ u[:m]) / (d_row * beta)
                 dist = dist_to_cone(-w_rows)
-                if dist * max(1.0, norm_c) <= infeas_tol * (-ctx):
+                if dist * max(1.0, norm_c) <= INFEAS_TOL * (-ctx):
                     status = "infeasible_suspected"
                     message = "dual infeasibility certificate found; primal appears unbounded"
                     iterations = it
@@ -904,7 +871,7 @@ def solve(
         nan = np.nan
         return ConicSolution(
             status=status, primal_value=nan, y=np.full(m, nan), dual_value=nan,
-            psd_residual=nan, equality_residual=nan, gap=nan, iterations=iterations,
+            psd_residual=nan, gap=nan, iterations=iterations,
             res_primal=nan, res_dual=nan, message=message, solve_seconds=elapsed,
             history=history,
         )
@@ -922,12 +889,7 @@ def solve(
 
     # direct feasibility measurements at the returned point
     psd_res = _psd_residual(program, x)
-    eq_res = 0.0
-    if p:
-        eq_res = float(np.max(np.abs(program.eq_a @ x - program.eq_b), initial=0.0))
-
     dual_psd = [unsvec(eta[sl], q) for sl, q in zip(block_slices, qs)]
-    dual_eq = -eta[:p] if p else None
 
     return ConicSolution(
         status=status,
@@ -935,13 +897,11 @@ def solve(
         y=x,
         dual_value=dobj,
         psd_residual=psd_res,
-        equality_residual=eq_res,
         gap=res_g,
         iterations=iterations,
         res_primal=res_p,
         res_dual=res_d,
         dual_psd=dual_psd,
-        dual_eq=dual_eq,
         message=message,
         solve_seconds=elapsed,
         history=history,

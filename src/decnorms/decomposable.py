@@ -114,7 +114,7 @@ def _trivial_solution() -> conic.ConicSolution:
     """Solver record for a zero input, where no program is solved."""
     return conic.ConicSolution(
         status="optimal", primal_value=0.0, y=np.zeros(0), dual_value=0.0,
-        psd_residual=0.0, equality_residual=0.0, gap=0.0, iterations=0,
+        psd_residual=0.0, gap=0.0, iterations=0,
         res_primal=0.0, res_dual=0.0,
     )
 
@@ -256,7 +256,6 @@ def extract_factorization(
     x_choi: dict,
     c1: dict,
     c2: dict,
-    rcond: float = 1e-9,
 ) -> tuple[list[AlgebraElement], list[AlgebraElement]]:
     """Factors ``u(e_rs) = sum_k a_kr* b_ks`` from a feasible Choi dressing.
 
@@ -274,8 +273,8 @@ def extract_factorization(
     for i, n_i in enumerate(u.domain.block_dims):
         a_mats, b_mats = [], []
         for t in range(len(cn)):
-            p_half, p_inv = linalg.psd_roots(c1[(i, t)], rcond=rcond)
-            q_half, q_inv = linalg.psd_roots(c2[(i, t)], rcond=rcond)
+            p_half, p_inv = linalg.psd_roots(c1[(i, t)])
+            q_half, q_inv = linalg.psd_roots(c2[(i, t)])
             contraction = p_inv @ x_choi[(i, t)] @ q_inv
             uu, sv, vh = linalg.svd(contraction)
             contraction = (uu * np.clip(sv, 0.0, 1.0)) @ vh
@@ -318,7 +317,7 @@ def _diagonal_images(u: LinearMapRep, cs: dict) -> list[AlgebraElement]:
     return out
 
 
-def _certify(u: LinearMapRep, kind: str, rcond: float = 1e-9, **options) -> DecCertificate:
+def _certify(u: LinearMapRep, kind: str, **options) -> DecCertificate:
     """Decomposable norm of ``u`` with its certificate, for any domain.
 
     The map is scaled to unit size, the Choi program is solved and its
@@ -342,7 +341,7 @@ def _certify(u: LinearMapRep, kind: str, rcond: float = 1e-9, **options) -> DecC
     sol = _solver_or_raise(program, options)
     c1, c2 = decode(sol.y)
     c1, c2, value = _repair_choi(su, x_choi, c1, c2)
-    factor_a, factor_b = extract_factorization(su, x_choi, c1, c2, rcond=rcond)
+    factor_a, factor_b = extract_factorization(su, x_choi, c1, c2)
 
     root = np.sqrt(scale)
     value *= scale
@@ -382,7 +381,6 @@ def dec_norm_linf(
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-8,
     max_iter: int = 200_000,
-    rcond: float = 1e-9,
 ) -> DecCertificate:
     """Decomposable norm of the map ``e_j -> x_j`` on an abelian domain.
 
@@ -392,7 +390,7 @@ def dec_norm_linf(
     coefficient is one domain block of the Choi program and a zero
     coefficient gets no variables.
     """
-    return _certify(map_from_linf(_coerce_elements(xs)), "linf", rcond=rcond,
+    return _certify(map_from_linf(_coerce_elements(xs)), "linf",
                     gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
 
 
@@ -402,7 +400,6 @@ def dec_norm_matrix_domain(
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-8,
     max_iter: int = 200_000,
-    rcond: float = 1e-9,
 ) -> DecCertificate:
     """Decomposable norm of a map from a single matrix block.
 
@@ -412,8 +409,7 @@ def dec_norm_matrix_domain(
     """
     if not u.domain.is_factor():
         raise ValueError("domain must be a single matrix block; see dec_norm_direct_sum")
-    return _certify(u, "matrix_domain", rcond=rcond,
-                    gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    return _certify(u, "matrix_domain", gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
 
 
 @dataclass
@@ -491,7 +487,6 @@ def selfadjoint_dec_norm(
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-8,
     max_iter: int = 200_000,
-    selfadjoint_tol: float = 1e-10,
 ) -> SelfadjointDecResult:
     """Dec norm of self-adjoint coefficients as inf ||u1(1) + u2(1)||.
 
@@ -502,7 +497,7 @@ def selfadjoint_dec_norm(
     """
     elems = _coerce_elements(xs)
     for j, x in enumerate(elems):
-        if not is_selfadjoint(x, tol=selfadjoint_tol * max(1.0, element_norm(x))):
+        if not is_selfadjoint(x, tol=1e-10 * max(1.0, element_norm(x))):
             raise ValueError(f"coefficient {j} is not self-adjoint")
     shape = elems[0].shape
     dims = shape.block_dims

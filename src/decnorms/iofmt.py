@@ -114,9 +114,7 @@ def _split_blocks(m: np.ndarray, shape: AlgebraShape, field_path: str):
     """Slice an embedded matrix into blocks; leakage outside them errors."""
     mask = np.ones(m.shape, dtype=bool)
     pos = 0
-    blocks = []
     for d in shape.block_dims:
-        blocks.append(m[pos:pos + d, pos:pos + d])
         mask[pos:pos + d, pos:pos + d] = False
         pos += d
     leak = np.abs(m[mask]).max() if mask.any() else 0.0

@@ -101,18 +101,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def psd_check(a, tol: float = 1e-9) -> tuple[bool, float]:
-    """Decide positive semidefiniteness of a Hermitian matrix.
-
-    Returns ``(is_psd, min_eigenvalue)`` where ``is_psd`` is true iff the
-    smallest eigenvalue is at least ``-tol``.  Non-Hermitian input (defect
-    beyond the symmetrization tolerance) raises rather than guessing.
-    """
-    w, _ = herm_eigensystem(a)
-    min_eig = float(w[0])
-    return (min_eig >= -tol, min_eig)
-
-
 def polar_unitary(a) -> np.ndarray:
     """Unitary factor of the polar decomposition of a square matrix.
 

@@ -30,7 +30,6 @@ from decnorms import linalg
 from decnorms.algebra import (
     AlgebraElement,
     AlgebraShape,
-    from_assembled,
     matrix_algebra,
     abelian_algebra,
     unit,
@@ -143,22 +142,6 @@ def choi(u: LinearMapRep) -> list[np.ndarray]:
     return out
 
 
-def map_from_choi(domain: AlgebraShape, codomain: AlgebraShape, blocks: list[np.ndarray]) -> LinearMapRep:
-    """Inverse of :func:`choi`: read matrix-unit images off Choi blocks."""
-    m = codomain.embed_dim
-    if len(blocks) != domain.num_blocks:
-        raise ValueError(f"need {domain.num_blocks} Choi blocks, got {len(blocks)}")
-    images = []
-    for i, d in enumerate(domain.block_dims):
-        c = linalg.as_matrix(blocks[i])
-        if c.shape != (d * m, d * m):
-            raise ValueError(f"Choi block {i} must be {d * m}x{d * m}, got {c.shape}")
-        for r in range(d):
-            for s in range(d):
-                images.append(from_assembled(codomain, c[r * m:(r + 1) * m, s * m:(s + 1) * m]))
-    return LinearMapRep(domain, codomain, images)
-
-
 def is_cp(u: LinearMapRep, tol: float = 1e-9) -> bool:
     """Complete positivity via PSD-ness of every Choi block.
 
@@ -205,48 +188,17 @@ def tensor(u1: LinearMapRep, u2: LinearMapRep) -> LinearMapRep:
     n2 = u2.domain.block_dims[0]
     c1 = u1.codomain.block_dims[0]
     c2 = u2.codomain.block_dims[0]
-    domain = matrix_algebra(n1 * n2)
     codomain = matrix_algebra(c1 * c2)
-    images = []
-    for r1 in range(n1):
-        for r2 in range(n2):
-            for s1 in range(n1):
-                for s2 in range(n2):
-                    a = u1.image(0, r1, s1).blocks[0]
-                    b = u2.image(0, r2, s2).blocks[0]
-                    images.append(AlgebraElement(codomain, [np.kron(a, b)]))
-    # images were produced in (row-pair, column-pair) nested order, which is
-    # exactly row-major over the combined indices; re-check the count.
-    out = [None] * (n1 * n2) ** 2
-    k = 0
-    for r1 in range(n1):
-        for r2 in range(n2):
-            for s1 in range(n1):
-                for s2 in range(n2):
-                    out[matrix_unit_index(domain, 0, r1 * n2 + r2, s1 * n2 + s2)] = images[k]
-                    k += 1
-    return LinearMapRep(domain, codomain, out)
+    # (r1, r2, s1, s2) nested order is row-major over the combined indices
+    images = [AlgebraElement(codomain, [np.kron(u1.image(0, r1, s1).blocks[0],
+                                                u2.image(0, r2, s2).blocks[0])])
+              for r1 in range(n1) for r2 in range(n2) for s1 in range(n1) for s2 in range(n2)]
+    return LinearMapRep(matrix_algebra(n1 * n2), codomain, images)
 
 
 def is_unital(u: LinearMapRep, tol: float = 1e-9) -> bool:
     from decnorms.algebra import element_norm
     return element_norm(apply_map(u, unit(u.domain)) - unit(u.codomain)) <= tol
-
-
-def conjugation_map(a, domain: AlgebraShape | None = None) -> LinearMapRep:
-    """The CP map ``x -> a* x a`` on a single matrix block.
-
-    ``a`` is a (possibly rectangular) matrix from the codomain space to the
-    domain space, so a d-by-d ``a`` gives a map on ``M_d``.
-    """
-    m = linalg.as_matrix(a)
-    d = m.shape[0]
-    if domain is None:
-        domain = matrix_algebra(d)
-    if domain.block_dims != (d,):
-        raise ValueError("conjugation domain must be the single block matching a's row count")
-    codomain = matrix_algebra(m.shape[1])
-    return map_from_function(domain, codomain, lambda e: AlgebraElement(codomain, [m.conj().T @ e.blocks[0] @ m]))
 
 
 def kraus_map(kraus: list[np.ndarray]) -> LinearMapRep:
@@ -266,17 +218,3 @@ def kraus_map(kraus: list[np.ndarray]) -> LinearMapRep:
         return AlgebraElement(codomain, [sum(m.conj().T @ x @ m for m in ms)])
 
     return LinearMapRep(domain, codomain, [f(matrix_unit_element(domain, 0, r, s)) for r in range(d) for s in range(d)])
-
-
-def transpose_map(d: int) -> LinearMapRep:
-    shape = matrix_algebra(d)
-    return map_from_function(shape, shape, lambda e: AlgebraElement(shape, [e.blocks[0].T.copy()]))
-
-
-def trace_map(d: int) -> LinearMapRep:
-    """The map ``x -> tr(x) * 1/d`` on M_d, whose Choi block is ``I / d``."""
-    shape = matrix_algebra(d)
-    return map_from_function(
-        shape, shape,
-        lambda e: AlgebraElement(shape, [np.trace(e.blocks[0]) / d * np.eye(d, dtype=np.complex128)]),
-    )

@@ -65,20 +65,6 @@ def element_from_coefficients(shape: AlgebraShape, v: np.ndarray) -> AlgebraElem
     return AlgebraElement(shape=shape, blocks=tuple(blocks))
 
 
-def _basis_columns(basis) -> np.ndarray:
-    return np.stack([coefficient_vector(b) for b in basis], axis=1)
-
-
-def _column_projector(cols: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(cols)
-    return q @ q.conj().T
-
-
-def span_projector(basis) -> np.ndarray:
-    """Orthogonal projector onto the span of the given elements."""
-    return _column_projector(_basis_columns(basis))
-
-
 def subalgebra_closure_report(d: SubalgebraBasis) -> dict:
     """Residuals of the subalgebra axioms on the stored basis.
 
@@ -86,8 +72,9 @@ def subalgebra_closure_report(d: SubalgebraBasis) -> dict:
     each as the Hilbert-Schmidt distance from the span, and the largest
     deviation of the basis Gram matrix from the identity.
     """
-    cols = _basis_columns(d.basis)
-    proj = _column_projector(cols)
+    cols = np.stack([coefficient_vector(b) for b in d.basis], axis=1)
+    q, _ = np.linalg.qr(cols)
+    proj = q @ q.conj().T  # orthogonal projector onto the span
     shape = d.ambient
 
     def dist(x: AlgebraElement) -> float:
@@ -116,10 +103,11 @@ def _unit_images(u: LinearMapRep) -> tuple[np.ndarray, np.ndarray]:
     return imgs, np.array([unit[1:] for unit in units])
 
 
-def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBasis:
+def multiplicative_domain(u: LinearMapRep) -> SubalgebraBasis:
     """Largest subalgebra on which ``u`` multiplies.
 
-    Requires a unital completely positive map.  Solves the linear system
+    Requires a map that is unital and completely positive to within 1e-9.
+    Solves the linear system
     u(ea) = u(e)u(a), u(ae) = u(a)u(e) over all matrix units e; the kernel
     is read off a reduced SVD (singular values and right singular vectors,
     no U) at singular-value cutoff 1e-9 relative to the largest singular
@@ -129,9 +117,9 @@ def multiplicative_domain(u: LinearMapRep, *, tol: float = 1e-9) -> SubalgebraBa
     The Schwarz equalities u(a*a) = u(a)*u(a) and u(aa*) = u(a)u(a)* are
     re-checked on the returned basis and a violation raises.
     """
-    if not is_cp(u, tol=tol):
+    if not is_cp(u):
         raise ValueError("map must be completely positive")
-    if not is_unital(u, tol=max(tol, 1e-9)):
+    if not is_unital(u):
         raise ValueError("map must be unital")
 
     shape = u.domain

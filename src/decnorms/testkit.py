@@ -19,8 +19,8 @@ import numpy as np
 import scipy.optimize
 
 from decnorms import linalg
-from decnorms.algebra import AlgebraElement, AlgebraShape, element_norm, unit
-from decnorms.maps import LinearMapRep, apply_map, kraus_map, map_from_choi
+from decnorms.algebra import AlgebraElement, AlgebraShape
+from decnorms.maps import LinearMapRep, kraus_map
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -64,39 +64,9 @@ def random_element(gen: np.random.Generator, shape: AlgebraShape) -> AlgebraElem
     return AlgebraElement(shape, [random_ginibre(gen, d, d) for d in shape.block_dims])
 
 
-def random_positive_element(gen: np.random.Generator, shape: AlgebraShape) -> AlgebraElement:
-    blocks = []
-    for d in shape.block_dims:
-        g = random_ginibre(gen, d, d)
-        blocks.append(g @ g.conj().T)
-    return AlgebraElement(shape, blocks)
-
-
 def random_matrix_tuple(gen: np.random.Generator, n: int, d: int) -> list[np.ndarray]:
     """n independent Ginibre matrices in M_d; the workhorse test input."""
     return [random_ginibre(gen, d, d) for _ in range(n)]
-
-
-def random_cp_map(gen: np.random.Generator, domain: AlgebraShape, codomain: AlgebraShape) -> LinearMapRep:
-    """Random CP map with a full-rank Wishart Choi block per domain block.
-
-    Normalized so the image of the unit has norm one, which pins the norm,
-    cb norm and dec norm of the result all to exactly one.
-    """
-    m = codomain.embed_dim
-    blocks = []
-    for d in domain.block_dims:
-        g = random_ginibre(gen, d * m, d * m)
-        blocks.append(g @ g.conj().T)
-    u = map_from_choi(domain, codomain, blocks)
-    # the raw Choi has cross-terms between codomain blocks; project them out
-    # by rebuilding images as proper algebra elements (map_from_choi already
-    # did the splitting), then scale.
-    nrm = element_norm(apply_map(u, unit(domain)))
-    if nrm <= 0:
-        raise ValueError("degenerate random CP map")
-    images = [(1.0 / nrm) * img for img in u.images]
-    return LinearMapRep(domain, codomain, images)
 
 
 def random_unital_cp_map(gen: np.random.Generator, d: int, num_kraus: int = 3) -> LinearMapRep:
@@ -159,13 +129,7 @@ def _objective_batch(us_batch: list[np.ndarray], xs: list[np.ndarray]) -> np.nda
     return np.linalg.svd(acc, compute_uv=False)[:, 0]
 
 
-def grid_oracle_min_norm(
-    xs,
-    *,
-    grid: int | None = None,
-    polish: bool = True,
-    polish_starts: int = 16,
-) -> float:
+def grid_oracle_min_norm(xs) -> float:
     """Brute-force lower estimate of sup ||sum u_i (x) x_i|| over unitaries.
 
     Supports coefficient dimension d in {1, 2} and up to three
@@ -189,8 +153,7 @@ def grid_oracle_min_norm(
 
     angles_per = 1 if d == 1 else 4
     free = (n - 1) * angles_per
-    if grid is None:
-        grid = {1: 72, 2: 72, 4: 14, 8: 4}[free] if free in (1, 2, 4, 8) else 6
+    grid = {1: 72, 2: 72, 4: 14, 8: 4}.get(free, 6)
 
     axes = [np.linspace(0.0, 2 * np.pi, grid, endpoint=False)] * free
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -215,8 +178,6 @@ def grid_oracle_min_norm(
         vals[lo:hi] = _objective_batch(families(pts[lo:hi]), mats)
 
     best = float(vals.max())
-    if not polish:
-        return best
 
     # starts must cover distinct basins: the top mesh points cluster around
     # one peak, so enforce a torus separation of half the grid spacing
@@ -234,7 +195,7 @@ def grid_oracle_min_norm(
                 break
         if separated:
             starts.append(p)
-        if len(starts) >= polish_starts:
+        if len(starts) >= 16:  # grid points polished
             break
 
     # a fixed-seed random layer breaks any alignment between the mesh and

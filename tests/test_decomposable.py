@@ -18,18 +18,16 @@ from decnorms.algebra import (
     element_norm,
     is_positive,
     matrix_algebra,
-    scalar_element,
     unit,
     zero,
 )
 from decnorms.testkit import (
     make_generator,
-    random_cp_map,
     random_ginibre,
     random_haar_unitary,
     random_hermitian,
     random_matrix_tuple,
-    random_positive_element,
+    random_unital_cp_map,
 )
 
 TIGHT = dict(gap_tol=1e-10, feas_tol=1e-10)
@@ -83,7 +81,8 @@ def test_cp_tuple_is_norm_of_unit_image():
     gen = make_generator(44)
     shape = matrix_algebra(2)
     for _ in range(4):
-        xs = [random_positive_element(gen, shape) for _ in range(3)]
+        gs = [random_ginibre(gen, 2, 2) for _ in range(3)]
+        xs = [element(shape, [g @ g.conj().T]) for g in gs]
         want = element_norm(xs[0] + xs[1] + xs[2])
         cert = decomposable.dec_norm_linf(xs, **TIGHT)
         assert cert.value == pytest.approx(want, abs=1e-7 * max(1.0, want))
@@ -182,7 +181,8 @@ def test_trace_functional_is_trace_norm():
 
 def test_cp_matrix_domain_map_has_norm_of_unit_image():
     gen = make_generator(50)
-    u = random_cp_map(gen, matrix_algebra(2), matrix_algebra(3))
+    # x -> sum_k a_k* x a_k with 2x3 Kraus operators: a CP map from M_2 into M_3
+    u = maps.kraus_map([random_ginibre(gen, 2, 3) for _ in range(3)])
     cert = decomposable.dec_norm_matrix_domain(u)
     want = element_norm(maps.apply_map(u, unit(u.domain)))
     assert cert.value == pytest.approx(want, abs=1e-6)
@@ -216,7 +216,7 @@ def test_matrix_route_agrees_with_abelian_route_through_pinching():
     w = maps.map_from_linf([element(matrix_algebra(d), [x]) for x in xs])
     pinch = maps.map_from_function(
         matrix_algebra(n), abelian_algebra(n),
-        lambda e: scalar_element(np.diagonal(e.blocks[0])),
+        lambda e: element(abelian_algebra(n), [[[v]] for v in np.diagonal(e.blocks[0])]),
     )
     composed = maps.compose(w, pinch)
     via_matrix = decomposable.dec_norm_matrix_domain(composed).value
@@ -228,7 +228,7 @@ def test_submultiplicativity_under_composition():
     gen = make_generator(53)
     for _ in range(3):
         xs = random_matrix_tuple(gen, 2, 2)
-        v = random_cp_map(gen, matrix_algebra(2), matrix_algebra(2))
+        v = random_unital_cp_map(gen, 2)
         u = maps.map_from_linf([element(matrix_algebra(2), [x]) for x in xs])
         comp = maps.compose(v, u)
         lhs = decomposable.dec_norm_linf(comp.images).value

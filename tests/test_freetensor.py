@@ -90,16 +90,17 @@ def test_nuclearity_gap_closes_for_matrix_coefficients():
     gen = make_generator(83)
     for _ in range(3):
         t = random_free_tensor(gen, 3, 2)
-        rep = freetensor.nuclearity_gap(t, restarts=16, seed=11)
-        assert rep.verdict == "agree"
-        assert abs(rep.max_value - rep.min_upper) <= 5e-4 * max(1.0, rep.max_value)
-        assert rep.rel_gap <= 5e-4
-        assert rep.seesaw_gap <= 5e-4
-        assert rep.min_lower <= rep.max_value + 1e-8
+        br = freetensor.min_norm(t, restarts=16, seed=11)
+        mx, _ = freetensor.max_norm(t)
+        # the min-norm bracket closes on the max norm, so its gap is the max-min gap
+        assert br.upper == mx
+        assert br.verdict == "agree"
+        assert br.gap <= 5e-4
+        assert br.lower <= mx + 1e-8
 
 
 def test_nuclearity_gap_solves_one_sdp(monkeypatch):
-    # the max norm and the min-norm upper value are the same SDP
+    # the min-norm bracket solves one SDP, the one behind the max norm
     calls = []
     solve = conic.solve
 
@@ -109,10 +110,12 @@ def test_nuclearity_gap_solves_one_sdp(monkeypatch):
 
     monkeypatch.setattr(conic, "solve", counting_solve)
     t = random_free_tensor(make_generator(84), 3, 2)
-    rep = freetensor.nuclearity_gap(t, restarts=2, seed=0)
+    br = freetensor.min_norm(t, restarts=2, seed=0)
     assert len(calls) == 1
-    assert rep.max_value == rep.min_upper
-    assert rep.max_certificate is rep.min_bracket.certificate
+    mx, cert = freetensor.max_norm(t)
+    assert len(calls) == 2
+    assert mx == br.upper
+    assert np.array_equal(cert.solver.y, br.certificate.solver.y)
 
 
 def test_contraction_through_unital_cp_map():
@@ -129,7 +132,7 @@ def test_contraction_through_compression():
     # pushed-through tensor shrinks in max norm below the min-norm value.
     gen = make_generator(85)
     a = random_haar_unitary(gen, 2) * 0.8
-    u = maps.conjugation_map(a)
+    u = maps.kraus_map([a])
     t = random_free_tensor(gen, 2, 2)
     rep = freetensor.check_finite_rank_contraction(u, t, restarts=12, seed=13)
     assert rep.ok

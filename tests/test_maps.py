@@ -9,17 +9,17 @@ import pytest
 
 from decnorms import maps
 from decnorms.algebra import (
+    AlgebraElement,
     AlgebraShape,
     abelian_algebra,
-    element_equal,
+    element,
     element_norm,
+    from_assembled,
     matrix_algebra,
-    matrix_element,
     unit,
 )
 from decnorms.testkit import (
     make_generator,
-    random_cp_map,
     random_element,
     random_ginibre,
     random_haar_unitary,
@@ -30,6 +30,54 @@ from decnorms.testkit import (
 def _random_map(gen, domain, codomain):
     imgs = [random_element(gen, codomain) for _ in range(domain.total_dim)]
     return maps.LinearMapRep(domain, codomain, imgs)
+
+
+def _map_from_choi(domain, codomain, blocks):
+    """Read matrix-unit images off Choi blocks, the inverse of ``maps.choi``."""
+    m = codomain.embed_dim
+    images = []
+    for c, d in zip(blocks, domain.block_dims, strict=True):
+        for r in range(d):
+            for s in range(d):
+                images.append(from_assembled(codomain, c[r * m:(r + 1) * m, s * m:(s + 1) * m]))
+    return maps.LinearMapRep(domain, codomain, images)
+
+
+def random_cp_map(gen, domain, codomain):
+    """Random CP map with a full-rank Wishart Choi block per domain block.
+
+    Normalized so the image of the unit has norm one, which pins the norm,
+    cb norm and dec norm of the result all to exactly one.
+    """
+    m = codomain.embed_dim
+    blocks = []
+    for d in domain.block_dims:
+        g = random_ginibre(gen, d * m, d * m)
+        blocks.append(g @ g.conj().T)
+    # reading images off the Choi blocks keeps only their codomain blocks
+    u = _map_from_choi(domain, codomain, blocks)
+    nrm = element_norm(maps.apply_map(u, unit(domain)))
+    return maps.LinearMapRep(domain, codomain, [(1.0 / nrm) * img for img in u.images])
+
+
+def _transpose_map(d):
+    shape = matrix_algebra(d)
+    return maps.map_from_function(shape, shape, lambda e: AlgebraElement(shape, [e.blocks[0].T.copy()]))
+
+
+def _trace_map(d):
+    """The map ``x -> tr(x) * 1/d`` on M_d, whose Choi block is ``I / d``."""
+    shape = matrix_algebra(d)
+    return maps.map_from_function(
+        shape, shape,
+        lambda e: AlgebraElement(shape, [np.trace(e.blocks[0]) / d * np.eye(d, dtype=np.complex128)]),
+    )
+
+
+def _all_close(xs, ys, rtol=1e-10):
+    """Elementwise agreement up to ``rtol`` relative to the larger norm."""
+    return all(element_norm(x - y) <= rtol * max(element_norm(x), element_norm(y), 1.0)
+               for x, y in zip(xs, ys, strict=True))
 
 
 def test_matrix_unit_index_enumeration():
@@ -58,22 +106,22 @@ def test_choi_identity_on_m2():
 
 
 def test_choi_transpose_is_swap():
-    c = maps.choi(maps.transpose_map(2))[0]
+    c = maps.choi(_transpose_map(2))[0]
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[1, 2] = swap[2, 1] = swap[3, 3] = 1.0
     assert np.array_equal(c, swap)
     w = np.linalg.eigvalsh(c)
     assert w[0] == pytest.approx(-1.0)
-    assert not maps.is_cp(maps.transpose_map(2))
+    assert not maps.is_cp(_transpose_map(2))
 
 
 def test_trace_map_choi_and_properties():
-    u = maps.trace_map(3)
+    u = _trace_map(3)
     c = maps.choi(u)[0]
     assert np.allclose(c, np.eye(9) / 3.0)
     assert maps.is_cp(u)
     assert maps.is_unital(u)
-    assert all(element_equal(a, b) for a, b in zip(u.images, maps.star_map(u).images))
+    assert _all_close(u.images, maps.star_map(u).images)
 
 
 def test_choi_round_trip():
@@ -81,8 +129,8 @@ def test_choi_round_trip():
     for dims_in, dims_out in [((2,), (3,)), ((1, 2), (2, 1)), ((3,), (1, 1, 2))]:
         domain, codomain = AlgebraShape(dims_in), AlgebraShape(dims_out)
         u = _random_map(gen, domain, codomain)
-        v = maps.map_from_choi(domain, codomain, maps.choi(u))
-        assert all(element_equal(a, b) for a, b in zip(u.images, v.images))
+        v = _map_from_choi(domain, codomain, maps.choi(u))
+        assert _all_close(u.images, v.images)
 
 
 def test_apply_map_linearity():
@@ -133,7 +181,7 @@ def test_compose_matches_sequential_application():
     w = maps.compose(v, u)
     for _ in range(5):
         x = random_element(gen, a)
-        assert element_equal(maps.apply_map(w, x), maps.apply_map(v, maps.apply_map(u, x)), rtol=1e-9)
+        assert _all_close([maps.apply_map(w, x)], [maps.apply_map(v, maps.apply_map(u, x))], rtol=1e-9)
     with pytest.raises(ValueError):
         maps.compose(u, v)
 
@@ -143,10 +191,10 @@ def test_star_map_involution_and_cp_fixed_points():
     domain, codomain = AlgebraShape((2, 1)), AlgebraShape((2,))
     u = _random_map(gen, domain, codomain)
     uss = maps.star_map(maps.star_map(u))
-    assert all(element_equal(a, b) for a, b in zip(u.images, uss.images))
+    assert _all_close(u.images, uss.images)
     # star of a CP map is itself
     v = random_cp_map(gen, domain, codomain)
-    assert all(element_equal(a, b, rtol=1e-9) for a, b in zip(v.images, maps.star_map(v).images))
+    assert _all_close(v.images, maps.star_map(v).images, rtol=1e-9)
     # and star respects u_*(x) = u(x*)* pointwise
     x = random_element(gen, domain)
     lhs = maps.apply_map(maps.star_map(u), x)
@@ -163,10 +211,10 @@ def test_tensor_on_product_elements():
     for _ in range(5):
         a = random_ginibre(gen, 2, 2)
         b = random_ginibre(gen, 3, 3)
-        got = maps.apply_map(w, matrix_element(np.kron(a, b))).blocks[0]
+        got = maps.apply_map(w, element(matrix_algebra(6), [np.kron(a, b)])).blocks[0]
         want = np.kron(
-            maps.apply_map(u1, matrix_element(a)).blocks[0],
-            maps.apply_map(u2, matrix_element(b)).blocks[0],
+            maps.apply_map(u1, element(matrix_algebra(2), [a])).blocks[0],
+            maps.apply_map(u2, element(matrix_algebra(3), [b])).blocks[0],
         )
         assert np.allclose(got, want, atol=1e-10)
 
@@ -174,17 +222,17 @@ def test_tensor_on_product_elements():
 def test_conjugation_and_kraus_maps():
     gen = make_generator(25)
     a = random_ginibre(gen, 3, 2)
-    u = maps.conjugation_map(a)
+    u = maps.kraus_map([a])
     assert u.domain == matrix_algebra(3) and u.codomain == matrix_algebra(2)
     x = random_ginibre(gen, 3, 3)
-    got = maps.apply_map(u, matrix_element(x)).blocks[0]
+    got = maps.apply_map(u, element(matrix_algebra(3), [x])).blocks[0]
     assert np.allclose(got, a.conj().T @ x @ a, atol=1e-12)
     assert maps.is_cp(u)
 
     ks = [random_ginibre(gen, 2, 2) for _ in range(3)]
     v = maps.kraus_map(ks)
     y = random_ginibre(gen, 2, 2)
-    got2 = maps.apply_map(v, matrix_element(y)).blocks[0]
+    got2 = maps.apply_map(v, element(matrix_algebra(2), [y])).blocks[0]
     want2 = sum(k.conj().T @ y @ k for k in ks)
     assert np.allclose(got2, want2, atol=1e-12)
     assert maps.is_cp(v)
@@ -193,9 +241,17 @@ def test_conjugation_and_kraus_maps():
 def test_unitary_conjugation_is_unital_cp():
     gen = make_generator(26)
     w = random_haar_unitary(gen, 3)
-    u = maps.conjugation_map(w)
+    u = maps.kraus_map([w])
     assert maps.is_cp(u)
     assert maps.is_unital(u)
+
+
+def test_random_cp_map_properties():
+    gen = make_generator(102)
+    dom, cod = AlgebraShape((2,)), AlgebraShape((3,))
+    u = random_cp_map(gen, dom, cod)
+    assert maps.is_cp(u, tol=1e-9)
+    assert element_norm(maps.apply_map(u, unit(dom))) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_random_unital_cp_map_is_unital_cp():
@@ -212,7 +268,7 @@ def test_linf_coefficient_round_trip():
     xs = [random_element(gen, codomain) for _ in range(3)]
     u = maps.map_from_linf(xs)
     assert u.domain == abelian_algebra(3)
-    assert all(element_equal(a, b) for a, b in zip(xs, u.images))
+    assert _all_close(xs, u.images)
 
 
 def test_map_validation():

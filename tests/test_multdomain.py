@@ -19,12 +19,10 @@ from decnorms.maps import (
     LinearMapRep,
     apply_map,
     compose,
-    conjugation_map,
     identity_map,
+    kraus_map,
     map_from_function,
     matrix_unit_element,
-    trace_map,
-    transpose_map,
 )
 from decnorms.testkit import make_generator, random_element, random_haar_unitary, random_unital_cp_map
 
@@ -47,6 +45,12 @@ def depolarizing_map(d: int, lam: float) -> LinearMapRep:
     )
 
 
+def _span_projector(basis) -> np.ndarray:
+    """Orthogonal projector onto the span of the given elements."""
+    q, _ = np.linalg.qr(np.stack([multdomain.coefficient_vector(b) for b in basis], axis=1))
+    return q @ q.conj().T
+
+
 def test_coefficient_vector_round_trip():
     gen = make_generator(90)
     shape = AlgebraShape((2, 3))
@@ -59,15 +63,28 @@ def test_coefficient_vector_round_trip():
         multdomain.element_from_coefficients(shape, v[:-1])
 
 
-def test_span_projector_is_projector():
+def test_closure_report_measures_distance_to_the_span():
+    # Oracle: least-squares distances from the span of an orthonormalized
+    # random basis, which is neither unital nor closed.
     gen = make_generator(91)
     shape = matrix_algebra(3)
-    basis = [random_element(gen, shape) for _ in range(4)]
-    p = multdomain.span_projector(basis)
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert np.allclose(p, p.conj().T, atol=1e-12)
-    v = multdomain.coefficient_vector(basis[0])
-    assert np.allclose(p @ v, v, atol=1e-10)
+    cols = np.stack([multdomain.coefficient_vector(random_element(gen, shape)) for _ in range(4)], axis=1)
+    q, _ = np.linalg.qr(cols)
+    basis = tuple(multdomain.element_from_coefficients(shape, c) for c in q.T)
+    rep = multdomain.subalgebra_closure_report(multdomain.SubalgebraBasis(shape, basis, 4))
+
+    def dist(x):
+        v = multdomain.coefficient_vector(x)
+        return float(np.linalg.norm(v - q @ np.linalg.lstsq(q, v, rcond=None)[0]))
+
+    one = unit(shape)
+    assert rep["unit"] == pytest.approx(dist(one) / np.sqrt(3.0), rel=1e-9)
+    assert rep["adjoint"] == pytest.approx(max(dist(b.adjoint()) for b in basis), rel=1e-9)
+    assert rep["product"] == pytest.approx(max(dist(a * b) for a in basis for b in basis), rel=1e-9)
+    assert rep["unit"] > 0.1 and rep["product"] > 0.1
+    assert rep["orthonormality"] <= 1e-12
+    # a basis element is at distance zero: the span contains what it should
+    assert dist(basis[0]) <= 1e-12
 
 
 def _assert_closed(md):
@@ -90,7 +107,7 @@ def test_pinching_domain_is_diagonal():
     for d in (2, 3):
         md = multdomain.multiplicative_domain(pinching_map(d))
         assert md.dimension == d
-        proj = multdomain.span_projector(md.basis)
+        proj = _span_projector(md.basis)
         shape = matrix_algebra(d)
         for r in range(d):
             for s in range(d):
@@ -134,12 +151,13 @@ def test_unitary_conjugation_is_homomorphism():
     gen = make_generator(92)
     d = 3
     w = random_haar_unitary(gen, d)
-    md = multdomain.multiplicative_domain(conjugation_map(w))
+    md = multdomain.multiplicative_domain(kraus_map([w]))
     assert md.dimension == d * d
 
 
 def test_trace_map_domain_is_scalars():
-    md = multdomain.multiplicative_domain(trace_map(3))
+    # at lam = 0 the depolarizing map is x -> tr(x) / d * 1
+    md = multdomain.multiplicative_domain(depolarizing_map(3, 0.0))
     assert md.dimension == 1
 
 
@@ -175,9 +193,11 @@ def test_bimodularity_shape_mismatch():
 
 def test_rejects_non_cp_and_non_unital():
     with pytest.raises(ValueError):
-        multdomain.multiplicative_domain(transpose_map(2))
+        shape = matrix_algebra(2)
+        transpose = map_from_function(shape, shape, lambda e: AlgebraElement(shape, [e.blocks[0].T.copy()]))
+        multdomain.multiplicative_domain(transpose)
     with pytest.raises(ValueError):
-        multdomain.multiplicative_domain(conjugation_map(0.5 * np.eye(2)))
+        multdomain.multiplicative_domain(kraus_map([0.5 * np.eye(2)]))
 
 
 def _pullback_dimension(through: LinearMapRep, inner_md, outer_md) -> int:
@@ -187,7 +207,7 @@ def _pullback_dimension(through: LinearMapRep, inner_md, outer_md) -> int:
     restricted to the images of the inner basis, counts the pullback
     directions.
     """
-    proj = multdomain.span_projector(outer_md.basis)
+    proj = _span_projector(outer_md.basis)
     mat = np.stack(
         [multdomain.coefficient_vector(apply_map(through, b)) for b in inner_md.basis], axis=1
     )
@@ -207,7 +227,7 @@ def test_composition_domain_contains_pullback():
     d = 2
     cases = []
     w = random_haar_unitary(gen, d)
-    cases.append((pinching_map(d), conjugation_map(w)))
+    cases.append((pinching_map(d), kraus_map([w])))
     cases.append((depolarizing_map(d, 0.7), pinching_map(d)))
     cases.append((random_unital_cp_map(gen, d), random_unital_cp_map(gen, d)))
     for u, v in cases:
@@ -222,11 +242,11 @@ def test_pinch_after_unitary_domain_is_rotated_diagonal():
     gen = make_generator(95)
     d = 2
     w = random_haar_unitary(gen, d)
-    u = compose(pinching_map(d), conjugation_map(w))
+    u = compose(pinching_map(d), kraus_map([w]))
     md = multdomain.multiplicative_domain(u)
     assert md.dimension == d
     # the domain is w diag w*: conjugating diagonal units back lands in span
-    proj = multdomain.span_projector(md.basis)
+    proj = _span_projector(md.basis)
     shape = matrix_algebra(d)
     for r in range(d):
         e = matrix_unit_element(shape, 0, r, r)

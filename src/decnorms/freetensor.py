@@ -104,8 +104,6 @@ def check_finite_rank_contraction(
     u: LinearMapRep,
     t: FreeTensor,
     *,
-    seed: int = 0,
-    restarts: int = 24,
     tol: float = 1e-6,
     gap_tol: float = 1e-8,
     feas_tol: float = 1e-8,

@@ -122,7 +122,7 @@ def test_contraction_through_unital_cp_map():
     gen = make_generator(84)
     t = random_free_tensor(gen, 3, 2)
     u = random_unital_cp_map(gen, 2)
-    rep = freetensor.check_finite_rank_contraction(u, t, restarts=12, seed=12)
+    rep = freetensor.check_finite_rank_contraction(u, t)
     assert rep.ok
     assert rep.lhs <= rep.rhs + 1e-6 * max(1.0, rep.rhs)
 
@@ -134,7 +134,7 @@ def test_contraction_through_compression():
     a = random_haar_unitary(gen, 2) * 0.8
     u = maps.kraus_map([a])
     t = random_free_tensor(gen, 2, 2)
-    rep = freetensor.check_finite_rank_contraction(u, t, restarts=12, seed=13)
+    rep = freetensor.check_finite_rank_contraction(u, t)
     assert rep.ok
     assert rep.dec_value == pytest.approx(0.64, abs=1e-6)
 

@@ -5,7 +5,10 @@ everything (d^2), a pinching multiplies exactly on the diagonal (d), the
 depolarizing channel only on scalars (1), and a unitary conjugation is a
 homomorphism (d^2).  The pinching case is additionally cross-checked by
 enumerating the matrix-unit conditions directly, without the kernel
-machinery under test.
+machinery under test, and every domain is compared with the kernel of the
+linear system u(ea) = u(e)u(a), u(ae) = u(a)u(e) over all matrix units e,
+solved by SVD.  The stacked reports are compared with their per-element
+definitions.
 """
 
 import tracemalloc
@@ -23,6 +26,7 @@ from decnorms.maps import (
     kraus_map,
     map_from_function,
     matrix_unit_element,
+    matrix_units,
 )
 from decnorms.testkit import make_generator, random_element, random_haar_unitary, random_unital_cp_map
 
@@ -63,34 +67,104 @@ def test_coefficient_vector_round_trip():
         multdomain.element_from_coefficients(shape, v[:-1])
 
 
-def test_closure_report_measures_distance_to_the_span():
-    # Oracle: least-squares distances from the span of an orthonormalized
-    # random basis, which is neither unital nor closed.
-    gen = make_generator(91)
-    shape = matrix_algebra(3)
-    cols = np.stack([multdomain.coefficient_vector(random_element(gen, shape)) for _ in range(4)], axis=1)
+def _random_span(gen, shape: AlgebraShape, n: int):
+    """Orthonormalized random elements, neither unital nor closed, and their
+    coefficient columns."""
+    cols = np.stack([multdomain.coefficient_vector(random_element(gen, shape)) for _ in range(n)], axis=1)
     q, _ = np.linalg.qr(cols)
     basis = tuple(multdomain.element_from_coefficients(shape, c) for c in q.T)
-    rep = multdomain.subalgebra_closure_report(multdomain.SubalgebraBasis(shape, basis, 4))
+    return multdomain.SubalgebraBasis(shape, basis, n), q
 
-    def dist(x):
-        v = multdomain.coefficient_vector(x)
-        return float(np.linalg.norm(v - q @ np.linalg.lstsq(q, v, rcond=None)[0]))
 
-    one = unit(shape)
-    assert rep["unit"] == pytest.approx(dist(one) / np.sqrt(3.0), rel=1e-9)
-    assert rep["adjoint"] == pytest.approx(max(dist(b.adjoint()) for b in basis), rel=1e-9)
-    assert rep["product"] == pytest.approx(max(dist(a * b) for a in basis for b in basis), rel=1e-9)
-    assert rep["unit"] > 0.1 and rep["product"] > 0.1
-    assert rep["orthonormality"] <= 1e-12
-    # a basis element is at distance zero: the span contains what it should
-    assert dist(basis[0]) <= 1e-12
+def test_closure_report_measures_distance_to_the_span(monkeypatch):
+    # Oracle: least-squares distances from the span of an orthonormalized
+    # random basis, element by element, on one block and on three.
+    # One-byte chunks form the products one row of the basis at a time.
+    gen = make_generator(91)
+    for dims in ((3,), (2, 2, 1)):
+        shape = AlgebraShape(dims)
+        sub, q = _random_span(gen, shape, 4)
+        basis = sub.basis
+
+        def dist(x):
+            v = multdomain.coefficient_vector(x)
+            return float(np.linalg.norm(v - q @ np.linalg.lstsq(q, v, rcond=None)[0]))
+
+        for chunk_bytes in (multdomain.CLOSURE_CHUNK_BYTES, 1):
+            monkeypatch.setattr(multdomain, "CLOSURE_CHUNK_BYTES", chunk_bytes)
+            rep = multdomain.subalgebra_closure_report(sub)
+            one = unit(shape)
+            assert rep["unit"] == pytest.approx(dist(one) / np.sqrt(shape.embed_dim), rel=1e-9)
+            assert rep["adjoint"] == pytest.approx(max(dist(b.adjoint()) for b in basis), rel=1e-9)
+            assert rep["product"] == pytest.approx(max(dist(a * b) for a in basis for b in basis), rel=1e-9)
+            assert rep["unit"] > 0.1 and rep["product"] > 0.1
+            assert rep["orthonormality"] <= 1e-12
+        # a basis element is at distance zero: the span contains what it should
+        assert dist(basis[0]) <= 1e-12
 
 
 def _assert_closed(md):
     rep = multdomain.subalgebra_closure_report(md)
     for key in ("unit", "adjoint", "product", "orthonormality"):
         assert rep[key] <= 1e-9, key
+
+
+def _linear_system_domain(u: LinearMapRep) -> np.ndarray:
+    """Coefficient rows of the kernel of u(ea) = u(e)u(a), u(ae) = u(a)u(e)
+    over all matrix units e, from an SVD of the stacked conditions with
+    singular-value cutoff 1e-9 times the largest singular value or the
+    squared image scale, whichever is larger."""
+    shape = u.domain
+    units = [matrix_unit_element(shape, i, r, s) for _, i, r, s in matrix_units(shape)]
+    imgs = [apply_map(u, e) for e in units]
+    cols = []
+    for t, et in enumerate(units):
+        rows = []
+        for k, ek in enumerate(units):
+            rows.append((apply_map(u, ek * et) - imgs[k] * imgs[t]).assemble().ravel())
+            rows.append((apply_map(u, et * ek) - imgs[t] * imgs[k]).assemble().ravel())
+        cols.append(np.concatenate(rows))
+    _, s, vh = np.linalg.svd(np.stack(cols, axis=1), full_matrices=False)
+    scale = max(element_norm(img) for img in imgs)
+    floor = 1e-9 * max(float(s[0]), scale * scale, np.finfo(float).tiny)
+    return vh[int(np.sum(s > floor)):].conj()
+
+
+def _assert_matches_linear_system(u: LinearMapRep) -> int:
+    md = multdomain.multiplicative_domain(u)
+    want = _linear_system_domain(u)
+    assert md.dimension == want.shape[0]
+    gap = _span_projector(md.basis) - want.T @ want.conj()
+    assert np.linalg.norm(gap, 2) <= 1e-9
+    return md.dimension
+
+
+def _block_pinching() -> LinearMapRep:
+    # pinch the M_2 block to its diagonal, keep the M_1 block
+    shape = AlgebraShape((2, 1))
+    return map_from_function(
+        shape, shape,
+        lambda e: AlgebraElement(shape, [np.diag(np.diagonal(e.blocks[0])), e.blocks[1]]),
+    )
+
+
+def test_domain_matches_linear_system_oracle():
+    for dims in ((2,), (3,), (1,), (2, 1), (3, 1), (1, 2), (1, 1, 1)):
+        assert _assert_matches_linear_system(identity_map(AlgebraShape(dims))) == AlgebraShape(dims).total_dim
+    gen = make_generator(97)
+    maps = [pinching_map(2), pinching_map(3), kraus_map([random_haar_unitary(gen, 3)]), _block_pinching()]
+    maps += [random_unital_cp_map(gen, d) for d in (2, 3, 4)]
+    for u, want in zip(maps, (2, 3, 9, 3, 1, 1, 1)):
+        assert _assert_matches_linear_system(u) == want
+
+
+def test_domain_matches_linear_system_near_the_identity():
+    # (1 - t) id + t depolarizing: the Schwarz defects off the scalars are
+    # about 4t, so the cutoff counts them as rank down to t = 1e-8 and as
+    # kernel at 1e-10, as the linear system's cutoff does
+    dims = [_assert_matches_linear_system(depolarizing_map(4, 1.0 - t))
+            for t in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
+    assert dims == [1, 1, 1, 1, 16]
 
 
 def test_identity_map_has_full_domain():
@@ -184,6 +258,38 @@ def test_bimodularity_residuals():
     assert res > 1e-3
 
 
+def _bimodularity_by_element(u, d, samples, seed) -> float:
+    """Worst ``bimodularity_residual`` over the draws ``verify_bimodularity`` makes."""
+    gen = make_generator(seed, stream=77)
+    worst = 0.0
+    for _ in range(samples):
+        coeffs = []
+        for _ in range(2):
+            c = gen.standard_normal((d.dimension, 2)) @ np.array([1.0, 1.0j]) / np.sqrt(2.0)
+            coeffs.append(c / np.linalg.norm(c))
+        a, b = (sum((complex(c) * e for c, e in zip(cs, d.basis)), 0 * d.basis[0]) for cs in coeffs)
+        x = random_element(gen, u.domain)
+        x = (1.0 / element_norm(x)) * x
+        worst = max(worst, multdomain.bimodularity_residual(u, a, x, b))
+    return worst
+
+
+def test_stacked_bimodularity_equals_per_element_residuals():
+    gen = make_generator(98)
+    shape = AlgebraShape((2, 1))
+    pinch, block = pinching_map(3), _block_pinching()
+    cases = [
+        (pinch, multdomain.multiplicative_domain(pinch)),
+        (block, multdomain.multiplicative_domain(block)),
+        # a span that is no domain: residuals of order one
+        (block, _random_span(gen, shape, 3)[0]),
+    ]
+    for u, d in cases:
+        rep = multdomain.verify_bimodularity(u, d, samples=7, seed=5)
+        assert rep.max_residual == pytest.approx(_bimodularity_by_element(u, d, 7, 5), abs=1e-12)
+    assert rep.max_residual > 0.1
+
+
 def test_bimodularity_shape_mismatch():
     u = pinching_map(2)
     md = multdomain.multiplicative_domain(pinching_map(3))
@@ -256,20 +362,15 @@ def test_pinch_after_unitary_domain_is_rotated_diagonal():
 
 
 def test_block_pinching_on_multi_block_domain():
-    # pinch the M_2 block to its diagonal, keep the M_1 block: the domain is
-    # the diagonal of M_2 plus the M_1 block
-    shape = AlgebraShape((2, 1))
-    u = map_from_function(
-        shape, shape,
-        lambda e: AlgebraElement(shape, [np.diag(np.diagonal(e.blocks[0])), e.blocks[1]]),
-    )
-    md = multdomain.multiplicative_domain(u)
+    # the domain is the diagonal of M_2 plus the M_1 block
+    md = multdomain.multiplicative_domain(_block_pinching())
     assert md.dimension == 3
     _assert_closed(md)
 
 
 def test_domain_memory_stays_at_system_size():
-    # At d=7 the system is 4802x49; a full left factor U alone would be 369 MB.
+    # At d=7 the Schwarz-defect matrix is 49x49 and the image stack 49x7x7;
+    # the budget leaves room for the Choi-matrix test of complete positivity.
     u = random_unital_cp_map(make_generator(96), 7)
     tracemalloc.start()
     try:
@@ -279,3 +380,17 @@ def test_domain_memory_stays_at_system_size():
         tracemalloc.stop()
     assert md.dimension == 1
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_domain_scales_to_d16():
+    # the matrix-unit linear system at d=16 would take 2 * 16^6 x 256
+    # entries, about 537 MB; the Schwarz-defect matrix is 256x256
+    u = random_unital_cp_map(make_generator(99), 16)
+    tracemalloc.start()
+    try:
+        md = multdomain.multiplicative_domain(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert md.dimension == 1
+    assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -149,7 +149,10 @@ def is_cp(u: LinearMapRep, tol: float = 1e-9) -> bool:
     even preserve adjoints, so it is not CP; no error is raised.
     """
     for c in choi(u):
-        if linalg.operator_norm(c - c.conj().T) > tol:
+        # the Frobenius norm bounds the operator norm: only a defect above
+        # tol in Frobenius norm needs the SVD
+        defect = c - c.conj().T
+        if np.linalg.norm(defect) > tol and linalg.operator_norm(defect) > tol:
             return False
         w = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
         if float(w[0]) < -tol:

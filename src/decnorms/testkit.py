@@ -7,16 +7,19 @@ the real and imaginary parts, scaled by 1/sqrt(2); every sampler documents
 its draws in terms of that primitive so the exact stream is pinned down.
 
 The grid oracle at the bottom maximizes the norm of a unitary-coefficient
-tensor over a brute-force angle grid plus a Nelder-Mead polish.  It shares
-no code with the alternating-maximization search in ``decnorms.cbnorm``,
-which is the point: the two must agree without either being able to copy
-the other's mistakes.
+tensor over a brute-force angle grid plus a Nelder-Mead polish.  For 1x1
+coefficients it returns the exact supremum sum |x_i| instead, since all the
+phases can be aligned.  The polish runs all its starts in lockstep, one
+batched objective call per phase of an iteration, and follows scipy's
+Nelder-Mead per start step for step, so each start ends bit for bit where
+scipy's would.  The oracle shares no code with the alternating-maximization
+search in ``decnorms.cbnorm``, which is the point: the two must agree
+without either being able to copy the other's mistakes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from decnorms import linalg
 from decnorms.algebra import AlgebraElement, AlgebraShape
@@ -129,14 +132,94 @@ def _objective_batch(us_batch: list[np.ndarray], xs: list[np.ndarray]) -> np.nda
     return np.linalg.svd(acc, compute_uv=False)[:, 0]
 
 
+# Nelder-Mead as scipy's minimize(method="Nelder-Mead") runs it
+# without adaptive coefficients: the move coefficients, the initial simplex
+# offsets and the stopping rule (no cap on function evaluations)
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 2000
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, order], fsim[rows, order]
+
+
+def _polish_lockstep(fun, starts: np.ndarray) -> np.ndarray:
+    """Minimum that Nelder-Mead reaches from each row of ``starts``.
+
+    ``fun`` maps a (B, N) array of points to their B values.  All starts
+    advance together: each phase of an iteration (reflect; expand or
+    contract; shrink) is one ``fun`` call over the starts still running.
+    Per start the moves are scipy's step for step, with the same initial
+    simplex, update formulas, ``argsort`` reordering and stopping rule, so
+    each start's minimum equals scipy's ``fun`` for it bit for bit.
+    """
+    m, dim = starts.shape
+    sim = np.repeat(starts[:, None, :].astype(np.float64), dim + 1, axis=1)
+    for k in range(dim):
+        y = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(y != 0, (1 + _NONZDELT) * y, _ZDELT)
+    fsim = fun(sim.reshape(-1, dim)).reshape(m, dim + 1)
+    # scipy sorts the first simplex twice; argsort need not fix ties, so
+    # the second pass can still move vertices
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
+
+    out = np.empty(m)
+    live = np.arange(m)
+    for _ in range(_MAXITER - 1):  # scipy counts iterations from 1 up to maxiter
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+        if done.any():
+            out[live[done]] = fsim[done].min(axis=1)
+            live, sim, fsim = live[~done], sim[~done], fsim[~done]
+            if live.size == 0:
+                return out
+
+        worst = sim[:, -1]
+        xbar = np.add.reduce(sim[:, :-1], 1) / dim
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = fun(xr)
+
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        inside = ~(expand | accept | outside)
+        x2 = np.where(
+            expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                     (1 - _PSI) * xbar + _PSI * worst))
+        f2 = np.full(live.size, np.inf)
+        if not accept.all():
+            f2[~accept] = fun(x2[~accept])
+
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        shrink = (outside | inside) & ~take2
+        take_r = accept | (expand & ~take2)
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = fun(s[:, 1:].reshape(-1, dim)).reshape(-1, dim)
+        sim, fsim = _sort_simplices(sim, fsim)
+    out[live] = fsim.min(axis=1)
+    return out
+
+
 def grid_oracle_min_norm(xs) -> float:
     """Brute-force lower estimate of sup ||sum u_i (x) x_i|| over unitaries.
 
     Supports coefficient dimension d in {1, 2} and up to three
-    coefficients.  The first unitary is fixed to the identity, which loses
-    nothing: left-multiplying every u_i by a fixed unitary is an isometry
-    of the objective.  A dense angle grid seeds Nelder-Mead refinement, so
-    the returned value approaches the true supremum from below.
+    coefficients.  For d = 1 the supremum is sum |x_i|, reached by
+    aligning every phase u_i with that of x_i, and that closed form is
+    returned.  For d = 2 the first unitary is fixed to the identity, which
+    loses nothing: left-multiplying every u_i by a fixed unitary is an
+    isometry of the objective.  A dense angle grid seeds Nelder-Mead
+    refinement, so the returned value approaches the true supremum from
+    below.
     """
     mats = _coerce_tuple(xs)
     n = len(mats)
@@ -148,35 +231,23 @@ def grid_oracle_min_norm(xs) -> float:
             raise ValueError("coefficients must share one square shape")
     if d > 2 or n > 3:
         raise ValueError("grid oracle supports d <= 2 and n <= 3 only")
+    if d == 1:
+        return float(np.abs([x[0, 0] for x in mats]).sum())
     if n == 1:
         return linalg.operator_norm(mats[0])
 
-    angles_per = 1 if d == 1 else 4
-    free = (n - 1) * angles_per
-    grid = {1: 72, 2: 72, 4: 14, 8: 4}.get(free, 6)
+    free = (n - 1) * 4
+    grid = 14 if n == 2 else 4
 
     axes = [np.linspace(0.0, 2 * np.pi, grid, endpoint=False)] * free
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (B, free)
 
     def families(angles_flat: np.ndarray) -> list[np.ndarray]:
-        batch = angles_flat.shape[0]
-        eye = np.broadcast_to(np.eye(d, dtype=np.complex128), (batch, d, d))
-        us = [eye]
-        for i in range(n - 1):
-            seg = angles_flat[:, i * angles_per:(i + 1) * angles_per]
-            if d == 1:
-                us.append(np.exp(1j * seg[:, 0])[:, None, None])
-            else:
-                us.append(_angles_to_unitary(seg))
-        return us
+        eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (angles_flat.shape[0], 2, 2))
+        return [eye] + [_angles_to_unitary(angles_flat[:, 4 * i:4 * i + 4]) for i in range(n - 1)]
 
-    chunk = 65536
-    vals = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        vals[lo:hi] = _objective_batch(families(pts[lo:hi]), mats)
-
+    vals = _objective_batch(families(pts), mats)
     best = float(vals.max())
 
     # starts must cover distinct basins: the top mesh points cluster around
@@ -207,16 +278,8 @@ def grid_oracle_min_norm(xs) -> float:
     for idx in np.argsort(-rand_vals, kind="stable")[:6]:
         starts.append(rand_pts[idx])
 
-    def neg_obj(flat: np.ndarray) -> float:
-        return -float(_objective_batch(families(flat[None, :]), mats)[0])
-
-    for p in starts:
-        res = scipy.optimize.minimize(
-            neg_obj, p, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    mins = _polish_lockstep(lambda flat: -_objective_batch(families(flat), mats), np.array(starts))
+    return max(best, -float(mins.min()))
 
 
 # ---------------------------------------------------------------------------

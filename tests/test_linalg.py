@@ -23,6 +23,24 @@ def test_symmetrize_accepts_hermitian_rejects_skew():
         linalg.symmetrize(h + 0.1 * 1j * np.eye(4) @ random_ginibre(gen, 4, 4))
 
 
+def test_symmetrize_defect_between_operator_and_frobenius_bounds(monkeypatch):
+    # m = h + i*eps*1 has defect 2i*eps*1: operator norm 2*eps, Frobenius
+    # norm 4*eps.  A defect between the two bounds gets the exact test and
+    # passes; one above both raises with the exact defect in the message.
+    h = np.diag([0.5, 0.2, -0.3, 0.1]).astype(complex)
+    rtol = linalg.HERMITIAN_RTOL
+    assert np.array_equal(linalg.symmetrize(h + 0.4j * rtol * np.eye(4)), h)
+    with pytest.raises(ValueError, match="defect 2.000e-12 exceeds 1.0e-12"):
+        linalg.symmetrize(h + 1j * rtol * np.eye(4))
+
+    # a Frobenius defect within rtol passes without an SVD
+    def no_svd(a):
+        raise AssertionError("operator_norm called")
+
+    monkeypatch.setattr(linalg, "operator_norm", no_svd)
+    assert np.array_equal(linalg.symmetrize(h + 0.2j * rtol * np.eye(4)), h)
+
+
 def test_herm_eigensystem_matches_numpy():
     gen = make_generator(2)
     for _ in range(20):

@@ -115,6 +115,17 @@ def test_choi_transpose_is_swap():
     assert not maps.is_cp(_transpose_map(2))
 
 
+def test_is_cp_hermitian_defect_between_operator_and_frobenius_bounds():
+    # Choi block C_id + i*eps*1 of size 4: defect operator norm 2*eps,
+    # Frobenius norm 4*eps.  Between the bounds the exact test passes it;
+    # above both it is rejected.
+    dom = matrix_algebra(2)
+    c = maps.choi(maps.identity_map(dom))[0]
+    tol = 1e-9
+    assert maps.is_cp(_map_from_choi(dom, dom, [c + 0.4j * tol * np.eye(4)]), tol=tol)
+    assert not maps.is_cp(_map_from_choi(dom, dom, [c + 1j * tol * np.eye(4)]), tol=tol)
+
+
 def test_trace_map_choi_and_properties():
     u = _trace_map(3)
     c = maps.choi(u)[0]

@@ -1,7 +1,15 @@
 """Tests for the instance generators and the independent grid oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
+
+import decnorms
 
 from decnorms import testkit
 from decnorms.algebra import AlgebraShape, is_positive
@@ -49,7 +57,7 @@ def test_grid_oracle_closed_forms():
     vals = gen.standard_normal(3) + 1j * gen.standard_normal(3)
     xs = [np.array([[v]]) for v in vals]
     got = testkit.grid_oracle_min_norm(xs)
-    assert got == pytest.approx(float(np.abs(vals).sum()), abs=1e-6)
+    assert got == pytest.approx(float(np.abs(vals).sum()), rel=1e-15)
 
     # unitary coefficients in M_2 reach the coefficient count
     us = [testkit.random_haar_unitary(gen, 2) for _ in range(2)]
@@ -84,6 +92,56 @@ def test_grid_oracle_against_seesaw_and_sdp():
         assert abs(grid - saw.lower) <= 1e-3 * max(1.0, sdp.value)
         assert grid <= sdp.value + 1e-5 * max(1.0, sdp.value)
         assert saw.lower <= sdp.value + 1e-9 * max(1.0, sdp.value)
+
+
+def _scipy_polish(fun, starts, shrinks):
+    """The polish one start after another through scipy's Nelder-Mead.
+
+    Appends to ``shrinks`` whether each start took a shrink step: a step
+    without one makes at most two evaluations, one with one makes 2 + N.
+    """
+    mins = []
+    for p in starts:
+        res = scipy.optimize.minimize(
+            lambda x: float(fun(x[None, :])[0]), p, method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
+        )
+        shrinks.append(res.nfev - (p.size + 1) > 2 * (res.nit - 1))
+        mins.append(res.fun)
+    return np.array(mins)
+
+
+def test_lockstep_polish_matches_scipy_bit_for_bit(monkeypatch):
+    # every start's minimum and the oracle's value equal those of the
+    # sequential scipy polish, on tuples whose polish takes shrink steps
+    lockstep = testkit._polish_lockstep
+    shrinks = []
+
+    def reference(fun, starts):
+        want = _scipy_polish(fun, starts, shrinks)
+        got = lockstep(fun, starts)
+        assert got.tobytes() == want.tobytes()
+        return want
+
+    gen = testkit.make_generator(107)
+    for n in (2, 2, 3):
+        xs = testkit.random_matrix_tuple(gen, n, 2)
+        got = testkit.grid_oracle_min_norm(xs)
+        with monkeypatch.context() as m:
+            m.setattr(testkit, "_polish_lockstep", reference)
+            want = testkit.grid_oracle_min_norm(xs)
+        assert got.hex() == want.hex()
+    assert any(shrinks)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    code = (
+        "import sys, decnorms, decnorms.cli, decnorms.suite, decnorms.testkit\n"
+        "assert 'scipy.optimize' not in sys.modules"
+    )
+    src = str(Path(decnorms.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_eigenvalue_program_shape():

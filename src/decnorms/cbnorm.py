@@ -30,9 +30,12 @@ from decnorms.algebra import AlgebraElement
 from decnorms.decomposable import DecCertificate, dec_norm_linf
 from decnorms.testkit import make_generator, random_haar_unitary
 
-# Bytes of stacked kd x kd see-saw matrices that one chunk of restarts may
-# hold at once: per restart the n products u_i (x) x_i, their sum and the
-# two unitary factors of its SVD.
+# Bytes of stacked see-saw arrays that one chunk of restarts may hold at
+# once.  Per restart a sweep holds four kd x kd matrices (the running sum
+# of the products u_i (x) x_i, the product being added, and the two unitary
+# factors of the sum's SVD) and six stacks of n k x k matrices (the
+# unitaries, their copy for the active set, the pairings, and the polar
+# step's SVD factors and product).  A restart above the budget runs alone.
 SWEEP_BYTES = 8 << 20
 # A restart stops once its relative improvement stays at most this small
 # for three sweeps in a row.
@@ -93,11 +96,13 @@ class SeeSawResult:
     objective_history: list[float] = field(default_factory=list, repr=False)
 
 
-def _check_seesaw_args(aux_dim: int, restarts: int):
+def _check_seesaw_args(aux_dim: int, restarts: int, max_sweeps: int = 0):
     if aux_dim < 1:
         raise ValueError("auxiliary dimension must be positive")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
 
 
 def seesaw_min_norm(
@@ -126,27 +131,32 @@ def seesaw_min_norm(
     first unitary stays the identity throughout, which computes the norm
     of a tensor whose first generator is the unit.
 
-    The restarts run together, in chunks that keep their stacked kd x kd
-    matrices within ``SWEEP_BYTES``.  A sweep updates every active restart
-    of a chunk at once: one broadcast product assembles every tensor, one
-    stacked SVD gives every polar factor and one stacked SVD every top
-    pair.  A restart leaves the active set when it converges, so each
-    restart ends where it would on its own, bit for bit, whatever the
-    chunk split.
+    The restarts run together, in chunks that keep their stacked arrays
+    within ``SWEEP_BYTES``; a restart that alone exceeds it runs by itself
+    and holds four kd x kd matrices, whatever n.  A sweep updates every
+    active restart of a chunk at once: n broadcast products, added in
+    place, assemble every tensor, one stacked SVD gives every polar factor
+    and one stacked SVD every top pair.  A restart leaves the active set
+    when it converges, so each restart ends where it would on its own, bit
+    for bit, whatever the chunk split.
     """
     x = np.stack(_coerce_mats(xs))
     n, d = x.shape[:2]
     k = int(aux_dim) if aux_dim is not None else d
-    _check_seesaw_args(k, restarts)
+    _check_seesaw_args(k, restarts, max_sweeps)
     kd = k * d
-    chunk = max(1, SWEEP_BYTES // ((n + 3) * 16 * kd * kd))
+    chunk = max(1, SWEEP_BYTES // (16 * (4 * kd * kd + 6 * n * k * k)))
     lo = 1 if pin_first else 0
 
     def top_pairs(us):
-        # sum over i of the broadcast products u_i (x) x_i, added in order:
-        # the same bits as a sum of np.kron terms (einsum's fused
-        # multiply-add is not), so degenerate polar steps complete alike
-        t = (us[:, :, :, None, :, None] * x[:, None, :, None, :]).sum(axis=1)
+        # the broadcast products u_i (x) x_i added in place in order
+        # i = 0..n-1: the same bits as a sum of np.kron terms (einsum's
+        # fused multiply-add is not), so degenerate polar steps complete
+        # alike, with one product held at a time
+        t = np.multiply(us[:, 0, :, None, :, None], x[0, :, None, :])
+        term = np.empty_like(t)
+        for i in range(1, n):
+            t += np.multiply(us[:, i, :, None, :, None], x[i, :, None, :], out=term)
         return linalg.top_singular_triple(t.reshape(len(us), kd, kd))
 
     gen = make_generator(seed, stream=k)

@@ -31,7 +31,7 @@ def as_matrix(a, *, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ValueError(f"expected a matrix, got an array of ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 

@@ -9,7 +9,9 @@ its draws in terms of that primitive so the exact stream is pinned down.
 The grid oracle at the bottom maximizes the norm of a unitary-coefficient
 tensor over a brute-force angle grid plus a Nelder-Mead polish.  For 1x1
 coefficients it returns the exact supremum sum |x_i| instead, since all the
-phases can be aligned.  The polish runs all its starts in lockstep, one
+phases can be aligned.  The grid is evaluated in chunks within a fixed byte
+budget, ``GRID_BYTES``, and never built whole, so one call holds a few MB
+whatever the grid size.  The polish runs all its starts in lockstep, one
 batched objective call per phase of an iteration, and follows scipy's
 Nelder-Mead per start step for step, so each start ends bit for bit where
 scipy's would.  The oracle shares no code with the alternating-maximization
@@ -91,6 +93,14 @@ def random_free_tensor(gen: np.random.Generator, n: int, d: int):
 # ---------------------------------------------------------------------------
 # Grid oracle for the min tensor norm on small instances
 # ---------------------------------------------------------------------------
+
+# Bytes of stacked arrays that one chunk of grid points may hold at once.
+# Per point a chunk holds three 4x4 complex matrices (the running sum, the
+# product being added and the SVD's copy), the n 2x2 unitaries, and three
+# rows of one float or index per angle (the mesh indices, their stacked
+# row and the angles).
+GRID_BYTES = 2 << 20
+
 
 def _angles_to_unitary(angles: np.ndarray) -> np.ndarray:
     """U(2) element from 4 angles (phi, alpha, theta, beta), batched.
@@ -219,7 +229,9 @@ def grid_oracle_min_norm(xs) -> float:
     loses nothing: left-multiplying every u_i by a fixed unitary is an
     isometry of the objective.  A dense angle grid seeds Nelder-Mead
     refinement, so the returned value approaches the true supremum from
-    below.
+    below.  The grid and a random layer are evaluated in chunks of at most
+    ``GRID_BYTES``, each mesh point built from its flat index, and every
+    value is the same whatever the chunk size.
     """
     mats = _coerce_tuple(xs)
     n = len(mats)
@@ -238,16 +250,25 @@ def grid_oracle_min_norm(xs) -> float:
 
     free = (n - 1) * 4
     grid = 14 if n == 2 else 4
+    axis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    chunk = max(1, GRID_BYTES // (16 * (3 * 16 + 4 * n) + 3 * 8 * free))
 
-    axes = [np.linspace(0.0, 2 * np.pi, grid, endpoint=False)] * free
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (B, free)
+    def mesh_points(flat: np.ndarray) -> np.ndarray:
+        # rows of the C-order mesh of ``free`` copies of ``axis``
+        return axis[np.stack(np.unravel_index(flat, (grid,) * free), axis=-1)]
 
-    def families(angles_flat: np.ndarray) -> list[np.ndarray]:
-        eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (angles_flat.shape[0], 2, 2))
-        return [eye] + [_angles_to_unitary(angles_flat[:, 4 * i:4 * i + 4]) for i in range(n - 1)]
+    def families(angles: np.ndarray) -> list[np.ndarray]:
+        eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(angles), 2, 2))
+        return [eye, *_angles_to_unitary(angles.reshape(-1, n - 1, 4).swapaxes(0, 1))]
 
-    vals = _objective_batch(families(pts), mats)
+    def evaluate(count: int, points) -> np.ndarray:
+        vals = np.empty(count)
+        for first in range(0, count, chunk):
+            rows = slice(first, min(first + chunk, count))
+            vals[rows] = _objective_batch(families(points(rows)), mats)
+        return vals
+
+    vals = evaluate(grid ** free, lambda rows: mesh_points(np.arange(rows.start, rows.stop)))
     best = float(vals.max())
 
     # starts must cover distinct basins: the top mesh points cluster around
@@ -256,7 +277,7 @@ def grid_oracle_min_norm(xs) -> float:
     min_dist = np.pi / grid
     starts = []
     for idx in order:
-        p = pts[idx]
+        p = mesh_points(idx)
         separated = True
         for q in starts:
             delta = np.abs(p - q)
@@ -273,7 +294,7 @@ def grid_oracle_min_norm(xs) -> float:
     # the objective's ridges; deterministic, so the oracle stays reproducible
     rg = np.random.Generator(np.random.Philox(0x9e3779b9))
     rand_pts = rg.uniform(0.0, 2 * np.pi, size=(4096, free))
-    rand_vals = _objective_batch(families(rand_pts), mats)
+    rand_vals = evaluate(len(rand_pts), lambda rows: rand_pts[rows])
     best = max(best, float(rand_vals.max()))
     for idx in np.argsort(-rand_vals, kind="stable")[:6]:
         starts.append(rand_pts[idx])

@@ -6,8 +6,6 @@ upper value's certificate is validated by reconstructing the coefficients
 from its factors.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -90,6 +88,12 @@ def test_seesaw_input_validation():
         cbnorm.seesaw_min_norm([np.eye(2)], aux_dim=0)
     with pytest.raises(ValueError):
         cbnorm.seesaw_min_norm([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="max_sweeps"):
+        cbnorm.seesaw_min_norm([np.eye(2)], max_sweeps=-1)
+    # no sweep: the start values of restart 0
+    start = cbnorm.seesaw_min_norm([np.eye(2)], max_sweeps=0)
+    assert start.iterations == 0
+    assert start.objective_history == [start.lower]
 
 
 def test_factorization_witnesses_rebuild_coefficients():
@@ -243,24 +247,32 @@ def test_seesaw_svd_calls_do_not_grow_with_restarts(monkeypatch):
     assert len(calls) <= 2 * (4 + 1)
 
 
-def test_seesaw_memory_is_chunked():
-    # One restart of this 4x16 tuple at k=16 holds about 5 MB (the four
-    # 256x256 products u_i (x) x_i and their sum); all 32 restarts at once
-    # would hold 32 times that.
+def test_seesaw_memory_is_chunked(traced):
+    # One restart of this 4x16 tuple at k=16 holds about 4 MB (four 256x256
+    # matrices: the running sum, the product u_i (x) x_i being added and the
+    # two unitary factors of the sum's SVD); all 32 restarts at once would
+    # hold 32 times that.
     xs = random_matrix_tuple(make_generator(72), 4, 16)
-    tracemalloc.start()
-    try:
-        cbnorm.seesaw_min_norm(xs, aux_dim=16, restarts=32, seed=1, max_sweeps=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(cbnorm.seesaw_min_norm, xs, aux_dim=16, restarts=32, seed=1, max_sweeps=1)
     assert peak < 12e6
+
+
+def test_seesaw_restart_above_the_budget_holds_one_product(traced):
+    # One restart of this 32x16 tuple at k=16 exceeds SWEEP_BYTES; built
+    # whole, its 32 products u_i (x) x_i alone would take 33.6 MB.
+    xs = random_matrix_tuple(make_generator(74), 32, 16)
+    saw, peak = traced(cbnorm.seesaw_min_norm, xs, aux_dim=16, restarts=2, seed=3, max_sweeps=3)
+    assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
+    lower, iterations, converged = _oracle_seesaw(xs, 16, 2, 3, 3, False)
+    assert saw.lower == pytest.approx(lower, rel=1e-12)
+    assert saw.iterations == iterations
+    assert saw.converged == converged
 
 
 @pytest.mark.parametrize("pin_first", [False, True])
 def test_seesaw_is_bitwise_independent_of_the_chunk_split(monkeypatch, pin_first):
     xs = random_matrix_tuple(make_generator(73), 3, 2)
-    per_restart = (3 + 3) * 16 * (4 * 2) ** 2
+    per_restart = 16 * (4 * (4 * 2) ** 2 + 6 * 3 * 4 ** 2)
     runs = []
     for chunk in (1, 3, 7):  # 7 restarts: one at a time, uneven chunks, all at once
         monkeypatch.setattr(cbnorm, "SWEEP_BYTES", chunk * per_restart)

@@ -5,7 +5,6 @@ solver is checked against answers it cannot influence.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,15 +270,10 @@ def test_solver_determinism_multi_block():
     assert c1.value == c2.value
 
 
-def test_large_program_memory_stays_sparse():
+def test_large_program_memory_stays_sparse(traced):
     # At 16x10 a dense constraint matrix alone would take 169 MB.
     xs = random_matrix_tuple(make_generator(39), 16, 10)
-    tracemalloc.start()
-    try:
-        cert = dec_norm_linf(xs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cert, peak = traced(dec_norm_linf, xs)
     assert cert.solver.status == "optimal"
     assert not cert.flagged
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -12,6 +12,8 @@ def test_as_matrix_rejects_bad_input():
         linalg.as_matrix(np.zeros(3))
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        linalg.as_matrix(np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]))
 
 
 def test_symmetrize_accepts_hermitian_rejects_skew():

@@ -11,7 +11,6 @@ solved by SVD.  The stacked reports are compared with their per-element
 definitions.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,29 +367,19 @@ def test_block_pinching_on_multi_block_domain():
     _assert_closed(md)
 
 
-def test_domain_memory_stays_at_system_size():
+def test_domain_memory_stays_at_system_size(traced):
     # At d=7 the Schwarz-defect matrix is 49x49 and the image stack 49x7x7;
     # the budget leaves room for the Choi-matrix test of complete positivity.
     u = random_unital_cp_map(make_generator(96), 7)
-    tracemalloc.start()
-    try:
-        md = multdomain.multiplicative_domain(u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    md, peak = traced(multdomain.multiplicative_domain, u)
     assert md.dimension == 1
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def test_domain_scales_to_d16():
+def test_domain_scales_to_d16(traced):
     # the matrix-unit linear system at d=16 would take 2 * 16^6 x 256
     # entries, about 537 MB; the Schwarz-defect matrix is 256x256
     u = random_unital_cp_map(make_generator(99), 16)
-    tracemalloc.start()
-    try:
-        md = multdomain.multiplicative_domain(u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    md, peak = traced(multdomain.multiplicative_domain, u)
     assert md.dimension == 1
     assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"

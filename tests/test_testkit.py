@@ -134,6 +134,25 @@ def test_lockstep_polish_matches_scipy_bit_for_bit(monkeypatch):
     assert any(shrinks)
 
 
+def test_grid_oracle_is_bitwise_independent_of_the_chunk_size(monkeypatch):
+    gen = testkit.make_generator(108)
+    for n in (2, 3):
+        xs = testkit.random_matrix_tuple(gen, n, 2)
+        per_point = 16 * (3 * 16 + 4 * n) + 3 * 8 * 4 * (n - 1)
+        runs = []
+        for points in (1, 7, 1 << 20):  # one point at a time, uneven chunks, all at once
+            monkeypatch.setattr(testkit, "GRID_BYTES", points * per_point)
+            runs.append(testkit.grid_oracle_min_norm(xs).hex())
+        assert runs[1:] == runs[:1] * 2
+
+
+def test_grid_oracle_memory_is_chunked(traced):
+    # built whole, the (3, 2) grid of 65,536 points traced 50.6 MB
+    xs = testkit.random_matrix_tuple(testkit.make_generator(109), 3, 2)
+    _, peak = traced(testkit.grid_oracle_min_norm, xs)
+    assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_package_import_leaves_scipy_optimize_unloaded():
     code = (
         "import sys, decnorms, decnorms.cli, decnorms.suite, decnorms.testkit\n"

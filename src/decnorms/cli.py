@@ -21,6 +21,7 @@ from decnorms.freetensor import FreeTensor, min_norm
 from decnorms.iofmt import (
     InstanceError,
     build_report,
+    check_option,
     load_instance,
     render_json,
     render_text,
@@ -54,23 +55,20 @@ def _solver_summary(cert) -> dict:
 
 
 def _merged_options(parsed, args) -> dict:
+    """The file's options, overridden by the flags given; a flag out of range raises."""
     opts = dict(parsed.options)
-    if getattr(args, "tol", None) is not None:
-        opts["tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        opts["seed"] = args.seed
-    if getattr(args, "aux_dim", None) is not None:
-        opts["aux_dim"] = args.aux_dim
-    if getattr(args, "restarts", None) is not None:
-        opts["restarts"] = args.restarts
+    for key, flag in (("tol", "--tol"), ("seed", "--seed"), ("aux_dim", "--K"),
+                      ("restarts", "--restarts")):
+        value = getattr(args, key, None)
+        if value is not None:
+            check_option(key, value, flag)
+            opts[key] = value
     return opts
 
 
 def _norm_results(parsed, opts) -> dict:
     tol = float(opts.get("tol", 1e-8))
     seed = int(opts.get("seed", 0))
-    if seed < 0:  # the generators reject it too, but only after the SDP
-        raise InstanceError("seed", f"must be a non-negative integer, got {seed}")
     restarts = int(opts.get("restarts", 24))
     agree_tol = float(opts.get("agree_tol", 5e-4))
 
@@ -225,8 +223,7 @@ def _parse_sizes(spec: str) -> list[tuple[int, int]]:
 def cmd_bench(args) -> int:
     try:
         sizes = _parse_sizes(args.sizes)
-        if args.seed < 0:
-            raise InstanceError("--seed", f"must be a non-negative integer, got {args.seed}")
+        check_option("seed", args.seed, "--seed")
     except InstanceError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

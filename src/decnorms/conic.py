@@ -18,14 +18,17 @@ Boyd, 2020): residual checks read plain iterates, and an extrapolated
 point that halves tau, or whose image grows the fixed-point residual, is
 dropped for the plain one.
 
-The constraint matrix A stays sparse (CSR) from assembly through Ruiz
-scaling, residual checks and infeasibility tests; the linear system is
-reduced to ``I + A^T A``, which is factored once by sparse LU.  The
+The constraint matrix A stays sparse (CSR, :class:`CsrMatrix`, numpy
+arrays only) from assembly through Ruiz scaling, residual checks and
+infeasibility tests; the linear system is reduced to ``I + A^T A``,
+whose inverse is built once, exactly, by the Woodbury identity
+(:func:`_gram_inverse`): the rows of A with one nonzero give a diagonal,
+the others a small sparse correction with one small dense block.  The
 package's programs have about two nonzeros per column of A, so memory
 and per-iteration cost scale with the nonzeros, not with rows x columns.
 A depends only on the block sizes and the linear parts; F0 enters
-through b alone.  So the assembled and equilibrated A, its factorization
-and the projection's index arrays are kept, read-only, for the
+through b alone.  So the assembled and equilibrated A, the inverse's
+parts and the projection's index arrays are kept, read-only, for the
 ``SETUP_CACHE_SIZE`` most recently used structures, keyed by their exact
 bytes; a program that shares its structure with an earlier one skips
 that setup and gets the output a fresh setup would give.
@@ -63,9 +66,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
 from decnorms import linalg
 
@@ -157,6 +157,89 @@ def unsvec(vec: np.ndarray, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Sparse matrices
+# ---------------------------------------------------------------------------
+
+class CsrMatrix:
+    """A real sparse matrix in compressed sparse row form, on numpy arrays.
+
+    Row i stores ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending and without repeats;
+    ``row_of`` is the row of every stored entry.  The solver needs
+    products with vectors, the transpose and negation, and nothing more.
+    A product sums each row's entries in stored order, so it is
+    deterministic.
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "data", "row_of")
+
+    def __init__(self, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.row_of = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def T(self) -> CsrMatrix:
+        rows, cols = self.shape
+        order = np.argsort(self.indices, kind="stable")  # rows stay ascending per column
+        indptr = np.zeros(cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=cols), out=indptr[1:])
+        return CsrMatrix((cols, rows), indptr, self.row_of[order], self.data[order])
+
+    def __neg__(self) -> CsrMatrix:
+        return CsrMatrix(self.shape, self.indptr, self.indices, -self.data)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return _sum_at(self.row_of, self.data * x[self.indices], self.shape[0])
+
+
+def _sum_at(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Length-n float vector whose entry i sums ``weights`` where ``index`` is i, in order."""
+    # bincount of no entries is integer-typed, whatever the weights
+    return np.bincount(index, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+def _csr_from_entries(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                      vals: np.ndarray) -> CsrMatrix:
+    """The matrix with entries ``(rows, cols, vals)``; repeated positions are summed."""
+    nrows, ncols = shape
+    if rows.size and not (0 <= rows.min() and rows.max() < nrows
+                          and 0 <= cols.min() and cols.max() < ncols):
+        raise SolverError(f"entry position outside a {nrows}x{ncols} matrix")
+    pos, where = np.unique(rows * ncols + cols, return_inverse=True)
+    data = _sum_at(where, vals, pos.size)
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    if pos.size:
+        np.cumsum(np.bincount(pos // ncols, minlength=nrows), out=indptr[1:])
+    return CsrMatrix(shape, indptr, pos % max(ncols, 1), data)
+
+
+def _vstack(mats: list[CsrMatrix]) -> CsrMatrix:
+    """Stack matrices with equal column counts on top of each other."""
+    ends = np.cumsum([0] + [mat.nnz for mat in mats])
+    indptr = np.concatenate([[0]] + [mat.indptr[1:] + end for mat, end in zip(mats, ends)])
+    return CsrMatrix((sum(mat.shape[0] for mat in mats), mats[0].shape[1]), indptr,
+                     np.concatenate([mat.indices for mat in mats]),
+                     np.concatenate([mat.data for mat in mats]))
+
+
+def _take_rows(mat: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
+    """The matrix of the given rows of ``mat``, in the given order."""
+    counts = np.diff(mat.indptr)[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    pos = np.repeat(mat.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+    return CsrMatrix((rows.size, mat.shape[1]), indptr, mat.indices[pos], mat.data[pos])
+
+
+# ---------------------------------------------------------------------------
 # Program description
 # ---------------------------------------------------------------------------
 
@@ -171,7 +254,7 @@ class PsdBlockSpec:
 
     size: int
     f0: np.ndarray
-    lin: scipy.sparse.csr_matrix
+    lin: CsrMatrix
 
     def __post_init__(self):
         q = self.size
@@ -309,10 +392,9 @@ class BlockBuilder:
             cols = np.concatenate(self._cols)
             vals = np.concatenate(self._vals)
         else:
-            rows = cols = vals = np.array([])
-        lin = scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(q * q, self.num_vars)
-        ).tocsr()
+            rows = cols = np.zeros(0, dtype=np.int64)
+            vals = np.zeros(0)
+        lin = _csr_from_entries((q * q, self.num_vars), rows, cols, vals)
         return PsdBlockSpec(size=q, f0=self.f0, lin=lin)
 
 
@@ -444,7 +526,7 @@ def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1
 # The HSDE ADMM engine
 # ---------------------------------------------------------------------------
 
-def _ruiz_equilibrate(a: scipy.sparse.csr_matrix, block_slices: list[slice], iters: int):
+def _ruiz_equilibrate(a: CsrMatrix, block_slices: list[slice], iters: int):
     """Diagonal row/column scaling of a CSR matrix; PSD block rows share one scalar.
 
     Only the stored nonzeros are touched: row and column maxima are
@@ -454,8 +536,7 @@ def _ruiz_equilibrate(a: scipy.sparse.csr_matrix, block_slices: list[slice], ite
     rows, cols = a.shape
     d = np.ones(rows)
     e = np.ones(cols)
-    row_of = np.repeat(np.arange(rows), np.diff(a.indptr))
-    col_of = a.indices
+    row_of, col_of = a.row_of, a.indices
     for _ in range(iters):
         row_max = np.zeros(rows)
         np.maximum.at(row_max, row_of, np.abs(a.data))
@@ -546,15 +627,87 @@ def _psd_projector(plan: _Projection):
     return project
 
 
+class _GramInverse(NamedTuple):
+    """The inverse of I + A^T A, split as :func:`_gram_inverse` describes.
+
+    The diagonal factors are folded into the sparse ones: ``r`` holds
+    R D0^-1, and ``rt`` holds D0^-1 R^T with the columns of the uncoupled
+    rows scaled by their 1 / C_ii.  A solve is then
+    ``D0^-1 rhs - rt v``, where v is ``r rhs`` with ``c_inv`` applied to
+    its leading entries, those of the coupled rows.
+    """
+
+    d0_inv: np.ndarray  # 1 / D0
+    r: CsrMatrix  # R D0^-1, coupled rows first
+    rt: CsrMatrix
+    c_inv: np.ndarray  # dense inverse of C on the coupled rows
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(I + A^T A)^-1 rhs``."""
+        v = self.r @ rhs
+        kc = self.c_inv.shape[0]
+        v[:kc] = self.c_inv @ v[:kc]
+        return rhs * self.d0_inv - self.rt @ v
+
+
+def _gram_inverse(a: CsrMatrix) -> _GramInverse:
+    """The exact inverse of I + A^T A by the Woodbury identity.
+
+    A row of A with one nonzero a adds a^2 to a diagonal entry of
+    I + A^T A; together with I these rows give the diagonal D0.  The k
+    rows with several nonzeros form R, so I + A^T A = D0 + R^T R and
+
+        (I + A^T A)^-1 = D0^-1 - D0^-1 R^T C^-1 R D0^-1,  C = I + R D0^-1 R^T.
+
+    C_ij is nonzero off the diagonal only when rows i and j of R share a
+    column.  The kc rows that share a column with another are the coupled
+    rows; C is diagonal on the others, and only its kc x kc coupled part is
+    formed densely and inverted (C >= I, so it is well conditioned).  In
+    the package's Choi programs R holds the rows of the operator-norm
+    blocks, and the coupled ones are their diagonal rows, which share s.
+    Neither A^T A nor any dense k x m matrix is formed.
+    """
+    m = a.shape[1]
+    counts = np.diff(a.indptr)
+    single = np.repeat(counts == 1, counts)  # entries alone in their row
+    multi = np.repeat(counts > 1, counts)
+    d0_inv = 1.0 / (1.0 + _sum_at(a.indices[single], a.data[single] ** 2, m))
+    in_shared = multi & (np.bincount(a.indices[multi], minlength=m)[a.indices] > 1)
+    coupled = np.zeros(a.shape[0], dtype=bool)
+    coupled[a.row_of[in_shared]] = True
+    kc = int(coupled.sum())
+    r = _take_rows(a, np.concatenate([np.flatnonzero(coupled),
+                                      np.flatnonzero((counts > 1) & ~coupled)]))
+    rt = r.T
+    c_diag = 1.0 + _sum_at(r.row_of, r.data ** 2 * d0_inv[r.indices], r.shape[0])
+    # Off the diagonal, each ordered pair (e, f) of distinct entries in one
+    # column j of R adds R_e R_f / D0_j to C.  Entry e of R^T is paired with
+    # every entry of its column: it is repeated once per entry there, and
+    # its partners run from the column's first entry on.
+    size = np.repeat(np.diff(rt.indptr), np.diff(rt.indptr))  # entries in each entry's column
+    first = np.repeat(np.arange(rt.nnz), size)
+    start = rt.indptr[rt.row_of] - (np.cumsum(size) - size)
+    second = np.arange(first.size) + np.repeat(start, size)
+    off = first != second
+    first, second = first[off], second[off]
+    c = _sum_at(rt.indices[first] * kc + rt.indices[second],
+                rt.data[first] * rt.data[second] * d0_inv[rt.row_of[first]], kc * kc)
+    c = c.reshape(kc, kc) + np.diag(c_diag[:kc])
+    c_inv_diag = np.concatenate([np.ones(kc), 1.0 / c_diag[kc:]])
+    r.data *= d0_inv[r.indices]
+    rt.data *= d0_inv[rt.row_of] * c_inv_diag[rt.indices]
+    return _GramInverse(d0_inv, r, rt, np.linalg.inv(c))
+
+
 class _Setup(NamedTuple):
     """The part of a solve fixed by the constraint matrix alone; shared, read-only."""
 
-    a: scipy.sparse.csr_matrix  # D A E after Ruiz scaling
-    at: scipy.sparse.csr_matrix
+    a: CsrMatrix  # D A E after Ruiz scaling
+    at: CsrMatrix
     d_row: np.ndarray
     e_col: np.ndarray
     block_slices: tuple[slice, ...]
-    lu: object  # sparse LU of I + A^T A
+    gram: _GramInverse
     projection: _Projection
 
 
@@ -566,7 +719,7 @@ def _structure_key(program: ConicProgram) -> tuple:
     """The exact bytes A is assembled from, so equal keys mean equal A."""
     blocks = []
     for blk in program.psd_blocks:
-        lin = blk.lin.tocsr()
+        lin = blk.lin
         blocks.append((blk.size, lin.shape) + tuple(
             (arr.dtype.str, arr.tobytes()) for arr in (lin.indptr, lin.indices, lin.data)))
     return tuple(blocks)
@@ -590,27 +743,38 @@ def _setup(program: ConicProgram) -> _Setup:
 
 
 def _build_setup(program: ConicProgram) -> _Setup:
-    """Assemble A, equilibrate it, factor I + A^T A and plan the projection."""
+    """Assemble A, equilibrate it, invert I + A^T A and plan the projection."""
     parts, block_slices, off = [], [], 0
     for blk in program.psd_blocks:
         block_slices.append(slice(off, off + blk.size ** 2))
         # cone row: s_block = svec(F0) + lin y  =>  -lin y + s = svec(F0)
         parts.append(-blk.lin)
         off += blk.size ** 2
-    a = scipy.sparse.vstack(parts, format="csr")
+    a = _vstack(parts)
     d_row, e_col = _ruiz_equilibrate(a, block_slices, RUIZ_ITERS)
-    at = a.T.tocsr()
-    # The gram is SPD with every eigenvalue >= 1, so LU with diagonal
-    # pivots on a symmetric ordering is a stable sparse Cholesky substitute.
-    gram = scipy.sparse.identity(program.num_vars, format="csr") + at @ a
-    lu = scipy.sparse.linalg.splu(
-        gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    for arr in (a.data, a.indices, a.indptr, at.data, at.indices, at.indptr, d_row, e_col):
+    at = a.T
+    gram = _gram_inverse(a)
+    for arr in (d_row, e_col, gram.d0_inv, gram.c_inv):
         arr.setflags(write=False)
-    return _Setup(a, at, d_row, e_col, tuple(block_slices), lu,
+    for mat in (a, at, gram.r, gram.rt):
+        for arr in (mat.data, mat.indices, mat.indptr, mat.row_of):
+            arr.setflags(write=False)
+    return _Setup(a, at, d_row, e_col, tuple(block_slices), gram,
                   _projection([blk.size for blk in program.psd_blocks]))
+
+
+def _spd_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """``lhs^-1 rhs``, or None when Cholesky finds ``lhs`` not positive definite.
+
+    The factor only decides definiteness, as LAPACK's dposv reports it:
+    numpy has no triangular solve, and one LU solve of the small system
+    costs less than two through ``np.linalg.solve``.
+    """
+    try:
+        np.linalg.cholesky(lhs)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(lhs, rhs)
 
 
 # Fixed solver settings; no caller tunes them.
@@ -666,7 +830,7 @@ def solve(
     m = program.num_vars
     qs = [blk.size for blk in program.psd_blocks]
     rows = sum(q * q for q in qs)
-    a, at, d_row, e_col, block_slices, lu, projection = _setup(program)
+    a, at, d_row, e_col, block_slices, gram, projection = _setup(program)
 
     # --- b in svec coordinates, and the b/c normalization ------------------
     b = np.zeros(rows, dtype=np.float64)
@@ -685,7 +849,7 @@ def solve(
     # --- linear system: M = [[I, A^T], [-A, I]] via (I + A^T A) ------------
     def solve_m(wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve M (x, y) = (wx, wy) into ``out[:m]``, ``out[m:m + rows]``; return x."""
-        x = lu.solve(wx - at @ wy)
+        x = gram.solve(wx - at @ wy)
         out[:m] = x
         np.add(wy, a @ x, out=out[m:m + rows])
         return x
@@ -780,8 +944,8 @@ def solve(
             if stored and not check:
                 lhs = aa_gram[:stored, :stored]
                 lhs = lhs + AA_REG * lhs.trace() * aa_eye[:stored, :stored]
-                _, weights, info = scipy.linalg.lapack.dposv(lhs, d_f[:stored] @ f_old)
-                if info or not np.abs(weights).max() <= AA_MAX_WEIGHT:
+                weights = _spd_solve(lhs, d_f[:stored] @ f_old)
+                if weights is None or not np.abs(weights).max() <= AA_MAX_WEIGHT:
                     stored = slot = 0  # degenerate memory: singular Gram, huge or non-finite weights
                 else:
                     np.dot(weights, d_g[:stored], out=z)

@@ -39,6 +39,16 @@ OPTION_KEYS = {
     "samples": int,
 }
 
+# The range of each option, and the message when a value falls outside it.
+_OPTION_RANGES = {
+    "seed": (lambda v: v >= 0, "must be a non-negative integer"),
+    "restarts": (lambda v: v >= 1, "must be at least 1"),
+    "aux_dim": (lambda v: v >= 1, "auxiliary dimension must be positive"),
+    "samples": (lambda v: v >= 1, "must be at least 1"),
+    "tol": (lambda v: math.isfinite(v) and v > 0, "must be positive and finite"),
+    "agree_tol": (lambda v: math.isfinite(v) and v > 0, "must be positive and finite"),
+}
+
 BLOCK_LEAK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 
@@ -124,6 +134,12 @@ def _split_blocks(m: np.ndarray, shape: AlgebraShape, field_path: str):
     return from_assembled(shape, m)
 
 
+def check_option(key: str, value, field_path: str):
+    """Raise :class:`InstanceError` naming ``field_path`` when ``value`` is out of range."""
+    in_range, message = _OPTION_RANGES[key]
+    _require(in_range(value), field_path, f"{message}, got {value!r}")
+
+
 def _parse_options(obj, field_path: str) -> dict:
     if obj is None:
         return {}
@@ -139,6 +155,7 @@ def _parse_options(obj, field_path: str) -> dict:
         else:
             _require(_is_number(val), kp, "expected a finite number")
             out[key] = float(val)
+        check_option(key, out[key], kp)
     return out
 
 

@@ -239,15 +239,16 @@ def verify_bimodularity(
     to unit operator norm, so residuals are on an absolute scale.  Sample
     i draws the coefficients of a, then of b, then x; all samples are
     evaluated together, each residual as :func:`bimodularity_residual`
-    would report it.
+    would report it.  ``samples`` below 1 raises ``ValueError``: an empty
+    check would report a residual of 0.
     """
     from decnorms.testkit import make_generator, random_element
 
     if d.ambient != u.domain:
         raise ValueError("subalgebra ambient shape must match the map domain")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     dim = d.dimension
-    if samples <= 0:
-        return BimodularityReport(max_residual=0.0, samples=samples, dimension=dim)
     gen = make_generator(seed, stream=77)
     shape = u.domain
     draws = []

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from decnorms import conic, suite
 from decnorms.cli import main
 
@@ -104,7 +106,7 @@ def test_norm_bad_tolerance_exits_2_without_iterating(monkeypatch, capsys):
     monkeypatch.setattr(conic, "solve", counting_solve)
     for tol in ("0", "-1", "nan"):
         assert main(["norm", SCALAR, "--tol", tol]) == 2
-        assert "gap_tol must be positive and finite" in capsys.readouterr().err
+        assert "--tol: must be positive and finite" in capsys.readouterr().err
     assert iterations == []
 
 
@@ -121,11 +123,44 @@ def test_negative_seed_exits_2_before_any_solve(monkeypatch, tmp_path, capsys):
     raw["options"]["seed"] = -3
     from_file = tmp_path / "negative_seed.json"
     from_file.write_text(json.dumps(raw), encoding="utf-8")
-    for argv, field in ((["norm", PAULI, "--seed", "-1"], "seed"),
-                        (["norm", str(from_file)], "seed"),
+    for argv, field in ((["norm", PAULI, "--seed", "-1"], "--seed"),
+                        (["norm", str(from_file)], "options.seed"),
                         (["bench", "--sizes", "2x2", "--seed", "-1"], "--seed")):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"validation error: {field}: must be a non-negative")
+    assert calls == []
+
+
+@pytest.mark.parametrize("instance, option, value, argv, field", [
+    ("pinch_multdomain", "samples", 0, [], "options.samples"),
+    ("pinch_multdomain", "samples", -3, [], "options.samples"),
+    ("pauli_cb", "agree_tol", 0, [], "options.agree_tol"),
+    ("pauli_cb", "agree_tol", -1, [], "options.agree_tol"),
+    ("pauli_cb", "restarts", 0, [], "options.restarts"),
+    ("pauli_cb", "aux_dim", 0, [], "options.aux_dim"),
+    ("scalar_dec", "tol", 0, [], "options.tol"),
+    ("scalar_dec", "seed", -1, [], "options.seed"),
+    ("pauli_cb", None, None, ["--restarts", "0"], "--restarts"),
+    ("pauli_cb", None, None, ["--K", "0"], "--K"),
+    ("scalar_dec", None, None, ["--tol", "nan"], "--tol"),
+])
+def test_out_of_range_option_exits_2_naming_its_field(monkeypatch, tmp_path, capsys,
+                                                      instance, option, value, argv, field):
+    calls = []
+    solve = conic.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting_solve)
+    raw = json.loads(open(f"instances/{instance}.json", encoding="utf-8").read())
+    if option is not None:
+        raw.setdefault("options", {})[option] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["norm", str(path), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {field}: ")
     assert calls == []
 
 

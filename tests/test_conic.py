@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 
 from decnorms import conic
-from decnorms.decomposable import dec_norm_linf, dec_norm_matrix_domain
-from decnorms.maps import tensor
+from decnorms.algebra import AlgebraShape, element, matrix_algebra
+from decnorms.decomposable import _choi_data, _choi_program, dec_norm_linf, dec_norm_matrix_domain
+from decnorms.maps import LinearMapRep, map_from_linf, tensor
 from decnorms.suite import _random_map
-from decnorms.testkit import eigenvalue_program, make_generator, random_hermitian, random_matrix_tuple
+from decnorms.testkit import (
+    eigenvalue_program,
+    make_generator,
+    random_ginibre,
+    random_hermitian,
+    random_matrix_tuple,
+)
 
 
 def test_svec_round_trip_and_isometry():
@@ -241,7 +248,8 @@ def test_setup_reuse_is_exact_and_bounded():
     assert [z.tobytes() for z in reused.dual_psd] == [z.tobytes() for z in fresh.dual_psd]
     assert reused.history == fresh.history
     setup = next(iter(conic._setups.values()))
-    for arr in (setup.a.data, setup.at.indices, setup.d_row, setup.e_col, setup.projection.src):
+    for arr in (setup.a.data, setup.at.indices, setup.d_row, setup.e_col, setup.projection.src,
+                setup.gram.d0_inv, setup.gram.r.data, setup.gram.rt.indices, setup.gram.c_inv):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     # one structure per block size: more structures than the cache keeps
@@ -249,6 +257,78 @@ def test_setup_reuse_is_exact_and_bounded():
         conic.solve(eigenvalue_program(random_hermitian(gen, q)))
         assert len(conic._setups) <= conic.SETUP_CACHE_SIZE
     assert len(conic._setups) == conic.SETUP_CACHE_SIZE
+
+
+def _choi(u):
+    return _choi_program(u, _choi_data(u))[0]
+
+
+def _direct_sum_map(gen):
+    # domain block i of M_2 + M_1 goes into codomain block i of M_3 + M_2
+    domain, codomain = AlgebraShape((2, 1)), AlgebraShape((3, 2))
+    images = []
+    for i, n_i in enumerate(domain.block_dims):
+        for _ in range(n_i * n_i):
+            blocks = [np.zeros((c, c), dtype=np.complex128) for c in codomain.block_dims]
+            blocks[i] = random_ginibre(gen, codomain.block_dims[i], codomain.block_dims[i])
+            images.append(element(codomain, blocks))
+    return LinearMapRep(domain, codomain, images)
+
+
+def _every_row_couples():
+    # rows P - Q and P + Q: every row has two nonzeros and shares both columns
+    q = 3
+    blocks = []
+    for sign in (-1.0, 1.0):
+        builder = conic.BlockBuilder(q, 2 * q * q)
+        builder.add_constant(np.eye(q))
+        builder.add_hermitian_var(0, q, 0)
+        builder.add_hermitian_var(q * q, q, 0, sign)
+        blocks.append(builder.build())
+    return conic.ConicProgram(objective=np.ones(2 * q * q), psd_blocks=blocks)
+
+
+def _dense(mat):
+    out = np.zeros(mat.shape)
+    out[mat.row_of, mat.indices] = mat.data
+    return out
+
+
+# program, and the rows of the dense block of C^-1: 2 * sum(c_t) for a Choi program
+_GRAM_CASES = {
+    "linf_12x8": (lambda gen: _choi(map_from_linf(
+        [element(matrix_algebra(8), [x]) for x in random_matrix_tuple(gen, 12, 8)])), 2 * 8),
+    "matrix_domain_m4": (lambda gen: _choi(_random_map(gen, 4)), 2 * 4),
+    "direct_sum": (lambda gen: _choi(_direct_sum_map(gen)), 2 * (3 + 2)),
+    "eigenvalue": (lambda gen: eigenvalue_program(random_hermitian(gen, 5)), 0),
+    "every_row_couples": (lambda gen: _every_row_couples(), 2 * 3 * 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRAM_CASES))
+def test_gram_solve_matches_dense_algebra(case):
+    build, coupled = _GRAM_CASES[case]
+    gen = make_generator(44)
+    setup = conic._build_setup(build(gen))
+    a = _dense(setup.a)
+    m = a.shape[1]
+    rhs = gen.standard_normal(m)
+    want = np.linalg.solve(np.eye(m) + a.T @ a, rhs)
+    got = setup.gram.solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert setup.gram.c_inv.shape == (coupled, coupled)
+    # R holds the rows of A with several nonzeros, and no others
+    several = np.diff(setup.a.indptr) > 1
+    assert setup.gram.r.shape == (int(several.sum()), m)
+    assert setup.gram.r.nnz == int(np.diff(setup.a.indptr)[several].sum())
+
+
+def test_anderson_solve_refuses_a_gram_that_is_not_positive_definite():
+    # None makes the solver clear its Anderson memory
+    assert conic._spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2)) is None
+    assert conic._spd_solve(np.ones((2, 2)), np.ones(2)) is None  # singular
+    lhs = np.array([[4.0, 1.0], [1.0, 3.0]])
+    assert np.allclose(lhs @ conic._spd_solve(lhs, np.ones(2)), np.ones(2), rtol=0, atol=1e-15)
 
 
 def test_solver_determinism_multi_block():

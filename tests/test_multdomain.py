@@ -248,6 +248,10 @@ def test_bimodularity_residuals():
     assert rep.max_residual <= 1e-9
     assert rep.samples == 20
     assert rep.dimension == d
+    # an empty sample would report a residual of 0
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            multdomain.verify_bimodularity(u, md, samples=bad)
 
     # negative control: a non-diagonal a breaks multiplicativity visibly
     shape = matrix_algebra(d)

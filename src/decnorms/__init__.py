@@ -42,6 +42,7 @@ from decnorms.decomposable import (
     dec_norm_direct_sum,
     dec_norm_linf,
     dec_norm_matrix_domain,
+    dec_norms,
     dec_upper_bound_factored,
     selfadjoint_dec_norm,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "dec_norm_linf",
     "dec_norm_matrix_domain",
     "dec_norm_direct_sum",
+    "dec_norms",
     "selfadjoint_dec_norm",
     "dec_upper_bound_factored",
     "SeeSawResult",

@@ -38,6 +38,20 @@ check scores the iterate against the tolerances, and while that score
 decays the next check is placed where the measured geometric rate says
 it reaches them, so a solve stops within a few iterations of converging.
 
+:func:`solve_all` solves many programs at once, and :func:`solve` is its
+batch of one.  Programs of one constraint structure form a group that
+iterates in lockstep on stacked arrays, one row per program, in chunks
+whose stacked state stays within ``BATCH_BYTES``; numpy's per-call cost,
+most of the time of a small program, is then paid once per chunk.  Every
+program keeps its own tau and kappa, b/c scaling, Anderson memory and
+safeguard, check schedule, best point and stop, and leaves the chunk
+when it stops.  Each row gets exactly the bits its program gets alone,
+whatever the batch and its order: every kernel works row by row with the
+arithmetic of the solo kernel (stacked ``matmul`` for each dot product,
+matrix-vector product and norm, a bincount over ``row + k * rows`` for
+the CSR products, stacked ``eigh``, and stacked ``cholesky`` and
+``solve`` for the Anderson systems, grouped by memory fill).
+
 Hermitian matrices travel through the cone machinery in "svec"
 coordinates: the q real diagonal entries first, then sqrt(2) * Re and
 sqrt(2) * Im of the strict upper triangle in row-major order.  This makes
@@ -48,8 +62,7 @@ block size and cached (``_svec_map``): svec, unsvec, the block builder
 and the solver's projection all read them.  Per iteration the projection
 is one gather of the whole cone segment into stacked complex matrices
 (real arithmetic on their float64 view), one ``eigh`` per block size and
-one gather back into svec order; the other iterate updates run on
-preallocated full-length vectors.
+one gather back into svec order.
 
 Everything is deterministic: no randomness, fixed iteration order, a
 fixed factorization and a check schedule read from the iterates, so
@@ -168,10 +181,12 @@ class CsrMatrix:
     ``row_of`` is the row of every stored entry.  The solver needs
     products with vectors, the transpose and negation, and nothing more.
     A product sums each row's entries in stored order, so it is
-    deterministic.
+    deterministic, and a stack of vectors ``x[k]`` gets, row k for row k,
+    the bits of ``self @ x[k]``: one bincount over the flat index
+    ``k * rows + row`` adds each bin's terms in the same order.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data", "row_of")
+    __slots__ = ("shape", "indptr", "indices", "data", "row_of", "_stack_index")
 
     def __init__(self, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray):
@@ -180,6 +195,7 @@ class CsrMatrix:
         self.indices = indices
         self.data = data
         self.row_of = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+        self._stack_index = self.row_of  # bincount index for the last stack height used
 
     @property
     def nnz(self) -> int:
@@ -197,7 +213,15 @@ class CsrMatrix:
         return CsrMatrix(self.shape, self.indptr, self.indices, -self.data)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return _sum_at(self.row_of, self.data * x[self.indices], self.shape[0])
+        """``self @ x`` for a vector, or ``self @ x[k]`` for each row of a 2-D stack."""
+        rows = self.shape[0]
+        if x.ndim == 1:
+            return _sum_at(self.row_of, self.data * x[self.indices], rows)
+        height = x.shape[0]
+        if self._stack_index.size != height * self.nnz:
+            self._stack_index = (np.arange(height)[:, None] * rows + self.row_of).ravel()
+        terms = (self.data * x[:, self.indices]).ravel()
+        return _sum_at(self._stack_index, terms, height * rows).reshape(height, rows)
 
 
 def _sum_at(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -603,26 +627,38 @@ def _projection(qs: list[int]) -> _Projection:
 
 
 def _psd_projector(plan: _Projection):
-    """In-place projection of a cone segment onto its PSD blocks, with its own buffers.
+    """In-place projection of cone segments onto their PSD blocks, with its own buffers.
 
-    The segment holds the blocks' svec vectors back to back.  Blocks are
-    grouped by size: one gather fills every group's stacked matrices (real
-    arithmetic on their float64 view), each group takes one ``eigh``, and
-    one gather reads the projections back in segment order.
+    A segment holds the blocks' svec vectors back to back; ``seg`` is one
+    segment or a 2-D stack of them, one per row.  Blocks are grouped by
+    size: one gather fills every group's stacked matrices (real arithmetic
+    on their float64 view), each group takes one ``eigh`` over the whole
+    stack, and one gather reads the projections back in segment order.
+    Each matrix gets the bits it gets alone.
     """
     src, dst, scale, read, read_scale, groups, length = plan
-    mats = np.zeros(length, dtype=np.complex128)  # imaginary diagonal parts stay zero
-    projs = np.empty(length, dtype=np.complex128)
-    mats_f, projs_f = mats.view(np.float64), projs.view(np.float64)
+    buffers = {}
 
     def project(seg: np.ndarray):
-        mats_f[dst] = seg[src] * scale
-        for sl, shape in groups:
-            w, vecs = np.linalg.eigh(mats[sl].reshape(shape))
+        if seg.ndim == 2 and seg.shape[0] == 1:
+            seg = seg[0]  # one row takes the cheaper 1-D indexing
+        lead = seg.shape[:-1]
+        if lead not in buffers:
+            buffers.clear()
+            mats = np.zeros(lead + (length,), dtype=np.complex128)  # imaginary diagonals stay 0
+            projs = np.empty(lead + (length,), dtype=np.complex128)
+            rows = (slice(None),) * len(lead)
+            views = [(mats[rows + (sl,)].reshape(lead + shape), projs[rows + (sl,)].reshape(lead + shape))
+                     for sl, shape in groups]
+            buffers[lead] = (mats.view(np.float64), projs.view(np.float64), views,
+                             rows + (src,), rows + (dst,), rows + (read,))
+        mats_f, projs_f, views, at_src, at_dst, at_read = buffers[lead]
+        mats_f[at_dst] = seg[at_src] * scale
+        for mats, projs in views:
+            w, vecs = np.linalg.eigh(mats)
             np.maximum(w, 0.0, out=w)
-            np.matmul(vecs * w[:, None, :], vecs.conj().swapaxes(-1, -2),
-                      out=projs[sl].reshape(shape))
-        np.multiply(projs_f[read], read_scale, out=seg)
+            np.matmul(vecs * w[..., None, :], vecs.conj().swapaxes(-1, -2), out=projs)
+        np.multiply(projs_f[at_read], read_scale, out=seg)
 
     return project
 
@@ -643,10 +679,10 @@ class _GramInverse(NamedTuple):
     c_inv: np.ndarray  # dense inverse of C on the coupled rows
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(I + A^T A)^-1 rhs``."""
+        """``(I + A^T A)^-1 rhs``, for a vector or for each row of a 2-D stack."""
         v = self.r @ rhs
         kc = self.c_inv.shape[0]
-        v[:kc] = self.c_inv @ v[:kc]
+        v[..., :kc] = np.matmul(self.c_inv, v[..., :kc, None])[..., 0]
         return rhs * self.d0_inv - self.rt @ v
 
 
@@ -725,14 +761,13 @@ def _structure_key(program: ConicProgram) -> tuple:
     return tuple(blocks)
 
 
-def _setup(program: ConicProgram) -> _Setup:
-    """The setup of the program's constraint structure, built or reused.
+def _setup(key: tuple, program: ConicProgram) -> _Setup:
+    """The setup of the program's constraint structure ``key``, built or reused.
 
     The setup reads neither F0, b nor c, so programs that share the
     constraint structure share one setup: the last ``SETUP_CACHE_SIZE``
     structures are kept, keyed by :func:`_structure_key`.
     """
-    key = _structure_key(program)
     setup = _setups.pop(key, None)
     if setup is None:
         setup = _build_setup(program)
@@ -777,6 +812,39 @@ def _spd_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(lhs, rhs)
 
 
+def _spd_solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`_spd_solve` for a stack of systems; NaN rows where ``lhs[k]`` is not definite.
+
+    The stacked ``cholesky`` and ``solve`` give each system its own bits;
+    a single system, or a stack where some factor fails, is solved one by one.
+    """
+    if lhs.shape[0] == 1:
+        x = _spd_solve(lhs[0], rhs[0])
+        return np.full_like(rhs, np.nan) if x is None else x[None]
+    try:
+        np.linalg.cholesky(lhs)
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = [_spd_solve(mat, vec) for mat, vec in zip(lhs, rhs)]
+        return np.stack([np.full(rhs.shape[1], np.nan) if x is None else x for x in out])
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two stacks, each with the bits of ``np.dot`` on the pair."""
+    if x.shape[0] == 1:
+        return np.dot(x[0], y[0])[None]
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _dist_to_cone(neg_w: np.ndarray, block_slices, qs) -> float:
+    """Euclidean distance of a row-space vector to the cone K."""
+    sq = 0.0
+    for sl, q in zip(block_slices, qs):
+        neg = np.clip(np.linalg.eigvalsh(unsvec(neg_w[sl], q)), None, 0.0)
+        sq += float(np.dot(neg, neg))
+    return float(np.sqrt(sq))
+
+
 # Fixed solver settings; no caller tunes them.
 OVER_RELAX = 1.5
 RUIZ_ITERS = 10
@@ -786,11 +854,432 @@ CHECK_EVERY = 25
 INFEAS_TOL = 1e-8
 # Constraint structures whose setup is kept for reuse.
 SETUP_CACHE_SIZE = 16
+# Bytes of stacked iterate state a lockstep run may hold; larger groups run in chunks.
+BATCH_BYTES = 1 << 20
 # Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
 AA_MEMORY = 10
 AA_REG = 1e-9  # Tikhonov weight relative to the trace of the Gram matrix
 AA_SAFEGUARD = 4.0  # largest growth of the fixed-point residual an extrapolation may cause
 AA_MAX_WEIGHT = 1e6
+
+
+def _state_bytes(setup: _Setup) -> int:
+    """Bytes of stacked state one program adds to a lockstep run, temporaries included."""
+    size = sum(setup.a.shape) + 1
+    return 8 * (size * (4 * AA_MEMORY + 24) + 4 * setup.projection.length + 4 * setup.a.nnz)
+
+
+class _Lockstep:
+    """ADMM on the HSDE for programs of one constraint structure, iterated together.
+
+    Row k of every stacked array belongs to the program ``ids[k]``; a
+    program that stops leaves the rows.  Each program keeps its own tau,
+    kappa, beta and gamma, Anderson memory and safeguard, check schedule,
+    best point and stop, and each kernel gives a row the bits it gives
+    that program alone: elementwise arithmetic, row-wise ``matmul`` for
+    every dot product, matrix-vector product and norm, stacked CSR
+    products, stacked ``eigh``, and Anderson solves stacked by memory fill.
+    :meth:`run` alternates :meth:`_step` and :meth:`_check`;
+    :meth:`finish` builds one program's solution.
+    """
+
+    _STACKED = ("ids", "b", "c", "b_s", "c_s", "beta", "gamma", "norm_b", "norm_c", "g",
+                "denom", "z", "zo", "zg", "f", "f_old", "f_sq_old", "d_f", "d_g", "aa_gram",
+                "stored", "slot", "on_trial", "next_check")
+
+    def __init__(self, setup: _Setup, programs: list[ConicProgram], labels: list[str],
+                 gap_tol: float, feas_tol: float, max_iter: int):
+        self.setup, self.programs, self.labels = setup, programs, labels
+        self.gap_tol, self.feas_tol, self.max_iter = gap_tol, feas_tol, max_iter
+        a, _, d_row, e_col, block_slices, _, projection = setup
+        n = len(programs)
+        m, rows = a.shape[1], a.shape[0]
+        self.m, self.rows, self.size = m, rows, m + rows + 1
+        self.qs = [blk.size for blk in programs[0].psd_blocks]
+        self.project = _psd_projector(projection)
+
+        # --- b in svec coordinates, and the b/c normalization ----------------
+        self.b = np.zeros((n, rows))
+        for b, program in zip(self.b, programs):
+            for blk, sl in zip(program.psd_blocks, block_slices):
+                b[sl] = svec(blk.f0)
+        self.c = np.stack([program.objective for program in programs])
+        self.b_s, self.c_s = d_row * self.b, e_col * self.c
+        self.norm_b = np.sqrt(_rowdot(self.b, self.b))
+        self.norm_c = np.sqrt(_rowdot(self.c, self.c))
+        self.beta = np.clip(1.0 / np.maximum(np.sqrt(_rowdot(self.b_s, self.b_s)), 1e-10), 1e-6, 1e6)
+        self.gamma = np.clip(1.0 / np.maximum(np.sqrt(_rowdot(self.c_s, self.c_s)), 1e-10), 1e-6, 1e6)
+        self.b_s *= self.beta[:, None]
+        self.c_s *= self.gamma[:, None]
+        self.ids = np.arange(n)
+        self._scratch(n)
+        # --- linear system: M = [[I, A^T], [-A, I]] via (I + A^T A) ----------
+        self.g = np.zeros((n, self.size))  # (g_x, g_y, 0)
+        g_x = self._solve_m(self.c_s, self.b_s, self.g)
+        self.denom = 1.0 + (_rowdot(self.c_s, g_x) + _rowdot(self.b_s, self.g[:, m:-1]))
+
+        # z = (u, v) is the map's input and zo its output; zg keeps the last
+        # plain output while an extrapolated z is on trial.
+        self.z, self.zo, self.zg, self.f, self.f_old = (np.zeros((n, 2 * self.size))
+                                                        for _ in range(5))
+        self.z[:, self.size - 1] = self.z[:, -1] = 1.0  # tau = kappa = 1
+        self.d_f, self.d_g = (np.zeros((n, AA_MEMORY, 2 * self.size)) for _ in range(2))
+        self.aa_gram = np.zeros((n, AA_MEMORY, AA_MEMORY))
+        self.stored, self.slot = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.on_trial = np.zeros(n, dtype=bool)
+        self.eye = np.eye(AA_MEMORY)
+        self.aligned = True  # every row has the same memory fill and slot
+        self.f_sq_old = np.zeros(n)
+        self.next_check = np.full(n, min(CHECK_EVERY, max_iter))
+
+        # per-program records, indexed by position in ``programs``
+        self.history: list[list] = [[] for _ in range(n)]
+        self.best_score = [np.inf] * n
+        self.best_point: list[tuple | None] = [None] * n
+        self.last_check: list[tuple[int, float] | None] = [None] * n  # (iteration, sigma)
+        self.status: list[str | None] = [None] * n
+        self.message = [""] * n
+        self.iterations = [max_iter] * n
+
+    def _scratch(self, n: int):
+        self.row_ix = np.arange(n)
+        self.w, self.t, self.r = (np.empty((n, self.size)) for _ in range(3))
+
+    def _solve_m(self, wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solve M (x, y) = (wx, wy) row by row into ``out[:, :m]``, ``out[:, m:m + rows]``."""
+        m, a, at, gram = self.m, self.setup.a, self.setup.at, self.setup.gram
+        if wx.shape[0] == 1:  # one row takes the cheaper 1-D kernels
+            wx, wy, out = wx[0], wy[0], out[0]
+        x = gram.solve(wx - at @ wy)
+        out[..., :m] = x
+        np.add(wy, a @ x, out=out[..., m:m + self.rows])
+        return x.reshape(-1, m)
+
+    def run(self):
+        """Iterate until every program has stopped or reached ``max_iter``."""
+        next_check = int(self.next_check.min())
+        for it in range(1, self.max_iter + 1):
+            if it < next_check:
+                self._step(it, None)
+                continue
+            check = self.next_check == it
+            self._step(it, check)
+            self._check(it, np.flatnonzero(check))
+            if not self.ids.size:
+                break
+            next_check = int(self.next_check.min())
+
+    def _step(self, it: int, check: np.ndarray | None):
+        """One ADMM iteration and Anderson step of every row; ``check`` rows stay plain."""
+        m, rows, size = self.m, self.rows, self.size
+        z, zo, zg, f = self.z, self.zo, self.zg, self.f
+        u, v = z[:, :size], z[:, size:]
+        un, vn = zo[:, :size], zo[:, size:]
+        w, t, r = self.w, self.t, self.r
+        np.add(u, v, out=w)
+        t_x = self._solve_m(w[:, :m], w[:, m:-1], t)
+        tau_t = (w[:, -1] + _rowdot(self.c_s, t_x) + _rowdot(self.b_s, t[:, m:-1])) / self.denom
+        t[:, -1] = tau_t
+
+        # over-relaxed point r = alpha (t - tau_t g) + (1 - alpha) u; w is scratch now
+        np.multiply(self.g, tau_t[:, None], out=r)
+        np.subtract(t, r, out=r)
+        r *= OVER_RELAX
+        np.multiply(u, 1 - OVER_RELAX, out=w)
+        r += w
+
+        # u update: project (r - v) onto R^m x PSD x R_+, keeping -0.0 as max(-0.0, 0.0) does
+        np.subtract(r, v, out=un)
+        self.project(un[:, m:m + rows])
+        last = un[:, -1]
+        np.copyto(last, 0.0, where=last < 0.0)
+
+        # v update keeps the pair complementary
+        np.subtract(un, r, out=vn)
+        vn += v
+
+        # Anderson step on z; residual checks read plain output, so they never
+        # extrapolate.  zg holds the last plain output of every row.
+        np.subtract(zo, z, out=f)
+        f_sq = _rowdot(f, f)
+        # an extrapolated point that made the residual grow (or overflow) is
+        # dropped: its row restarts from the plain output with cleared memory
+        within = f_sq <= AA_SAFEGUARD ** 2 * self.f_sq_old
+        fail = None if within.all() else self.on_trial & ~within
+        any_fail = fail is not None and bool(fail.any())
+        if any_fail:
+            np.copyto(z, zg, where=fail[:, None])
+            self.stored[fail] = self.slot[fail] = 0
+            self.aligned = False
+        # from the second iteration on, every kept row extends its memory
+        groups = self._remember(fail if any_fail else None) if it > 1 else []
+        trials = []
+        for sel, s, mem in groups:
+            if check is not None:
+                ix = self.row_ix[sel]
+                go = ~check[ix]
+                if not go.any():
+                    continue
+                sel, mem = ix[go], mem[go]
+            trials.append(self._extrapolate(sel, s, mem))
+
+        # kept rows: f becomes f_old, zo the plain output zg, and z the plain or extrapolated point
+        if any_fail:
+            kept = ~fail[:, None]
+            np.copyto(self.f_old, f, where=kept)
+            self.f_sq_old = np.where(fail, self.f_sq_old, f_sq)
+            np.copyto(zg, zo, where=kept)
+            np.copyto(z, zo, where=kept)
+        else:
+            self.f, self.f_old, self.f_sq_old = self.f_old, f, f_sq
+            self.zg, self.zo = zo, zg
+            if len(trials) == 1 and isinstance(trials[0][0], slice) and trials[0][1].all():
+                # every row takes its extrapolated point
+                self.z, self.on_trial = trials[0][2], trials[0][1]
+                return
+            z[...] = zo
+        self.on_trial = np.zeros(self.row_ix.size, dtype=bool)
+        for sel, keep, z_ext in trials:
+            if not keep.all():
+                sel, z_ext = self.row_ix[sel][keep], z_ext[keep]
+            z[sel] = z_ext
+            self.on_trial[sel] = True
+        if not self.aligned:
+            self._align()
+
+    def _align(self):
+        """Note whether every row has the same Anderson memory fill and slot."""
+        self.aligned = bool(self.stored.size == 0 or ((self.stored == self.stored[0]).all()
+                                                      and (self.slot == self.slot[0]).all()))
+
+    def _remember(self, fail: np.ndarray | None) -> list:
+        """Extend the memory of every row ``fail`` leaves (all rows for None).
+
+        Returns the rows grouped by memory fill s, as (rows, s, d_f[rows, :s])
+        triples; the rows are a slice, and the memory a view, when every row
+        has one fill and slot.
+        """
+        f, zo, zg = self.f, self.zo, self.zg
+        if self.aligned:
+            sl, s = int(self.slot[0]), min(int(self.stored[0]) + 1, AA_MEMORY)
+            np.subtract(f, self.f_old, out=self.d_f[:, sl])
+            np.subtract(zo, zg, out=self.d_g[:, sl])
+            mem = self.d_f[:, :s]
+            row = np.matmul(mem, self.d_f[:, sl, :, None])[..., 0]
+            self.aa_gram[:, sl, :s] = row
+            self.aa_gram[:, :s, sl] = row
+            self.stored[:] = s
+            self.slot[:] = (sl + 1) % AA_MEMORY
+            return [(slice(None), s, mem)]
+        ok = self.row_ix if fail is None else np.flatnonzero(~fail)
+        slot = self.slot[ok]
+        self.d_f[ok, slot] = f[ok] - self.f_old[ok]
+        self.d_g[ok, slot] = zo[ok] - zg[ok]
+        fills = np.minimum(self.stored[ok] + 1, AA_MEMORY)
+        self.stored[ok] = fills
+        self.slot[ok] = (slot + 1) % AA_MEMORY
+        groups = []
+        for s in sorted(set(fills.tolist())):  # np.unique would import numpy.ma
+            ix, sl = ok[fills == s], slot[fills == s]
+            mem = self.d_f[ix, :s]
+            row = np.matmul(mem, self.d_f[ix, sl, :, None])[..., 0]
+            self.aa_gram[ix, sl, :s] = row
+            self.aa_gram[ix, :s, sl] = row
+            groups.append((ix, s, mem))
+        return groups
+
+    def _extrapolate(self, sel, s: int, mem: np.ndarray):
+        """Type-II Anderson points of the rows ``sel``, all of memory fill s.
+
+        Returns (rows, keep, points): ``keep`` marks the points whose tau is
+        at least half the plain output's.  Rows whose memory is degenerate
+        (singular Gram, huge or non-finite weights) clear it and drop out.
+        """
+        lhs = self.aa_gram[sel, :s, :s]
+        lhs = lhs + (AA_REG * lhs.trace(axis1=1, axis2=2))[:, None, None] * self.eye[:s, :s]
+        weights = _spd_solve_rows(lhs, np.matmul(mem, self.f[sel, :, None])[..., 0])
+        if not np.abs(weights).max() <= AA_MAX_WEIGHT:
+            good = np.abs(weights).max(axis=1) <= AA_MAX_WEIGHT
+            ix = self.row_ix[sel]
+            self.stored[ix[~good]] = self.slot[ix[~good]] = 0
+            self.aligned = False
+            sel, weights = ix[good], weights[good]
+        z_ext = self.zo[sel] - np.matmul(weights[:, None, :], self.d_g[sel, :s])[:, 0]
+        # an extrapolation may not collapse tau towards the infeasible branch
+        keep = z_ext[:, self.size - 1] >= 0.5 * self.zo[sel, self.size - 1]
+        return sel, keep, z_ext
+
+    def _check(self, it: int, rows: np.ndarray):
+        """Residual check of ``rows`` at iteration ``it``; stopped programs leave the rows."""
+        m, size = self.m, self.size
+        a, at, d_row, e_col, block_slices = self.setup[:5]
+        u, v = self.z[rows, :size], self.z[rows, size:]
+        finite = np.isfinite(u).all(axis=1)
+        if not finite.all():
+            j = self.ids[rows[np.argmin(finite)]]
+            raise SolverError(f"{self.labels[j]}iterate diverged to non-finite values "
+                              f"at iteration {it}")
+        tau, kappa = u[:, -1], v[:, -1]
+        live = tau > 1e-9 * np.where(kappa > 1.0, kappa, 1.0)
+        stopped = []
+
+        if live.any():
+            lr, tau_l = rows[live], tau[live, None]
+            x_hat, eta_hat, s_hat = u[live, :m] / tau_l, u[live, m:-1] / tau_l, v[live, m:-1] / tau_l
+            beta, gamma = self.beta[lr, None], self.gamma[lr, None]
+            # unscaled candidates
+            x = e_col * x_hat / beta
+            eta = d_row * eta_hat / gamma
+            # residuals in original data coordinates
+            rp_vec = (a @ x_hat + s_hat - self.b_s[lr]) / (d_row * beta)
+            rd_vec = (at @ eta_hat + self.c_s[lr]) / (e_col * gamma)
+            res_p = np.sqrt(_rowdot(rp_vec, rp_vec)) / (1.0 + self.norm_b[lr])
+            res_d = np.sqrt(_rowdot(rd_vec, rd_vec)) / (1.0 + self.norm_c[lr])
+            pobj = _rowdot(self.c[lr], x)
+            dobj = -_rowdot(self.b[lr], eta)
+            res_g = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
+            for k, (row, rp, rd, rg, po, do) in enumerate(zip(
+                    lr.tolist(), res_p.tolist(), res_d.tolist(), res_g.tolist(),
+                    pobj.tolist(), dobj.tolist())):
+                j = int(self.ids[row])
+                self.history[j].append((it, rp, rd, rg))
+                score = max(rp, rd, rg)
+                if score < self.best_score[j]:
+                    self.best_score[j] = score
+                    self.best_point[j] = (x[k].copy(), eta[k].copy(), po, do, rp, rd, rg, it)
+                sigma = max(rp / self.feas_tol, rd / self.feas_tol, rg / self.gap_tol)
+                if sigma <= 1.0:
+                    self.status[j], self.iterations[j] = "optimal", it
+                    stopped.append(row)
+                    continue
+                last = self.last_check[j]
+                drop = math.log(last[1] / sigma) if last else 0.0
+                wait = CHECK_EVERY  # iterations to the next residual check
+                if drop > 0:
+                    # sigma decays geometrically: check where it is predicted to reach 1
+                    wait = math.ceil((it - last[0]) * math.log(sigma) / drop)
+                    wait = max(1, min(CHECK_EVERY, wait))
+                self.last_check[j] = (it, sigma)
+                self.next_check[row] = min(it + wait, self.max_iter)
+
+        for row in rows[~live].tolist():
+            # tau collapsed: look for infeasibility certificates
+            j = int(self.ids[row])
+            self.last_check[j] = None
+            uu = self.z[row, :size]
+            gamma, beta = self.gamma[row], self.beta[row]
+            message = ""
+            eta_c = d_row * uu[m:-1] / gamma
+            bty = float(self.b[row] @ eta_c)
+            if bty < -1e-12:
+                atn = float(np.linalg.norm((at @ uu[m:-1]) / (e_col * gamma)))
+                if atn * max(1.0, float(self.norm_b[row])) <= INFEAS_TOL * (-bty):
+                    message = "primal infeasibility certificate found"
+            x_c = e_col * uu[:m] / beta
+            ctx = float(self.c[row] @ x_c)
+            if not message and ctx < -1e-12:
+                w_rows = (a @ uu[:m]) / (d_row * beta)
+                dist = _dist_to_cone(-w_rows, block_slices, self.qs)
+                if dist * max(1.0, float(self.norm_c[row])) <= INFEAS_TOL * (-ctx):
+                    message = "dual infeasibility certificate found; primal appears unbounded"
+            if message:
+                self.status[j], self.message[j], self.iterations[j] = \
+                    "infeasible_suspected", message, it
+                stopped.append(row)
+            else:
+                self.next_check[row] = min(it + CHECK_EVERY, self.max_iter)
+
+        if stopped:
+            keep = np.ones(self.ids.size, dtype=bool)
+            keep[stopped] = False
+            for name in self._STACKED:
+                setattr(self, name, getattr(self, name)[keep])
+            self._scratch(self.ids.size)
+            self._align()
+
+    def finish(self, j: int, elapsed: float) -> ConicSolution:
+        """The solution of program ``j`` once the run is over."""
+        program, status, iterations = self.programs[j], self.status[j], self.iterations[j]
+        m, history = self.m, self.history[j]
+        if status == "infeasible_suspected":
+            nan = np.nan
+            return ConicSolution(
+                status=status, primal_value=nan, y=np.full(m, nan), dual_value=nan,
+                psd_residual=nan, gap=nan, iterations=iterations,
+                res_primal=nan, res_dual=nan, message=self.message[j], solve_seconds=elapsed,
+                history=history,
+            )
+        if self.best_point[j] is None:
+            raise SolverError(
+                f"{self.labels[j]}no usable iterate after {iterations} iterations "
+                f"(tau stayed degenerate; the program may be pathological)"
+            )
+        x, eta, pobj, dobj, res_p, res_d, res_g, seen_at = self.best_point[j]
+        message = ""
+        if status is None:
+            status = "max_iterations"
+            message = (f"iteration limit {self.max_iter} reached; best residuals "
+                       f"primal {res_p:.3e} dual {res_d:.3e} gap {res_g:.3e} at iteration {seen_at}")
+        return ConicSolution(
+            status=status,
+            primal_value=pobj,
+            y=x,
+            dual_value=dobj,
+            # direct feasibility measurements at the returned point
+            psd_residual=_psd_residual(program, x),
+            gap=res_g,
+            iterations=iterations,
+            res_primal=res_p,
+            res_dual=res_d,
+            dual_psd=[unsvec(eta[sl], q) for sl, q in zip(self.setup.block_slices, self.qs)],
+            message=message,
+            solve_seconds=elapsed,
+            history=history,
+        )
+
+
+def solve_all(
+    programs: list[ConicProgram],
+    *,
+    gap_tol: float = 1e-8,
+    feas_tol: float = 1e-8,
+    max_iter: int = 100_000,
+) -> list[ConicSolution]:
+    """Solve many programs; each gets, bit for bit, the solution :func:`solve` gives it.
+
+    Programs are grouped by constraint structure (:func:`_structure_key`),
+    and each group runs in lockstep, in input order and in chunks of at
+    most ``BATCH_BYTES`` of stacked state (one program at least): one
+    iteration of the chunk is one iteration of each program still
+    running, so numpy's per-call cost is paid once per chunk.  Solutions
+    come back in input order, and ``solve_seconds`` is the wall time of
+    the group from its setup to the end of the program's chunk.  Arguments
+    and outcomes are those of :func:`solve`; a ``SolverError`` from a
+    batch of several names the failing program by its position.
+    """
+    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    groups: dict[tuple, list[int]] = {}
+    for i, program in enumerate(programs):
+        groups.setdefault(_structure_key(program), []).append(i)
+    out: list[ConicSolution | None] = [None] * len(programs)
+    for key, members in groups.items():
+        t0 = time.perf_counter()
+        setup = _setup(key, programs[members[0]])
+        chunk = max(1, BATCH_BYTES // _state_bytes(setup))
+        for start in range(0, len(members), chunk):
+            part = members[start:start + chunk]
+            labels = [f"program {i}: " if len(programs) > 1 else "" for i in part]
+            run = _Lockstep(setup, [programs[i] for i in part], labels,
+                            gap_tol, feas_tol, max_iter)
+            run.run()
+            elapsed = time.perf_counter() - t0
+            for j, i in enumerate(part):
+                out[i] = run.finish(j, elapsed)
+    return out
 
 
 def solve(
@@ -800,7 +1289,7 @@ def solve(
     feas_tol: float = 1e-8,
     max_iter: int = 100_000,
 ) -> ConicSolution:
-    """Solve a program to the requested normalized tolerances.
+    """Solve a program to the requested normalized tolerances: ``solve_all([program])[0]``.
 
     Termination: primal residual / (1 + ||b||), dual residual / (1 + ||c||)
     both below ``feas_tol`` and relative duality gap below ``gap_tol``.
@@ -821,253 +1310,4 @@ def solve(
     alone (see :func:`_setup`) is reused across programs that share it,
     with output byte-identical to a fresh setup.
     """
-    t0 = time.perf_counter()
-    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    m = program.num_vars
-    qs = [blk.size for blk in program.psd_blocks]
-    rows = sum(q * q for q in qs)
-    a, at, d_row, e_col, block_slices, gram, projection = _setup(program)
-
-    # --- b in svec coordinates, and the b/c normalization ------------------
-    b = np.zeros(rows, dtype=np.float64)
-    for blk, sl in zip(program.psd_blocks, block_slices):
-        b[sl] = svec(blk.f0)
-    c = program.objective.copy()
-    b_s = d_row * b
-    c_s = e_col * c
-    beta = 1.0 / max(float(np.linalg.norm(b_s)), 1e-10)
-    gamma = 1.0 / max(float(np.linalg.norm(c_s)), 1e-10)
-    beta = float(np.clip(beta, 1e-6, 1e6))
-    gamma = float(np.clip(gamma, 1e-6, 1e6))
-    b_s *= beta
-    c_s *= gamma
-
-    # --- linear system: M = [[I, A^T], [-A, I]] via (I + A^T A) ------------
-    def solve_m(wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Solve M (x, y) = (wx, wy) into ``out[:m]``, ``out[m:m + rows]``; return x."""
-        x = gram.solve(wx - at @ wy)
-        out[:m] = x
-        np.add(wy, a @ x, out=out[m:m + rows])
-        return x
-
-    size = m + rows + 1
-    g = np.zeros(size)  # (g_x, g_y, 0)
-    g_x = solve_m(c_s, b_s, g)
-    denom = 1.0 + float(c_s @ g_x + b_s @ g[m:-1])
-
-    project_psd_segment = _psd_projector(projection)
-
-    # --- iterate ------------------------------------------------------------
-    # z = (u, v) is the map's input and zo its output; zg keeps the last
-    # plain output while an extrapolated z is on trial.
-    z, zo, zg = (np.zeros(2 * size) for _ in range(3))
-    z[size - 1] = z[-1] = 1.0  # tau = kappa = 1
-    w, t, r = (np.empty(size) for _ in range(3))
-    f, f_old = np.empty(2 * size), np.empty(2 * size)
-    d_f, d_g = np.zeros((AA_MEMORY, 2 * size)), np.zeros((AA_MEMORY, 2 * size))
-    aa_gram, aa_eye = np.zeros((AA_MEMORY, AA_MEMORY)), np.eye(AA_MEMORY)
-    stored = slot = 0
-    have_f = on_trial = False
-    f_sq_old = 0.0
-    cone = slice(m, m + rows)
-
-    norm_b = float(np.linalg.norm(b))
-    norm_c = float(np.linalg.norm(c))
-
-    best_score = np.inf
-    best_point: tuple | None = None
-    history: list[tuple[int, float, float, float]] = []
-    status = None
-    message = ""
-    iterations = 0
-    next_check = min(CHECK_EVERY, max_iter)
-    last_check: tuple[int, float] | None = None  # (iteration, sigma) of the previous check
-
-    def dist_to_cone(neg_w: np.ndarray) -> float:
-        """Euclidean distance of a row-space vector to the cone K."""
-        sq = 0.0
-        for sl, q in zip(block_slices, qs):
-            mat = unsvec(neg_w[sl], q)
-            wv = np.linalg.eigvalsh(mat)
-            neg = np.clip(wv, None, 0.0)
-            sq += float(np.dot(neg, neg))
-        return float(np.sqrt(sq))
-
-    for it in range(1, max_iter + 1):
-        u, v = z[:size], z[size:]
-        un, vn = zo[:size], zo[size:]
-        np.add(u, v, out=w)
-        t_x = solve_m(w[:m], w[m:-1], t)
-        t[-1] = tau_t = (w[-1] + c_s @ t_x + b_s @ t[m:-1]) / denom
-
-        # over-relaxed point r = alpha (t - tau_t g) + (1 - alpha) u; w is scratch now
-        np.multiply(g, tau_t, out=r)
-        np.subtract(t, r, out=r)
-        r *= OVER_RELAX
-        np.multiply(u, 1 - OVER_RELAX, out=w)
-        r += w
-
-        # u update: project (r - v) onto R^m x PSD x R_+
-        np.subtract(r, v, out=un)
-        project_psd_segment(un[cone])
-        un[-1] = max(un[-1], 0.0)
-
-        # v update keeps the pair complementary
-        np.subtract(un, r, out=vn)
-        vn += v
-
-        # Anderson step on z; residual checks read plain output, so they never extrapolate
-        check = it == next_check
-        np.subtract(zo, z, out=f)
-        f_sq = float(np.dot(f, f))
-        if on_trial and not f_sq <= AA_SAFEGUARD ** 2 * f_sq_old:
-            # the extrapolated point made the residual grow (or overflow):
-            # drop its image, restart from the plain output, clear the memory
-            z, zg = zg, z
-            on_trial = False
-            stored = slot = 0
-        else:
-            if have_f:
-                np.subtract(f, f_old, out=d_f[slot])
-                np.subtract(zo, zg if on_trial else z, out=d_g[slot])
-                stored = min(stored + 1, AA_MEMORY)
-                np.dot(d_f[:stored], d_f[slot], out=aa_gram[slot, :stored])
-                aa_gram[:stored, slot] = aa_gram[slot, :stored]
-                slot = (slot + 1) % AA_MEMORY
-            f, f_old = f_old, f
-            f_sq_old, have_f = f_sq, True
-            on_trial = False
-            if stored and not check:
-                lhs = aa_gram[:stored, :stored]
-                lhs = lhs + AA_REG * lhs.trace() * aa_eye[:stored, :stored]
-                weights = _spd_solve(lhs, d_f[:stored] @ f_old)
-                if weights is None or not np.abs(weights).max() <= AA_MAX_WEIGHT:
-                    stored = slot = 0  # degenerate memory: singular Gram, huge or non-finite weights
-                else:
-                    np.dot(weights, d_g[:stored], out=z)
-                    np.subtract(zo, z, out=z)
-                    # an extrapolation may not collapse tau towards the infeasible branch
-                    on_trial = z[size - 1] >= 0.5 * zo[size - 1]
-            if on_trial:
-                zg, zo = zo, zg
-            else:
-                z, zo = zo, z
-
-        if not check:
-            continue
-        u, v = z[:size], z[size:]
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"iterate diverged to non-finite values at iteration {it}")
-
-        tau = u[-1]
-        kappa = v[-1]
-        wait = CHECK_EVERY  # iterations to the next residual check
-
-        if tau > 1e-9 * max(1.0, kappa):
-            x_hat = u[:m] / tau
-            eta_hat = u[m:-1] / tau
-            s_hat = v[m:-1] / tau
-            # unscaled candidates
-            x = e_col * x_hat / beta
-            eta = d_row * eta_hat / gamma
-            s = (s_hat / d_row) / beta
-            # residuals in original data coordinates
-            rp_vec = (a @ x_hat + s_hat - b_s) / (d_row * beta)
-            rd_vec = (at @ eta_hat + c_s) / (e_col * gamma)
-            res_p = float(np.linalg.norm(rp_vec)) / (1.0 + norm_b)
-            res_d = float(np.linalg.norm(rd_vec)) / (1.0 + norm_c)
-            pobj = float(c @ x)
-            dobj = -float(b @ eta)
-            res_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-            history.append((it, res_p, res_d, res_g))
-            score = max(res_p, res_d, res_g)
-            if score < best_score:
-                best_score = score
-                best_point = (x.copy(), eta.copy(), s.copy(), pobj, dobj, res_p, res_d, res_g, it)
-
-            sigma = max(res_p / feas_tol, res_d / feas_tol, res_g / gap_tol)
-            if sigma <= 1.0:
-                status = "optimal"
-                iterations = it
-                break
-            drop = math.log(last_check[1] / sigma) if last_check else 0.0
-            if drop > 0:
-                # sigma decays geometrically: check where it is predicted to reach 1
-                wait = math.ceil((it - last_check[0]) * math.log(sigma) / drop)
-                wait = max(1, min(CHECK_EVERY, wait))
-            last_check = (it, sigma)
-        else:
-            last_check = None
-            # tau collapsed: look for infeasibility certificates
-            eta_c = d_row * u[m:-1] / gamma
-            bty = float(b @ eta_c)
-            if bty < -1e-12:
-                atn = float(np.linalg.norm((at @ u[m:-1]) / (e_col * gamma)))
-                if atn * max(1.0, norm_b) <= INFEAS_TOL * (-bty):
-                    status = "infeasible_suspected"
-                    message = "primal infeasibility certificate found"
-                    iterations = it
-                    break
-            x_c = e_col * u[:m] / beta
-            ctx = float(c @ x_c)
-            if ctx < -1e-12:
-                w_rows = (a @ u[:m]) / (d_row * beta)
-                dist = dist_to_cone(-w_rows)
-                if dist * max(1.0, norm_c) <= INFEAS_TOL * (-ctx):
-                    status = "infeasible_suspected"
-                    message = "dual infeasibility certificate found; primal appears unbounded"
-                    iterations = it
-                    break
-        next_check = min(it + wait, max_iter)
-
-    if status is None:
-        status = "max_iterations"
-        iterations = max_iter
-
-    elapsed = time.perf_counter() - t0
-
-    if status == "infeasible_suspected":
-        nan = np.nan
-        return ConicSolution(
-            status=status, primal_value=nan, y=np.full(m, nan), dual_value=nan,
-            psd_residual=nan, gap=nan, iterations=iterations,
-            res_primal=nan, res_dual=nan, message=message, solve_seconds=elapsed,
-            history=history,
-        )
-
-    if best_point is None:
-        raise SolverError(
-            f"no usable iterate after {iterations} iterations "
-            f"(tau stayed degenerate; the program may be pathological)"
-        )
-
-    x, eta, s, pobj, dobj, res_p, res_d, res_g, seen_at = best_point
-    if status == "max_iterations":
-        message = (f"iteration limit {max_iter} reached; best residuals "
-                   f"primal {res_p:.3e} dual {res_d:.3e} gap {res_g:.3e} at iteration {seen_at}")
-
-    # direct feasibility measurements at the returned point
-    psd_res = _psd_residual(program, x)
-    dual_psd = [unsvec(eta[sl], q) for sl, q in zip(block_slices, qs)]
-
-    return ConicSolution(
-        status=status,
-        primal_value=pobj,
-        y=x,
-        dual_value=dobj,
-        psd_residual=psd_res,
-        gap=res_g,
-        iterations=iterations,
-        res_primal=res_p,
-        res_dual=res_d,
-        dual_psd=dual_psd,
-        message=message,
-        solve_seconds=elapsed,
-        history=history,
-    )
-
+    return solve_all([program], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]

@@ -30,11 +30,7 @@ from decnorms import linalg
 from decnorms.cbnorm import CbAgreement, cb_norm_linf
 # unused here; perfbench/tests/test_perfbench.py checks that the tracer rebinds this name
 from decnorms.cbnorm import seesaw_min_norm  # noqa: F401
-from decnorms.decomposable import (
-    DecCertificate,
-    dec_norm_linf,
-    dec_norm_matrix_domain,
-)
+from decnorms.decomposable import DecCertificate, dec_norm_linf, dec_norms
 from decnorms.algebra import element, matrix_algebra
 from decnorms.maps import LinearMapRep, apply_map
 
@@ -114,19 +110,15 @@ def check_finite_rank_contraction(
     The left side is the max norm of the tensor with coefficients
     ``u(x_j)``; the right side is ``dec(u)`` times the min-norm upper value
     of ``t``.  ``ok`` allows slack ``tol`` relative to the right side.
+    The three norms go to :func:`dec_norms` in one call, where the two
+    n-tuples in M_d share a constraint structure.
     """
     if u.domain.num_blocks != 1 or u.domain.block_dims[0] != t.coeff_dim:
         raise ValueError("map domain must be the coefficient matrix algebra")
     dom = matrix_algebra(t.coeff_dim)
     mapped = [apply_map(u, element(dom, [x])) for x in t.coeffs]
-    lhs_cert = dec_norm_linf(mapped, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
-    lhs = float(lhs_cert.value)
-    dec_value = float(dec_norm_matrix_domain(
-        u, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter
-    ).value)
-    min_upper = float(dec_norm_linf(
-        list(t.coeffs), gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter
-    ).value)
+    lhs, dec_value, min_upper = (float(cert.value) for cert in dec_norms(
+        [mapped, u, list(t.coeffs)], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
     rhs = dec_value * min_upper
     slack = rhs - lhs
     ok = lhs <= rhs + tol * max(1.0, rhs)

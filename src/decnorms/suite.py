@@ -26,11 +26,11 @@ import numpy as np
 from decnorms import linalg
 from decnorms.algebra import AlgebraShape, element, matrix_algebra
 from decnorms.cbnorm import cb_norm_linf, seesaw_min_norm
-from decnorms.conic import solve, verify_certificate
+from decnorms.conic import solve_all, verify_certificate
 from decnorms.decomposable import (
     dec_norm_direct_sum,
     dec_norm_linf,
-    dec_norm_matrix_domain,
+    dec_norms,
     dec_upper_bound_factored,
     selfadjoint_dec_norm,
 )
@@ -149,11 +149,9 @@ def _solver_eigenvalue(cfg, n, gen, seed, inject):
     lo, hi = cfg["sizes"]
     worst = 0.0
     clean = True
-    for i in range(n):
-        size = lo + (i % (hi - lo + 1))
-        h = random_hermitian(gen, size)
-        prog = eigenvalue_program(h)
-        sol = solve(prog, gap_tol=1e-9, feas_tol=1e-9)
+    hs = [random_hermitian(gen, lo + (i % (hi - lo + 1))) for i in range(n)]
+    progs = [eigenvalue_program(h) for h in hs]
+    for h, prog, sol in zip(hs, progs, solve_all(progs, gap_tol=1e-9, feas_tol=1e-9)):
         lam = float(np.linalg.eigvalsh(h)[-1])
         worst = max(worst, abs(sol.primal_value - lam), abs(sol.gap))
         if sol.status != "optimal" or not verify_certificate(prog, sol).clean:
@@ -208,11 +206,10 @@ def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
 def _closed_form_scalars(cfg, n, gen, seed, inject):
     lo, hi = cfg["n_range"]
     worst = 0.0
-    for i in range(n):
-        nn = lo + (i % (hi - lo + 1))
-        vals = random_ginibre(gen, nn, 1).reshape(-1)
-        xs = [v.reshape(1, 1) for v in vals]
-        cert = dec_norm_linf(xs, gap_tol=1e-10, feas_tol=1e-10)
+    draws = [random_ginibre(gen, lo + (i % (hi - lo + 1)), 1).reshape(-1) for i in range(n)]
+    certs = dec_norms([[v.reshape(1, 1) for v in vals] for vals in draws],
+                      gap_tol=1e-10, feas_tol=1e-10)
+    for vals, cert in zip(draws, certs):
         target = float(np.abs(vals).sum())
         worst = max(worst, abs(cert.value - target) / max(1.0, target))
     return _Outcome(worst, "dec of scalar coefficients against the absolute-value sum")
@@ -223,11 +220,11 @@ def _closed_form_unitary(cfg, n, gen, seed, inject):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
     worst = 0.0
-    for i in range(n):
-        nn = nlo + (i % (nhi - nlo + 1))
-        dd = dlo + (i % (dhi - dlo + 1))
-        xs = [random_haar_unitary(gen, dd) for _ in range(nn)]
-        cert = dec_norm_linf(xs, gap_tol=1e-10, feas_tol=1e-10)
+    families = [[random_haar_unitary(gen, dlo + (i % (dhi - dlo + 1)))
+                 for _ in range(nlo + (i % (nhi - nlo + 1)))] for i in range(n)]
+    certs = dec_norms(families, gap_tol=1e-10, feas_tol=1e-10)
+    for i, (xs, cert) in enumerate(zip(families, certs)):
+        nn = len(xs)
         saw = seesaw_min_norm(xs, restarts=2, seed=_sub_seed(seed, i))
         worst = max(worst, abs(cert.value - nn) / nn, abs(saw.lower - nn) / nn)
     return _Outcome(worst, "dec and see-saw of a unitary family against the count n")
@@ -237,17 +234,16 @@ def _closed_form_unitary(cfg, n, gen, seed, inject):
 def _closed_form_trace(cfg, n, gen, seed, inject):
     lo, hi = cfg["n_range"]
     worst = 0.0
-    for i in range(n):
-        nn = lo + (i % (hi - lo + 1))
-        a = random_ginibre(gen, nn, nn)
-        dom = matrix_algebra(nn)
-        cod = matrix_algebra(1)
+    cod = matrix_algebra(1)
+    mats = [random_ginibre(gen, lo + (i % (hi - lo + 1)), lo + (i % (hi - lo + 1)))
+            for i in range(n)]
 
-        def f(x, a=a, cod=cod):
-            return element(cod, [np.array([[np.trace(x.blocks[0] @ a)]])])
+    def trace_map(a):
+        return map_from_function(matrix_algebra(a.shape[0]), cod,
+                                 lambda x: element(cod, [np.array([[np.trace(x.blocks[0] @ a)]])]))
 
-        u = map_from_function(dom, cod, f)
-        cert = dec_norm_matrix_domain(u, gap_tol=1e-10, feas_tol=1e-10)
+    certs = dec_norms([trace_map(a) for a in mats], gap_tol=1e-10, feas_tol=1e-10)
+    for a, cert in zip(mats, certs):
         target = float(np.linalg.svd(a, compute_uv=False).sum())
         worst = max(worst, abs(cert.value - target) / max(1.0, target))
     return _Outcome(worst, "dec of x -> tr(xa) against the trace norm of a")
@@ -257,11 +253,11 @@ def _closed_form_trace(cfg, n, gen, seed, inject):
 def _selfadjoint_consistency(cfg, n, gen, seed, inject):
     dd, nn = cfg["d"], cfg["n"]
     worst = 0.0
-    for _ in range(n):
-        xs = [random_hermitian(gen, dd) for _ in range(nn)]
+    tuples = [[random_hermitian(gen, dd) for _ in range(nn)] for _ in range(n)]
+    general = dec_norms(tuples, gap_tol=1e-9, feas_tol=1e-9)
+    for xs, cert in zip(tuples, general):
         v1 = selfadjoint_dec_norm(xs, gap_tol=1e-9, feas_tol=1e-9).value
-        v2 = dec_norm_linf(xs, gap_tol=1e-9, feas_tol=1e-9).value
-        worst = max(worst, abs(v1 - v2))
+        worst = max(worst, abs(v1 - cert.value))
     return _Outcome(worst, "self-adjoint two-map program against the general program")
 
 
@@ -269,12 +265,9 @@ def _selfadjoint_consistency(cfg, n, gen, seed, inject):
 def _ineq_submultiplicative(cfg, n, gen, seed, inject):
     dd = cfg["d"]
     worst = 0.0
-    for _ in range(n):
-        u = _random_map(gen, dd, scale=0.7)
-        v = _random_map(gen, dd, scale=0.7)
-        du = dec_norm_matrix_domain(u).value
-        dv = dec_norm_matrix_domain(v).value
-        duv = dec_norm_matrix_domain(compose(u, v)).value
+    pairs = [(_random_map(gen, dd, scale=0.7), _random_map(gen, dd, scale=0.7)) for _ in range(n)]
+    vals = [c.value for c in dec_norms([w for u, v in pairs for w in (u, v, compose(u, v))])]
+    for du, dv, duv in zip(vals[0::3], vals[1::3], vals[2::3]):
         bound = du * dv
         worst = max(worst, (duv - bound) / max(1.0, bound))
     return _Outcome(worst, "dec(u o v) <= dec(u) dec(v), violation relative to the bound")
@@ -285,13 +278,11 @@ def _ineq_cb_le_dec(cfg, n, gen, seed, inject):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
     worst = 0.0
-    for i in range(n):
-        nn = nlo + (i % (nhi - nlo + 1))
-        dd = dlo + ((i // 2) % (dhi - dlo + 1))
-        xs = random_matrix_tuple(gen, nn, dd)
+    tuples = [random_matrix_tuple(gen, nlo + (i % (nhi - nlo + 1)), dlo + ((i // 2) % (dhi - dlo + 1)))
+              for i in range(n)]
+    for i, (xs, cert) in enumerate(zip(tuples, dec_norms(tuples))):
         saw = seesaw_min_norm(xs, restarts=8, seed=_sub_seed(seed, i))
-        dec = dec_norm_linf(xs).value
-        worst = max(worst, (saw.lower - dec) / max(1.0, dec))
+        worst = max(worst, (saw.lower - cert.value) / max(1.0, cert.value))
     return _Outcome(worst, "see-saw lower bound never exceeds the dec value")
 
 
@@ -300,16 +291,18 @@ def _ineq_factored_bound(cfg, n, gen, seed, inject):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
     worst = 0.0
+    factors = []
     for i in range(n):
         nn = nlo + (i % (nhi - nlo + 1))
         dd = dlo + ((i // 2) % (dhi - dlo + 1))
         alg = matrix_algebra(dd)
         a = [element(alg, [random_ginibre(gen, dd, dd)]) for _ in range(nn)]
         b = [element(alg, [random_ginibre(gen, dd, dd)]) for _ in range(nn)]
-        xs = [ai.adjoint() * bi for ai, bi in zip(a, b)]
+        factors.append((a, b))
+    certs = dec_norms([[ai.adjoint() * bi for ai, bi in zip(a, b)] for a, b in factors])
+    for (a, b), cert in zip(factors, certs):
         bound = dec_upper_bound_factored(a, b)
-        val = dec_norm_linf(xs).value
-        worst = max(worst, (val - bound) / max(1.0, bound))
+        worst = max(worst, (cert.value - bound) / max(1.0, bound))
     return _Outcome(worst, "dec value never exceeds the Gram bound of a given factorization")
 
 
@@ -333,12 +326,9 @@ def _ineq_contraction(cfg, n, gen, seed, inject):
 def _ineq_tensor_submult(cfg, n, gen, seed, inject):
     dd = cfg["d"]
     worst = 0.0
-    for _ in range(n):
-        u = _random_map(gen, dd, scale=0.6)
-        v = _random_map(gen, dd, scale=0.6)
-        du = dec_norm_matrix_domain(u).value
-        dv = dec_norm_matrix_domain(v).value
-        duv = dec_norm_matrix_domain(tensor(u, v)).value
+    pairs = [(_random_map(gen, dd, scale=0.6), _random_map(gen, dd, scale=0.6)) for _ in range(n)]
+    vals = [c.value for c in dec_norms([w for u, v in pairs for w in (u, v, tensor(u, v))])]
+    for du, dv, duv in zip(vals[0::3], vals[1::3], vals[2::3]):
         bound = du * dv
         worst = max(worst, (duv - bound) / max(1.0, bound))
     return _Outcome(worst, "dec(u (x) v) <= dec(u) dec(v) on matrix algebra factors")

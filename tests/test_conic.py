@@ -382,3 +382,83 @@ def test_extrapolation_never_collapses_tau():
     assert sol.primal_value == pytest.approx(float(np.linalg.eigvalsh(h)[-1]), abs=1e-7)
     rep = conic.verify_certificate(prog, sol)
     assert rep.clean, rep.discrepancies
+
+
+def _assert_same_solution(got, want):
+    """Every field but the wall time agrees bit for bit, NaN fields included."""
+    assert (got.status, got.message, got.iterations) == (want.status, want.message, want.iterations)
+    for name in ("primal_value", "dual_value", "psd_residual", "gap", "res_primal", "res_dual"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    assert [z.tobytes() for z in got.dual_psd] == [z.tobytes() for z in want.dual_psd]
+    assert got.history == want.history
+
+
+def _scalar_program(f0, c, sign=None):
+    """Minimize c * y subject to the 1x1 block f0 + sign * y >= 0 (y absent without sign)."""
+    builder = conic.BlockBuilder(1, 1)
+    builder.add_constant(np.array([[f0]]))
+    if sign is not None:
+        builder.add_scalar_identity(0, 1, 0, sign)
+    return conic.ConicProgram(objective=np.array([c]), psd_blocks=[builder.build()])
+
+
+def test_batch_gives_each_program_its_own_outcome():
+    capped = _choi(map_from_linf([element(matrix_algebra(4), [x])
+                                  for x in random_matrix_tuple(make_generator(38), 6, 4)]))
+    programs = [
+        _scalar_program(-1.0, 0.0),  # -1 >= 0: infeasible
+        capped,  # needs more than 30 iterations
+        _scalar_program(0.0, -1.0, 1.0),  # minimize -y subject to y >= 0: unbounded
+        eigenvalue_program(random_hermitian(make_generator(50), 2)),
+    ]
+    batch = conic.solve_all(programs, max_iter=30)
+    assert [sol.status for sol in batch] == [
+        "infeasible_suspected", "max_iterations", "infeasible_suspected", "optimal"]
+    assert "primal infeasibility" in batch[0].message and "unbounded" in batch[2].message
+    assert np.isnan(batch[0].primal_value) and np.all(np.isnan(batch[2].y))
+    for program, sol in zip(programs, batch):
+        _assert_same_solution(sol, conic.solve(program, max_iter=30))
+
+
+def test_solve_all_of_nothing_is_empty():
+    assert conic.solve_all([]) == []
+
+
+def test_bad_tolerance_is_rejected_before_any_setup(monkeypatch):
+    def no_setup(program):
+        raise AssertionError("setup built before the arguments were checked")
+
+    monkeypatch.setattr(conic, "_build_setup", no_setup)
+    conic._setups.clear()
+    prog = eigenvalue_program(np.eye(2))
+    for bad in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="gap_tol"):
+            conic.solve_all([prog], gap_tol=bad)
+        with pytest.raises(ValueError, match="feas_tol"):
+            conic.solve_all([prog], feas_tol=bad)
+
+
+def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
+    # 20 programs of three structures, interleaved: matrix-domain Choi
+    # programs on M_2, 3-tuples in M_2 and eigenvalue programs of size 4.
+    gen = make_generator(60)
+    programs = []
+    for i in range(20):
+        if i % 5 in (0, 3):
+            programs.append(_choi(_random_map(gen, 2, scale=0.7)))
+        elif i % 5 in (1, 4):
+            programs.append(_choi(map_from_linf([element(matrix_algebra(2), [x])
+                                                 for x in random_matrix_tuple(gen, 3, 2)])))
+        else:
+            programs.append(eigenvalue_program(random_hermitian(gen, 4)))
+    assert len({conic._structure_key(p) for p in programs}) == 3
+    solo = [conic.solve(p) for p in programs]
+    assert all(sol.status == "optimal" for sol in solo)
+    assert len({sol.iterations for sol in solo}) > 3  # rows leave the batch at different checks
+    for batch in (conic.solve_all(programs), conic.solve_all(programs[::-1])[::-1]):
+        for got, want in zip(batch, solo):
+            _assert_same_solution(got, want)
+    monkeypatch.setattr(conic, "BATCH_BYTES", 1)  # every chunk holds one program
+    for got, want in zip(conic.solve_all(programs), solo):
+        _assert_same_solution(got, want)

@@ -331,3 +331,25 @@ def test_zero_coefficient_among_live_ones():
     cert = decomposable.dec_norm_linf([x, np.zeros((2, 2))], **TIGHT)
     assert cert.value == pytest.approx(np.linalg.norm(x, 2), abs=1e-7)
     assert element_norm(cert.P[1]) == 0.0
+
+
+def test_batch_entry_matches_the_single_entries():
+    gen = make_generator(59)
+    xs = random_matrix_tuple(gen, 3, 2)
+    ys = random_matrix_tuple(gen, 3, 2)
+    u = maps.map_from_function(matrix_algebra(2), matrix_algebra(2),
+                               lambda x: element(matrix_algebra(2), [x.blocks[0].T]))
+    zeros = [np.zeros((2, 2)), np.zeros((2, 2))]
+    batch = decomposable.dec_norms([xs, u, ys, zeros])
+    singles = [decomposable.dec_norm_linf(xs), decomposable.dec_norm_matrix_domain(u),
+               decomposable.dec_norm_linf(ys), decomposable.dec_norm_linf(zeros)]
+    for got, want in zip(batch, singles):
+        assert (got.kind, got.value, got.factor_bound) == (want.kind, want.value, want.factor_bound)
+        assert got.solver.y.tobytes() == want.solver.y.tobytes()
+        assert got.solver.history == want.solver.history
+    assert decomposable.dec_norms([]) == []
+    with pytest.raises(ValueError, match="single matrix block"):
+        decomposable.dec_norms([xs, maps.identity_map(abelian_algebra(2))])
+    # the capped program names its input
+    with pytest.raises(decomposable.conic.SolverError, match="input 1: .*max_iterations"):
+        decomposable.dec_norms([zeros, xs], max_iter=5)

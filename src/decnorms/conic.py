@@ -816,11 +816,8 @@ def _spd_solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """:func:`_spd_solve` for a stack of systems; NaN rows where ``lhs[k]`` is not definite.
 
     The stacked ``cholesky`` and ``solve`` give each system its own bits;
-    a single system, or a stack where some factor fails, is solved one by one.
+    only when some factor fails are the systems solved one by one.
     """
-    if lhs.shape[0] == 1:
-        x = _spd_solve(lhs[0], rhs[0])
-        return np.full_like(rhs, np.nan) if x is None else x[None]
     try:
         np.linalg.cholesky(lhs)
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
@@ -919,7 +916,7 @@ class _Lockstep:
         self.denom = 1.0 + (_rowdot(self.c_s, g_x) + _rowdot(self.b_s, self.g[:, m:-1]))
 
         # z = (u, v) is the map's input and zo its output; zg keeps the last
-        # plain output while an extrapolated z is on trial.
+        # plain output, the point an extrapolated z on trial falls back to.
         self.z, self.zo, self.zg, self.f, self.f_old = (np.zeros((n, 2 * self.size))
                                                         for _ in range(5))
         self.z[:, self.size - 1] = self.z[:, -1] = 1.0  # tau = kappa = 1
@@ -1094,7 +1091,16 @@ class _Lockstep:
         Returns (rows, keep, points): ``keep`` marks the points whose tau is
         at least half the plain output's.  Rows whose memory is degenerate
         (singular Gram, huge or non-finite weights) clear it and drop out.
+        A single row runs the solo kernels on its own views.
         """
+        if self.row_ix.size == 1:
+            lhs = self.aa_gram[0, :s, :s]
+            weights = _spd_solve(lhs + AA_REG * lhs.trace() * self.eye[:s, :s], mem[0] @ self.f[0])
+            if weights is None or not np.abs(weights).max() <= AA_MAX_WEIGHT:
+                self.stored[0] = self.slot[0] = 0
+                return self.row_ix[:0], np.ones(0, dtype=bool), self.zo[:0]
+            z_ext = self.zo[0] - np.dot(weights, self.d_g[0, :s])
+            return sel, np.array([z_ext[self.size - 1] >= 0.5 * self.zo[0, self.size - 1]]), z_ext[None]
         lhs = self.aa_gram[sel, :s, :s]
         lhs = lhs + (AA_REG * lhs.trace(axis1=1, axis2=2))[:, None, None] * self.eye[:s, :s]
         weights = _spd_solve_rows(lhs, np.matmul(mem, self.f[sel, :, None])[..., 0])

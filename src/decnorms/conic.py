@@ -852,7 +852,7 @@ INFEAS_TOL = 1e-8
 # Constraint structures whose setup is kept for reuse.
 SETUP_CACHE_SIZE = 16
 # Bytes of stacked iterate state a lockstep run may hold; larger groups run in chunks.
-BATCH_BYTES = 1 << 20
+BATCH_BYTES = 2 << 20
 # Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
 AA_MEMORY = 10
 AA_REG = 1e-9  # Tikhonov weight relative to the trace of the Gram matrix

@@ -40,11 +40,13 @@ from decnorms.maps import (
 from decnorms.decomposable import (
     DecCertificate,
     dec_norm_direct_sum,
+    dec_norm_direct_sums,
     dec_norm_linf,
     dec_norm_matrix_domain,
     dec_norms,
     dec_upper_bound_factored,
     selfadjoint_dec_norm,
+    selfadjoint_dec_norms,
 )
 from decnorms.cbnorm import (
     CbAgreement,
@@ -56,6 +58,7 @@ from decnorms.cbnorm import (
 from decnorms.freetensor import (
     FreeTensor,
     check_finite_rank_contraction,
+    check_finite_rank_contractions,
     free_tensor,
     max_norm,
     min_norm,
@@ -88,8 +91,10 @@ __all__ = [
     "dec_norm_linf",
     "dec_norm_matrix_domain",
     "dec_norm_direct_sum",
+    "dec_norm_direct_sums",
     "dec_norms",
     "selfadjoint_dec_norm",
+    "selfadjoint_dec_norms",
     "dec_upper_bound_factored",
     "SeeSawResult",
     "CbAgreement",
@@ -101,6 +106,7 @@ __all__ = [
     "max_norm",
     "min_norm",
     "check_finite_rank_contraction",
+    "check_finite_rank_contractions",
     "SubalgebraBasis",
     "multiplicative_domain",
     "verify_bimodularity",

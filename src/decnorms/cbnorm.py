@@ -239,6 +239,7 @@ def cb_norm_linf(
     max_iter: int = 200_000,
     aux_dim: int | None = None,
     pin_first: bool = False,
+    certificate: DecCertificate | None = None,
 ) -> CbAgreement:
     """cb norm of ``e_i -> x_i`` into M_d, bracketed from both sides.
 
@@ -247,12 +248,16 @@ def cb_norm_linf(
     than ``agree_tol`` (relative), retries at twice that with double the
     restarts.  ``pin_first`` keeps the see-saw's first unitary at the
     identity.  Verdict ``"agree"`` means the bracket closed within
-    ``agree_tol``.
+    ``agree_tol``.  A caller that already holds the ``dec_norm_linf``
+    certificate of ``xs`` (say from one ``dec_norms`` call over many
+    tuples) passes it as ``certificate``, and the SDP is not solved again.
     """
     mats = _coerce_mats(xs)
     k0 = int(aux_dim) if aux_dim is not None else mats[0].shape[0]
     _check_seesaw_args(k0, restarts)  # before the SDP, which bad arguments would waste
-    cert = dec_norm_linf(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    cert = certificate
+    if cert is None:
+        cert = dec_norm_linf(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
     upper = float(cert.value)
 
     saw = seesaw_min_norm(mats, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)

@@ -42,9 +42,11 @@ it reaches them, so a solve stops within a few iterations of converging.
 batch of one.  Programs of one constraint structure form a group that
 iterates in lockstep on stacked arrays, one row per program, in chunks
 whose stacked state stays within ``BATCH_BYTES``; numpy's per-call cost,
-most of the time of a small program, is then paid once per chunk.  Every
-program keeps its own tau and kappa, b/c scaling, Anderson memory and
-safeguard, check schedule, best point and stop, and leaves the chunk
+most of the time of a small program, is then paid once per chunk.  A
+program too large for ``LOCKSTEP_MIN`` of them to fit in the budget runs
+alone, and so does the last program left in a chunk, on the 1-D kernels.
+Every program keeps its own tau and kappa, b/c scaling, Anderson memory
+and safeguard, check schedule, best point and stop, and leaves the chunk
 when it stops.  Each row gets exactly the bits its program gets alone,
 whatever the batch and its order: every kernel works row by row with the
 arithmetic of the solo kernel (stacked ``matmul`` for each dot product,
@@ -86,7 +88,16 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class SolverError(Exception):
-    """Raised for malformed programs; solver outcomes are returned, not raised."""
+    """Raised for malformed programs; solver outcomes are returned, not raised.
+
+    ``index`` is the position of the failing program in a :func:`solve_all`
+    batch of several, and None otherwise; the message then starts with
+    ``program {index}:``, and ``reason`` is the message without that label.
+    """
+
+    def __init__(self, reason: str, index: int | None = None):
+        super().__init__(reason if index is None else f"program {index}: {reason}")
+        self.reason, self.index = reason, index
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +651,6 @@ def _psd_projector(plan: _Projection):
     buffers = {}
 
     def project(seg: np.ndarray):
-        if seg.ndim == 2 and seg.shape[0] == 1:
-            seg = seg[0]  # one row takes the cheaper 1-D indexing
         lead = seg.shape[:-1]
         if lead not in buffers:
             buffers.clear()
@@ -827,9 +836,9 @@ def _spd_solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of two stacks, each with the bits of ``np.dot`` on the pair."""
-    if x.shape[0] == 1:
-        return np.dot(x[0], y[0])[None]
+    """Dot products of the rows of two stacks, or of two vectors, with the bits of ``np.dot``."""
+    if x.ndim == 1:
+        return np.dot(x, y)
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
@@ -853,11 +862,17 @@ INFEAS_TOL = 1e-8
 SETUP_CACHE_SIZE = 16
 # Bytes of stacked iterate state a lockstep run may hold; larger groups run in chunks.
 BATCH_BYTES = 2 << 20
+# Programs run in lockstep only when at least this many fit in BATCH_BYTES.  A
+# larger program's per-row work outweighs numpy's per-call cost, and stacking
+# it only adds copies, so it runs alone.
+LOCKSTEP_MIN = 4
 # Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
 AA_MEMORY = 10
 AA_REG = 1e-9  # Tikhonov weight relative to the trace of the Gram matrix
 AA_SAFEGUARD = 4.0  # largest growth of the fixed-point residual an extrapolation may cause
 AA_MAX_WEIGHT = 1e6
+_EYE = np.eye(AA_MEMORY)
+_EYE.setflags(write=False)
 
 
 def _state_bytes(setup: _Setup) -> int:
@@ -876,17 +891,19 @@ class _Lockstep:
     that program alone: elementwise arithmetic, row-wise ``matmul`` for
     every dot product, matrix-vector product and norm, stacked CSR
     products, stacked ``eigh``, and Anderson solves stacked by memory fill.
-    :meth:`run` alternates :meth:`_step` and :meth:`_check`;
-    :meth:`finish` builds one program's solution.
+    :meth:`run` alternates a step and :meth:`_check`; :meth:`finish`
+    builds one program's solution.  While one row is left the step is
+    :meth:`_step_one`, the same iteration on that row's 1-D views with the
+    1-D kernels, which costs about two thirds of :meth:`_step` on one row.
     """
 
     _STACKED = ("ids", "b", "c", "b_s", "c_s", "beta", "gamma", "norm_b", "norm_c", "g",
                 "denom", "z", "zo", "zg", "f", "f_old", "f_sq_old", "d_f", "d_g", "aa_gram",
                 "stored", "slot", "on_trial", "next_check")
 
-    def __init__(self, setup: _Setup, programs: list[ConicProgram], labels: list[str],
+    def __init__(self, setup: _Setup, programs: list[ConicProgram], index: list[int | None],
                  gap_tol: float, feas_tol: float, max_iter: int):
-        self.setup, self.programs, self.labels = setup, programs, labels
+        self.setup, self.programs, self.index = setup, programs, index
         self.gap_tol, self.feas_tol, self.max_iter = gap_tol, feas_tol, max_iter
         a, _, d_row, e_col, block_slices, _, projection = setup
         n = len(programs)
@@ -924,8 +941,6 @@ class _Lockstep:
         self.aa_gram = np.zeros((n, AA_MEMORY, AA_MEMORY))
         self.stored, self.slot = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.on_trial = np.zeros(n, dtype=bool)
-        self.eye = np.eye(AA_MEMORY)
-        self.aligned = True  # every row has the same memory fill and slot
         self.f_sq_old = np.zeros(n)
         self.next_check = np.full(n, min(CHECK_EVERY, max_iter))
 
@@ -943,43 +958,42 @@ class _Lockstep:
         self.w, self.t, self.r = (np.empty((n, self.size)) for _ in range(3))
 
     def _solve_m(self, wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Solve M (x, y) = (wx, wy) row by row into ``out[:, :m]``, ``out[:, m:m + rows]``."""
+        """Solve M (x, y) = (wx, wy), row by row for stacks, into ``out[..., :m]`` and
+        ``out[..., m:m + rows]``; returns x."""
         m, a, at, gram = self.m, self.setup.a, self.setup.at, self.setup.gram
-        if wx.shape[0] == 1:  # one row takes the cheaper 1-D kernels
-            wx, wy, out = wx[0], wy[0], out[0]
         x = gram.solve(wx - at @ wy)
         out[..., :m] = x
         np.add(wy, a @ x, out=out[..., m:m + self.rows])
-        return x.reshape(-1, m)
+        return x
 
     def run(self):
         """Iterate until every program has stopped or reached ``max_iter``."""
         next_check = int(self.next_check.min())
         for it in range(1, self.max_iter + 1):
-            if it < next_check:
-                self._step(it, None)
+            check = it == next_check
+            if self.ids.size == 1:
+                self._step_one(it, check)
+            else:
+                self._step(it, self.next_check == it if check else None)
+            if not check:
                 continue
-            check = self.next_check == it
-            self._step(it, check)
-            self._check(it, np.flatnonzero(check))
+            self._check(it, np.flatnonzero(self.next_check == it))
             if not self.ids.size:
                 break
             next_check = int(self.next_check.min())
 
-    def _step(self, it: int, check: np.ndarray | None):
-        """One ADMM iteration and Anderson step of every row; ``check`` rows stay plain."""
+    def _admm(self, z, zo, w, t, r, c_s, b_s, g, denom):
+        """One ADMM iteration from ``z`` into ``zo``, on one row's 1-D views or on stacks."""
         m, rows, size = self.m, self.rows, self.size
-        z, zo, zg, f = self.z, self.zo, self.zg, self.f
-        u, v = z[:, :size], z[:, size:]
-        un, vn = zo[:, :size], zo[:, size:]
-        w, t, r = self.w, self.t, self.r
+        u, v = z[..., :size], z[..., size:]
+        un, vn = zo[..., :size], zo[..., size:]
         np.add(u, v, out=w)
-        t_x = self._solve_m(w[:, :m], w[:, m:-1], t)
-        tau_t = (w[:, -1] + _rowdot(self.c_s, t_x) + _rowdot(self.b_s, t[:, m:-1])) / self.denom
-        t[:, -1] = tau_t
+        t_x = self._solve_m(w[..., :m], w[..., m:-1], t)
+        tau_t = (w[..., -1] + _rowdot(c_s, t_x) + _rowdot(b_s, t[..., m:-1])) / denom
+        t[..., -1] = tau_t
 
         # over-relaxed point r = alpha (t - tau_t g) + (1 - alpha) u; w is scratch now
-        np.multiply(self.g, tau_t[:, None], out=r)
+        np.multiply(g.T, tau_t, out=r.T)
         np.subtract(t, r, out=r)
         r *= OVER_RELAX
         np.multiply(u, 1 - OVER_RELAX, out=w)
@@ -987,13 +1001,18 @@ class _Lockstep:
 
         # u update: project (r - v) onto R^m x PSD x R_+, keeping -0.0 as max(-0.0, 0.0) does
         np.subtract(r, v, out=un)
-        self.project(un[:, m:m + rows])
-        last = un[:, -1]
+        self.project(un[..., m:m + rows])
+        last = un[..., -1:]
         np.copyto(last, 0.0, where=last < 0.0)
 
         # v update keeps the pair complementary
         np.subtract(un, r, out=vn)
         vn += v
+
+    def _step(self, it: int, check: np.ndarray | None):
+        """One ADMM iteration and Anderson step of every row; ``check`` rows stay plain."""
+        z, zo, zg, f = self.z, self.zo, self.zg, self.f
+        self._admm(z, zo, self.w, self.t, self.r, self.c_s, self.b_s, self.g, self.denom)
 
         # Anderson step on z; residual checks read plain output, so they never
         # extrapolate.  zg holds the last plain output of every row.
@@ -1001,24 +1020,19 @@ class _Lockstep:
         f_sq = _rowdot(f, f)
         # an extrapolated point that made the residual grow (or overflow) is
         # dropped: its row restarts from the plain output with cleared memory
-        within = f_sq <= AA_SAFEGUARD ** 2 * self.f_sq_old
-        fail = None if within.all() else self.on_trial & ~within
-        any_fail = fail is not None and bool(fail.any())
+        fail = self.on_trial & ~(f_sq <= AA_SAFEGUARD ** 2 * self.f_sq_old)
+        any_fail = bool(fail.any())
         if any_fail:
             np.copyto(z, zg, where=fail[:, None])
             self.stored[fail] = self.slot[fail] = 0
-            self.aligned = False
         # from the second iteration on, every kept row extends its memory
-        groups = self._remember(fail if any_fail else None) if it > 1 else []
         trials = []
-        for sel, s, mem in groups:
-            if check is not None:
-                ix = self.row_ix[sel]
-                go = ~check[ix]
-                if not go.any():
-                    continue
-                sel, mem = ix[go], mem[go]
-            trials.append(self._extrapolate(sel, s, mem))
+        if it > 1:
+            for sel, s in self._remember(self.row_ix[~fail] if any_fail else self.row_ix):
+                if check is not None:
+                    sel = sel[~check[sel]]
+                if sel.size:
+                    trials.append(self._extrapolate(sel, s))
 
         # kept rows: f becomes f_old, zo the plain output zg, and z the plain or extrapolated point
         if any_fail:
@@ -1030,119 +1044,129 @@ class _Lockstep:
         else:
             self.f, self.f_old, self.f_sq_old = self.f_old, f, f_sq
             self.zg, self.zo = zo, zg
-            if len(trials) == 1 and isinstance(trials[0][0], slice) and trials[0][1].all():
-                # every row takes its extrapolated point
-                self.z, self.on_trial = trials[0][2], trials[0][1]
-                return
             z[...] = zo
         self.on_trial = np.zeros(self.row_ix.size, dtype=bool)
-        for sel, keep, z_ext in trials:
-            if not keep.all():
-                sel, z_ext = self.row_ix[sel][keep], z_ext[keep]
+        for sel, z_ext in trials:
             z[sel] = z_ext
             self.on_trial[sel] = True
-        if not self.aligned:
-            self._align()
 
-    def _align(self):
-        """Note whether every row has the same Anderson memory fill and slot."""
-        self.aligned = bool(self.stored.size == 0 or ((self.stored == self.stored[0]).all()
-                                                      and (self.slot == self.slot[0]).all()))
+    def _at(self, sel: np.ndarray):
+        """Rows ``sel`` as an index: a slice, so indexing gives views, when they are all rows."""
+        return slice(None) if sel.size == self.row_ix.size else sel
 
-    def _remember(self, fail: np.ndarray | None) -> list:
-        """Extend the memory of every row ``fail`` leaves (all rows for None).
-
-        Returns the rows grouped by memory fill s, as (rows, s, d_f[rows, :s])
-        triples; the rows are a slice, and the memory a view, when every row
-        has one fill and slot.
-        """
-        f, zo, zg = self.f, self.zo, self.zg
-        if self.aligned:
-            sl, s = int(self.slot[0]), min(int(self.stored[0]) + 1, AA_MEMORY)
-            np.subtract(f, self.f_old, out=self.d_f[:, sl])
-            np.subtract(zo, zg, out=self.d_g[:, sl])
-            mem = self.d_f[:, :s]
-            row = np.matmul(mem, self.d_f[:, sl, :, None])[..., 0]
-            self.aa_gram[:, sl, :s] = row
-            self.aa_gram[:, :s, sl] = row
-            self.stored[:] = s
-            self.slot[:] = (sl + 1) % AA_MEMORY
-            return [(slice(None), s, mem)]
-        ok = self.row_ix if fail is None else np.flatnonzero(~fail)
+    def _remember(self, ok: np.ndarray) -> list:
+        """Extend the Anderson memory of the rows ``ok``; returns them grouped by fill s."""
+        at = self._at(ok)
         slot = self.slot[ok]
-        self.d_f[ok, slot] = f[ok] - self.f_old[ok]
-        self.d_g[ok, slot] = zo[ok] - zg[ok]
+        self.d_f[ok, slot] = self.f[at] - self.f_old[at]
+        self.d_g[ok, slot] = self.zo[at] - self.zg[at]
         fills = np.minimum(self.stored[ok] + 1, AA_MEMORY)
         self.stored[ok] = fills
         self.slot[ok] = (slot + 1) % AA_MEMORY
         groups = []
         for s in sorted(set(fills.tolist())):  # np.unique would import numpy.ma
             ix, sl = ok[fills == s], slot[fills == s]
-            mem = self.d_f[ix, :s]
-            row = np.matmul(mem, self.d_f[ix, sl, :, None])[..., 0]
+            row = np.matmul(self.d_f[self._at(ix), :s], self.d_f[ix, sl, :, None])[..., 0]
             self.aa_gram[ix, sl, :s] = row
             self.aa_gram[ix, :s, sl] = row
-            groups.append((ix, s, mem))
+            groups.append((ix, s))
         return groups
 
-    def _extrapolate(self, sel, s: int, mem: np.ndarray):
+    def _extrapolate(self, sel: np.ndarray, s: int):
         """Type-II Anderson points of the rows ``sel``, all of memory fill s.
 
-        Returns (rows, keep, points): ``keep`` marks the points whose tau is
-        at least half the plain output's.  Rows whose memory is degenerate
+        Returns the rows whose point keeps tau at least half the plain
+        output's, and those points.  Rows whose memory is degenerate
         (singular Gram, huge or non-finite weights) clear it and drop out.
-        A single row runs the solo kernels on its own views.
         """
-        if self.row_ix.size == 1:
-            lhs = self.aa_gram[0, :s, :s]
-            weights = _spd_solve(lhs + AA_REG * lhs.trace() * self.eye[:s, :s], mem[0] @ self.f[0])
+        at = self._at(sel)
+        lhs = self.aa_gram[at, :s, :s]
+        lhs = lhs + (AA_REG * lhs.trace(axis1=1, axis2=2))[:, None, None] * _EYE[:s, :s]
+        weights = _spd_solve_rows(lhs, np.matmul(self.d_f[at, :s], self.f[at, :, None])[..., 0])
+        good = np.abs(weights).max(axis=1) <= AA_MAX_WEIGHT
+        if not good.all():
+            self.stored[sel[~good]] = self.slot[sel[~good]] = 0
+            sel, weights = sel[good], weights[good]
+            at = sel
+        z_ext = self.zo[at] - np.matmul(weights[:, None, :], self.d_g[at, :s])[:, 0]
+        # an extrapolation may not collapse tau towards the infeasible branch
+        keep = z_ext[:, self.size - 1] >= 0.5 * self.zo[at, self.size - 1]
+        return sel[keep], z_ext[keep]
+
+    def _step_one(self, it: int, check: bool):
+        """:meth:`_step` for a chunk of one row, on its 1-D views with the 1-D kernels.
+
+        Buffers are swapped, not copied, so the plain output is ``zg`` while
+        the row is on trial and ``z`` otherwise.
+        """
+        z, zo, zg, f = self.z[0], self.zo[0], self.zg[0], self.f[0]
+        self._admm(z, zo, self.w[0], self.t[0], self.r[0], self.c_s[0], self.b_s[0], self.g[0],
+                   self.denom[0])
+        np.subtract(zo, z, out=f)
+        f_sq = np.dot(f, f)
+        on_trial = self.on_trial[0]
+        if on_trial and not f_sq <= AA_SAFEGUARD ** 2 * self.f_sq_old[0]:
+            self.z, self.zg = self.zg, self.z
+            self.stored[0] = self.slot[0] = self.on_trial[0] = 0
+            return
+        d_f, d_g, gram = self.d_f[0], self.d_g[0], self.aa_gram[0]
+        s = int(self.stored[0])
+        if it > 1:
+            sl = int(self.slot[0])
+            s = min(s + 1, AA_MEMORY)
+            np.subtract(f, self.f_old[0], out=d_f[sl])
+            np.subtract(zo, zg if on_trial else z, out=d_g[sl])
+            np.dot(d_f[:s], d_f[sl], out=gram[sl, :s])
+            gram[:s, sl] = gram[sl, :s]
+            self.stored[0], self.slot[0] = s, (sl + 1) % AA_MEMORY
+        self.f, self.f_old, self.f_sq_old[0] = self.f_old, self.f, f_sq
+        trial = False
+        if s and not check:
+            lhs = gram[:s, :s]
+            weights = _spd_solve(lhs + AA_REG * lhs.trace() * _EYE[:s, :s], d_f[:s] @ f)
             if weights is None or not np.abs(weights).max() <= AA_MAX_WEIGHT:
                 self.stored[0] = self.slot[0] = 0
-                return self.row_ix[:0], np.ones(0, dtype=bool), self.zo[:0]
-            z_ext = self.zo[0] - np.dot(weights, self.d_g[0, :s])
-            return sel, np.array([z_ext[self.size - 1] >= 0.5 * self.zo[0, self.size - 1]]), z_ext[None]
-        lhs = self.aa_gram[sel, :s, :s]
-        lhs = lhs + (AA_REG * lhs.trace(axis1=1, axis2=2))[:, None, None] * self.eye[:s, :s]
-        weights = _spd_solve_rows(lhs, np.matmul(mem, self.f[sel, :, None])[..., 0])
-        if not np.abs(weights).max() <= AA_MAX_WEIGHT:
-            good = np.abs(weights).max(axis=1) <= AA_MAX_WEIGHT
-            ix = self.row_ix[sel]
-            self.stored[ix[~good]] = self.slot[ix[~good]] = 0
-            self.aligned = False
-            sel, weights = ix[good], weights[good]
-        z_ext = self.zo[sel] - np.matmul(weights[:, None, :], self.d_g[sel, :s])[:, 0]
-        # an extrapolation may not collapse tau towards the infeasible branch
-        keep = z_ext[:, self.size - 1] >= 0.5 * self.zo[sel, self.size - 1]
-        return sel, keep, z_ext
+            else:
+                np.dot(weights, d_g[:s], out=z)
+                np.subtract(zo, z, out=z)
+                trial = z[self.size - 1] >= 0.5 * zo[self.size - 1]
+        if trial:
+            self.zg, self.zo = self.zo, self.zg
+        else:
+            self.z, self.zo = self.zo, self.z
+        self.on_trial[0] = trial
 
     def _check(self, it: int, rows: np.ndarray):
         """Residual check of ``rows`` at iteration ``it``; stopped programs leave the rows."""
         m, size = self.m, self.size
         a, at, d_row, e_col, block_slices = self.setup[:5]
-        u, v = self.z[rows, :size], self.z[rows, size:]
+        z = self.z[self._at(rows)]
+        u, v = z[:, :size], z[:, size:]
         finite = np.isfinite(u).all(axis=1)
         if not finite.all():
             j = self.ids[rows[np.argmin(finite)]]
-            raise SolverError(f"{self.labels[j]}iterate diverged to non-finite values "
-                              f"at iteration {it}")
+            raise SolverError(f"iterate diverged to non-finite values at iteration {it}",
+                              self.index[j])
         tau, kappa = u[:, -1], v[:, -1]
         live = tau > 1e-9 * np.where(kappa > 1.0, kappa, 1.0)
         stopped = []
 
         if live.any():
-            lr, tau_l = rows[live], tau[live, None]
-            x_hat, eta_hat, s_hat = u[live, :m] / tau_l, u[live, m:-1] / tau_l, v[live, m:-1] / tau_l
-            beta, gamma = self.beta[lr, None], self.gamma[lr, None]
+            lv = slice(None) if live.all() else live
+            lr = rows[lv]
+            ix, tau_l = self._at(lr), tau[lv, None]
+            x_hat, eta_hat, s_hat = u[lv, :m] / tau_l, u[lv, m:-1] / tau_l, v[lv, m:-1] / tau_l
+            beta, gamma = self.beta[ix, None], self.gamma[ix, None]
             # unscaled candidates
             x = e_col * x_hat / beta
             eta = d_row * eta_hat / gamma
             # residuals in original data coordinates
-            rp_vec = (a @ x_hat + s_hat - self.b_s[lr]) / (d_row * beta)
-            rd_vec = (at @ eta_hat + self.c_s[lr]) / (e_col * gamma)
-            res_p = np.sqrt(_rowdot(rp_vec, rp_vec)) / (1.0 + self.norm_b[lr])
-            res_d = np.sqrt(_rowdot(rd_vec, rd_vec)) / (1.0 + self.norm_c[lr])
-            pobj = _rowdot(self.c[lr], x)
-            dobj = -_rowdot(self.b[lr], eta)
+            rp_vec = (a @ x_hat + s_hat - self.b_s[ix]) / (d_row * beta)
+            rd_vec = (at @ eta_hat + self.c_s[ix]) / (e_col * gamma)
+            res_p = np.sqrt(_rowdot(rp_vec, rp_vec)) / (1.0 + self.norm_b[ix])
+            res_d = np.sqrt(_rowdot(rd_vec, rd_vec)) / (1.0 + self.norm_c[ix])
+            pobj = _rowdot(self.c[ix], x)
+            dobj = -_rowdot(self.b[ix], eta)
             res_g = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
             for k, (row, rp, rd, rg, po, do) in enumerate(zip(
                     lr.tolist(), res_p.tolist(), res_d.tolist(), res_g.tolist(),
@@ -1195,13 +1219,14 @@ class _Lockstep:
             else:
                 self.next_check[row] = min(it + CHECK_EVERY, self.max_iter)
 
-        if stopped:
+        if len(stopped) == self.ids.size:
+            self.ids = self.ids[:0]  # the run is over
+        elif stopped:
             keep = np.ones(self.ids.size, dtype=bool)
             keep[stopped] = False
             for name in self._STACKED:
                 setattr(self, name, getattr(self, name)[keep])
             self._scratch(self.ids.size)
-            self._align()
 
     def finish(self, j: int, elapsed: float) -> ConicSolution:
         """The solution of program ``j`` once the run is over."""
@@ -1217,9 +1242,8 @@ class _Lockstep:
             )
         if self.best_point[j] is None:
             raise SolverError(
-                f"{self.labels[j]}no usable iterate after {iterations} iterations "
-                f"(tau stayed degenerate; the program may be pathological)"
-            )
+                f"no usable iterate after {iterations} iterations "
+                f"(tau stayed degenerate; the program may be pathological)", self.index[j])
         x, eta, pobj, dobj, res_p, res_d, res_g, seen_at = self.best_point[j]
         message = ""
         if status is None:
@@ -1275,11 +1299,13 @@ def solve_all(
     for key, members in groups.items():
         t0 = time.perf_counter()
         setup = _setup(key, programs[members[0]])
-        chunk = max(1, BATCH_BYTES // _state_bytes(setup))
+        chunk = BATCH_BYTES // _state_bytes(setup)
+        if chunk < LOCKSTEP_MIN:
+            chunk = 1
         for start in range(0, len(members), chunk):
             part = members[start:start + chunk]
-            labels = [f"program {i}: " if len(programs) > 1 else "" for i in part]
-            run = _Lockstep(setup, [programs[i] for i in part], labels,
+            index = [i if len(programs) > 1 else None for i in part]
+            run = _Lockstep(setup, [programs[i] for i in part], index,
                             gap_tol, feas_tol, max_iter)
             run.run()
             elapsed = time.perf_counter() - t0

@@ -116,6 +116,27 @@ def _require_optimal(sol: conic.ConicSolution, label: str = "") -> conic.ConicSo
     return sol
 
 
+def _solve_optimal(programs: list[conic.ConicProgram], inputs: list[int], several: bool,
+                   options: dict) -> list[conic.ConicSolution]:
+    """Solve the programs of the inputs ``inputs`` in one batch, all to optimality.
+
+    A lone program goes through :func:`conic.solve`, where solve counters
+    and tracers look.  When the call has ``several`` inputs, a
+    ``SolverError`` names the failing one as ``input k``.
+    """
+    try:
+        sols = (conic.solve_all(programs, **options) if len(programs) > 1
+                else [conic.solve(program, **options) for program in programs])
+    except conic.SolverError as exc:
+        at = exc.index if len(programs) > 1 else 0  # position among the programs
+        if not several or at is None:
+            raise
+        raise conic.SolverError(f"input {inputs[at]}: {exc.reason}") from exc
+    for k, sol in zip(inputs, sols):
+        _require_optimal(sol, f"input {k}: " if several else "")
+    return sols
+
+
 def _trivial_solution() -> conic.ConicSolution:
     """Solver record for a zero input, where no program is solved."""
     return conic.ConicSolution(
@@ -353,12 +374,9 @@ def _certify_all(items: list[tuple[LinearMapRep, str]], options: dict) -> list[D
         program, decode = _choi_program(su, x_choi)
         jobs.append((k, scale, su, x_choi, decode))
         programs.append(program)
-    # a lone program goes through conic.solve, where solve counters and tracers look
-    sols = (conic.solve_all(programs, **options) if len(programs) > 1
-            else [conic.solve(program, **options) for program in programs])
+    sols = _solve_optimal(programs, [job[0] for job in jobs], len(items) > 1, options)
     del programs
     for (k, scale, su, x_choi, decode), sol in zip(jobs, sols):
-        _require_optimal(sol, f"input {k}: " if len(items) > 1 else "")
         certs[k] = _finish_certificate(items[k][0], items[k][1], scale, su, x_choi, decode, sol)
     return certs
 
@@ -489,36 +507,60 @@ def dec_norm_direct_sum(
     values agree for decomposable norms; both are returned so the caller
     can check.
     """
-    dn = u.domain.block_dims
-    cn = u.codomain.block_dims
-    if len(dn) != len(cn):
-        raise ValueError("block-diagonal maps need matching block counts")
-    for k, i, r, s in matrix_units(u.domain):
-        img = u.images[k]
-        for t in range(len(cn)):
-            if t != i and element_norm(AlgebraElement(AlgebraShape((cn[t],)), [img.blocks[t]])) > 1e-12:
-                raise ValueError(
-                    f"map is not block-diagonal: unit of domain block {i} "
-                    f"has support on codomain block {t}"
-                )
+    return dec_norm_direct_sums([u], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
 
-    # the per-block programs and the joint one go to the solver together;
-    # blocks of equal sizes share a constraint structure
+
+def dec_norm_direct_sums(
+    maps: list[LinearMapRep],
+    *,
+    gap_tol: float = 1e-8,
+    feas_tol: float = 1e-8,
+    max_iter: int = 200_000,
+) -> list[DirectSumDecReport]:
+    """:func:`dec_norm_direct_sum` of many maps, in one call.
+
+    Every map is validated first.  Then the per-block programs and the
+    joint one of every map go to the solver together, so blocks of equal
+    sizes, and the joint programs of maps of one shape, are solved in
+    lockstep; each report is the one the single call returns.  A
+    ``SolverError`` names the failing program by its position in that
+    list: each map's blocks in order, then its joint program.
+    """
     items = []
-    for i, n_i in enumerate(dn):
-        sub_cod = AlgebraShape((cn[i],))
-        images = [AlgebraElement(sub_cod, [u.image(i, r, s).blocks[i]])
-                  for r in range(n_i) for s in range(n_i)]
-        items.append((LinearMapRep(AlgebraShape((n_i,)), sub_cod, images), "matrix_domain"))
-    *blocks, cert = _certify_all(items + [(u, "direct_sum")],
-                                 dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
-    block_values = [c.value for c in blocks]
-    return DirectSumDecReport(
-        joint_value=cert.value,
-        block_values=block_values,
-        max_block_value=float(max(block_values)),
-        certificate=cert,
-    )
+    for u in maps:
+        dn = u.domain.block_dims
+        cn = u.codomain.block_dims
+        if len(dn) != len(cn):
+            raise ValueError("block-diagonal maps need matching block counts")
+        for k, i, r, s in matrix_units(u.domain):
+            img = u.images[k]
+            for t in range(len(cn)):
+                if t != i and element_norm(AlgebraElement(AlgebraShape((cn[t],)), [img.blocks[t]])) > 1e-12:
+                    raise ValueError(
+                        f"map is not block-diagonal: unit of domain block {i} "
+                        f"has support on codomain block {t}"
+                    )
+    for u in maps:
+        dn, cn = u.domain.block_dims, u.codomain.block_dims
+        for i, n_i in enumerate(dn):
+            sub_cod = AlgebraShape((cn[i],))
+            images = [AlgebraElement(sub_cod, [u.image(i, r, s).blocks[i]])
+                      for r in range(n_i) for s in range(n_i)]
+            items.append((LinearMapRep(AlgebraShape((n_i,)), sub_cod, images), "matrix_domain"))
+        items.append((u, "direct_sum"))
+    certs = _certify_all(items, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
+    reports, end = [], 0
+    for u in maps:
+        start, end = end, end + u.domain.num_blocks + 1
+        *blocks, cert = certs[start:end]
+        block_values = [c.value for c in blocks]
+        reports.append(DirectSumDecReport(
+            joint_value=cert.value,
+            block_values=block_values,
+            max_block_value=float(max(block_values)),
+            certificate=cert,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +591,50 @@ def selfadjoint_dec_norm(
     splittings is the decomposable norm for self-adjoint maps from an
     abelian domain.  Raises if some coefficient is not self-adjoint.
     """
-    elems = _coerce_elements(xs)
-    for j, x in enumerate(elems):
-        if not is_selfadjoint(x, tol=1e-10 * max(1.0, element_norm(x))):
-            raise ValueError(f"coefficient {j} is not self-adjoint")
-    shape = elems[0].shape
-    dims = shape.block_dims
-    n = len(elems)
-    scale = max(element_norm(x) for x in elems)
-    if scale == 0.0:
-        zc = [zero(shape) for _ in elems]
-        return SelfadjointDecResult(0.0, zc, list(zc), _trivial_solution())
-    scaled = [(1.0 / scale) * x for x in elems]
+    return selfadjoint_dec_norms([xs], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
 
+
+def selfadjoint_dec_norms(
+    inputs: list,
+    *,
+    gap_tol: float = 1e-8,
+    feas_tol: float = 1e-8,
+    max_iter: int = 200_000,
+) -> list[SelfadjointDecResult]:
+    """:func:`selfadjoint_dec_norm` of many tuples, in one call.
+
+    Every tuple is validated first; the programs then go to the solver
+    together, so tuples of one length and block shape are solved in
+    lockstep, and each result is the one the single call returns.  A
+    ``SolverError`` names the failing input by position.
+    """
+    out: list[SelfadjointDecResult | None] = [None] * len(inputs)
+    jobs, programs = [], []
+    for k, xs in enumerate(inputs):
+        elems = _coerce_elements(xs)
+        for j, x in enumerate(elems):
+            if not is_selfadjoint(x, tol=1e-10 * max(1.0, element_norm(x))):
+                raise ValueError(f"coefficient {j} is not self-adjoint")
+        scale = max(element_norm(x) for x in elems)
+        if scale == 0.0:
+            zc = [zero(elems[0].shape) for _ in elems]
+            out[k] = SelfadjointDecResult(0.0, zc, list(zc), _trivial_solution())
+            continue
+        scaled = [(1.0 / scale) * x for x in elems]
+        program, offs = _selfadjoint_program(scaled)
+        jobs.append((k, scaled, scale, offs))
+        programs.append(program)
+    sols = _solve_optimal(programs, [job[0] for job in jobs], len(inputs) > 1,
+                          dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
+    for (k, scaled, scale, offs), sol in zip(jobs, sols):
+        out[k] = _selfadjoint_result(scaled, scale, offs, sol)
+    return out
+
+
+def _selfadjoint_program(scaled: list[AlgebraElement]) -> tuple[conic.ConicProgram, dict]:
+    """The two-CP-summands program of a unit-scale self-adjoint tuple, and its variable offsets."""
+    dims = scaled[0].shape.block_dims
+    n = len(scaled)
     m = 1
     offs = {}
     for j in range(n):
@@ -589,13 +662,17 @@ def selfadjoint_dec_norm(
         blocks.append(bb.build())
     cvec = np.zeros(m)
     cvec[0] = 1.0
-    program = conic.ConicProgram(objective=cvec, psd_blocks=blocks)
-    sol = _require_optimal(conic.solve(program, gap_tol=gap_tol, feas_tol=feas_tol,
-                                       max_iter=max_iter))
+    return conic.ConicProgram(objective=cvec, psd_blocks=blocks), offs
 
+
+def _selfadjoint_result(scaled: list[AlgebraElement], scale: float, offs: dict,
+                        sol: conic.ConicSolution) -> SelfadjointDecResult:
+    """Repair the split at the program's optimum and scale it back by ``scale``."""
+    shape = scaled[0].shape
+    dims = shape.block_dims
     pos, neg = [], []
     eye = AlgebraElement(shape, [np.eye(c, dtype=np.complex128) for c in dims])
-    for j in range(n):
+    for j in range(len(scaled)):
         r_blocks = [conic.unsvec(sol.y[offs[(j, t)]:offs[(j, t)] + c * c], c) for t, c in enumerate(dims)]
         r = AlgebraElement(shape, [(b + b.conj().T) / 2.0 for b in r_blocks])
         # one shift restores both R_j >= 0 and R_j - x_j >= 0 exactly

@@ -16,7 +16,7 @@ first member is the identity without changing the norm.
 For matrix-algebra coefficients the two tensor norms agree, so the
 bracket :func:`min_norm` returns closes on the max norm: its upper value
 is the max norm and its gap is how far the see-saw's lower bound for the
-min norm sits below it.  ``check_finite_rank_contraction`` checks the
+min norm sits below it.  ``check_finite_rank_contraction`` (and its batch form) checks the
 companion inequality that pushing a tensor forward through a map can
 grow the max norm by at most the map's decomposable norm times the
 original min norm.
@@ -110,23 +110,44 @@ def check_finite_rank_contraction(
     The left side is the max norm of the tensor with coefficients
     ``u(x_j)``; the right side is ``dec(u)`` times the min-norm upper value
     of ``t``.  ``ok`` allows slack ``tol`` relative to the right side.
-    The three norms go to :func:`dec_norms` in one call, where the two
-    n-tuples in M_d share a constraint structure.
     """
-    if u.domain.num_blocks != 1 or u.domain.block_dims[0] != t.coeff_dim:
-        raise ValueError("map domain must be the coefficient matrix algebra")
-    dom = matrix_algebra(t.coeff_dim)
-    mapped = [apply_map(u, element(dom, [x])) for x in t.coeffs]
-    lhs, dec_value, min_upper = (float(cert.value) for cert in dec_norms(
-        [mapped, u, list(t.coeffs)], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
-    rhs = dec_value * min_upper
-    slack = rhs - lhs
-    ok = lhs <= rhs + tol * max(1.0, rhs)
-    return ContractionReport(
-        lhs=lhs,
-        dec_value=dec_value,
-        min_upper=min_upper,
-        rhs=float(rhs),
-        slack=float(slack),
-        ok=bool(ok),
-    )
+    return check_finite_rank_contractions([(u, t)], tol=tol, gap_tol=gap_tol,
+                                          feas_tol=feas_tol, max_iter=max_iter)[0]
+
+
+def check_finite_rank_contractions(
+    pairs: list[tuple[LinearMapRep, FreeTensor]],
+    *,
+    tol: float = 1e-6,
+    gap_tol: float = 1e-8,
+    feas_tol: float = 1e-8,
+    max_iter: int = 200_000,
+) -> list[ContractionReport]:
+    """:func:`check_finite_rank_contraction` of many ``(u, t)`` pairs, in one call.
+
+    Every pair is validated before any norm is computed.  The three norms
+    of every pair go to :func:`dec_norms` together, so norms of one
+    constraint structure (the two n-tuples in M_d of a pair, and those of
+    pairs of equal sizes) are solved in lockstep; each report is the one
+    the single call returns.
+    """
+    inputs = []
+    for u, t in pairs:
+        if u.domain.num_blocks != 1 or u.domain.block_dims[0] != t.coeff_dim:
+            raise ValueError("map domain must be the coefficient matrix algebra")
+        dom = matrix_algebra(t.coeff_dim)
+        inputs += [[apply_map(u, element(dom, [x])) for x in t.coeffs], u, list(t.coeffs)]
+    values = [float(cert.value) for cert in dec_norms(
+        inputs, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)]
+    reports = []
+    for lhs, dec_value, min_upper in zip(values[0::3], values[1::3], values[2::3]):
+        rhs = dec_value * min_upper
+        reports.append(ContractionReport(
+            lhs=lhs,
+            dec_value=dec_value,
+            min_upper=min_upper,
+            rhs=float(rhs),
+            slack=float(rhs - lhs),
+            ok=bool(lhs <= rhs + tol * max(1.0, rhs)),
+        ))
+    return reports

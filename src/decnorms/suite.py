@@ -28,13 +28,13 @@ from decnorms.algebra import AlgebraShape, element, matrix_algebra
 from decnorms.cbnorm import cb_norm_linf, seesaw_min_norm
 from decnorms.conic import solve_all, verify_certificate
 from decnorms.decomposable import (
-    dec_norm_direct_sum,
+    dec_norm_direct_sums,
     dec_norm_linf,
     dec_norms,
     dec_upper_bound_factored,
-    selfadjoint_dec_norm,
+    selfadjoint_dec_norms,
 )
-from decnorms.freetensor import check_finite_rank_contraction, min_norm
+from decnorms.freetensor import check_finite_rank_contractions, min_norm
 from decnorms.maps import (
     LinearMapRep,
     compose,
@@ -172,18 +172,15 @@ def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
     worst_rec = 0.0
     worst_val = 0.0
     frozen = "seesaw_frozen" in inject
-    for i in range(n):
-        nn, dd = grid[i % len(grid)]
-        xs = random_matrix_tuple(gen, nn, dd)
+    tuples = [random_matrix_tuple(gen, *grid[i % len(grid)]) for i in range(n)]
+    for i, (xs, cert) in enumerate(zip(tuples, dec_norms(tuples))):
         sub = _sub_seed(seed, i)
         if frozen:
-            cert = dec_norm_linf(xs)
-            saw = seesaw_min_norm(xs, aux_dim=dd, restarts=1, max_sweeps=1, seed=sub)
+            saw = seesaw_min_norm(xs, aux_dim=len(xs[0]), restarts=1, max_sweeps=1, seed=sub)
             upper, lower = cert.value, saw.lower
         else:
-            agg = cb_norm_linf(xs, restarts=16, seed=sub, agree_tol=tol)
+            agg = cb_norm_linf(xs, restarts=16, seed=sub, agree_tol=tol, certificate=cert)
             upper, lower = agg.upper, agg.lower
-            cert = agg.certificate
         rel = (upper - lower) / max(1.0, upper)
         worst_gap = max(worst_gap, rel)
         most_negative = min(most_negative, rel)
@@ -255,9 +252,8 @@ def _selfadjoint_consistency(cfg, n, gen, seed, inject):
     worst = 0.0
     tuples = [[random_hermitian(gen, dd) for _ in range(nn)] for _ in range(n)]
     general = dec_norms(tuples, gap_tol=1e-9, feas_tol=1e-9)
-    for xs, cert in zip(tuples, general):
-        v1 = selfadjoint_dec_norm(xs, gap_tol=1e-9, feas_tol=1e-9).value
-        worst = max(worst, abs(v1 - cert.value))
+    for sa, cert in zip(selfadjoint_dec_norms(tuples, gap_tol=1e-9, feas_tol=1e-9), general):
+        worst = max(worst, abs(sa.value - cert.value))
     return _Outcome(worst, "self-adjoint two-map program against the general program")
 
 
@@ -312,10 +308,8 @@ def _ineq_contraction(cfg, n, gen, seed, inject):
     dd, nn = cfg["d"], cfg["n"]
     worst = 0.0
     ok = True
-    for i in range(n):
-        u = _random_map(gen, dd, scale=0.8)
-        t = random_free_tensor(gen, nn, dd)
-        rep = check_finite_rank_contraction(u, t, tol=tol)
+    pairs = [(_random_map(gen, dd, scale=0.8), random_free_tensor(gen, nn, dd)) for _ in range(n)]
+    for rep in check_finite_rank_contractions(pairs, tol=tol):
         ok = ok and rep.ok
         worst = max(worst, (rep.lhs - rep.rhs) / max(1.0, rep.rhs))
     return _Outcome(worst, "pushing a tensor through a map grows the max norm at most by dec times min",
@@ -337,6 +331,7 @@ def _ineq_tensor_submult(cfg, n, gen, seed, inject):
 @_check("direct_sum")
 def _direct_sum(cfg, n, gen, seed, inject):
     worst = 0.0
+    maps = []
     for i in range(n):
         dims = (2, 2) if i % 2 == 0 else (2, 3)
         shape = AlgebraShape(block_dims=dims)
@@ -346,8 +341,8 @@ def _direct_sum(cfg, n, gen, seed, inject):
                 blocks = [np.zeros((dj, dj), dtype=np.complex128) for dj in dims]
                 blocks[blk] = 0.8 * random_ginibre(gen, d, d)
                 images.append(element(shape, blocks))
-        u = LinearMapRep(domain=shape, codomain=shape, images=images)
-        rep = dec_norm_direct_sum(u)
+        maps.append(LinearMapRep(domain=shape, codomain=shape, images=images))
+    for rep in dec_norm_direct_sums(maps):
         worst = max(worst, abs(rep.joint_value - rep.max_block_value) / max(1.0, rep.max_block_value))
     return _Outcome(worst, "joint program equals the max of the per-block programs")
 
@@ -359,10 +354,11 @@ def _nuclearity(cfg, n, gen, seed, inject):
     worst = -np.inf
     worst_saw = 0.0
     ok = True
-    for i in range(n):
-        t = random_free_tensor(gen, nn, dd)
+    tensors = [random_free_tensor(gen, nn, dd) for _ in range(n)]
+    certs = dec_norms([list(t.coeffs) for t in tensors])
+    for i, (t, cert) in enumerate(zip(tensors, certs)):
         # the max norm is the bracket's upper value: its gap is the max-min gap
-        gap = min_norm(t, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol).gap
+        gap = min_norm(t, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol, certificate=cert).gap
         worst = max(worst, gap)
         worst_saw = max(worst_saw, gap)
         ok = ok and gap >= -1e-6

@@ -288,3 +288,16 @@ def test_seesaw_is_bitwise_independent_of_the_chunk_split(monkeypatch, pin_first
                    for a, b in zip(other.witness_unitaries, first.witness_unitaries))
         assert all(np.array_equal(a, b)
                    for a, b in zip(other.witness_vectors, first.witness_vectors))
+
+
+def test_given_certificate_replaces_the_sdp(monkeypatch):
+    xs = random_matrix_tuple(make_generator(57), 3, 2)
+    alone = cbnorm.cb_norm_linf(xs, restarts=4, seed=3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the SDP was solved again")
+
+    monkeypatch.setattr(cbnorm, "dec_norm_linf", no_solve)
+    given = cbnorm.cb_norm_linf(xs, restarts=4, seed=3, certificate=alone.certificate)
+    assert (given.upper, given.lower, given.verdict) == (alone.upper, alone.lower, alone.verdict)
+    assert given.certificate is alone.certificate

@@ -421,6 +421,31 @@ def test_batch_gives_each_program_its_own_outcome():
         _assert_same_solution(sol, conic.solve(program, max_iter=30))
 
 
+def _interval_program(lo, hi, c):
+    """Minimize c * y subject to y - lo >= 0 and hi - y >= 0, two 1x1 blocks."""
+    blocks = []
+    for f0, sign in ((-lo, 1.0), (hi, -1.0)):
+        builder = conic.BlockBuilder(1, 1)
+        builder.add_constant(np.array([[f0]]))
+        builder.add_scalar_identity(0, 1, 0, sign)
+        blocks.append(builder.build())
+    return conic.ConicProgram(objective=np.array([c]), psd_blocks=blocks)
+
+
+def test_stacked_rows_stop_on_their_own_outcomes():
+    # one constraint structure, so one stacked chunk: empty intervals are
+    # infeasible and stop at a tau-collapse check while the others go on
+    programs = [_interval_program(lo, hi, c) for lo, hi, c in
+                ((0.0, 1.0, 1.0), (0.0, -1.0, 1.0), (-2.0, 3.0, -1.0), (1.0, 0.5, -1.0),
+                 (0.5, 4.0, 2.0))]
+    assert len({conic._structure_key(p) for p in programs}) == 1
+    batch = conic.solve_all(programs)
+    assert [sol.status for sol in batch] == [
+        "optimal", "infeasible_suspected", "optimal", "infeasible_suspected", "optimal"]
+    for program, sol in zip(programs, batch):
+        _assert_same_solution(sol, conic.solve(program))
+
+
 def test_solve_all_of_nothing_is_empty():
     assert conic.solve_all([]) == []
 
@@ -462,3 +487,21 @@ def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
     monkeypatch.setattr(conic, "BATCH_BYTES", 1)  # every chunk holds one program
     for got, want in zip(conic.solve_all(programs), solo):
         _assert_same_solution(got, want)
+
+
+def test_batch_failure_names_the_program_by_position(monkeypatch):
+    finish = conic._Lockstep.finish
+
+    def lose_last_point(self, j, elapsed):
+        if j == len(self.programs) - 1:
+            self.best_point[j] = None
+        return finish(self, j, elapsed)
+
+    monkeypatch.setattr(conic._Lockstep, "finish", lose_last_point)
+    programs = [eigenvalue_program(random_hermitian(make_generator(70 + i), 2)) for i in range(2)]
+    with pytest.raises(conic.SolverError, match="^program 1: no usable iterate") as err:
+        conic.solve_all(programs)
+    assert (err.value.index, err.value.reason.startswith("no usable iterate")) == (1, True)
+    with pytest.raises(conic.SolverError, match="^no usable iterate") as err:
+        conic.solve(programs[0])
+    assert err.value.index is None

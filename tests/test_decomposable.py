@@ -353,3 +353,56 @@ def test_batch_entry_matches_the_single_entries():
     # the capped program names its input
     with pytest.raises(decomposable.conic.SolverError, match="input 1: .*max_iterations"):
         decomposable.dec_norms([zeros, xs], max_iter=5)
+
+
+def test_solver_failure_names_the_input_behind_a_zero_one(monkeypatch):
+    # a zero input gets no program, so the failing input's position among the
+    # programs (0 alone, 1 in a batch) is not its position among the inputs
+    gen = make_generator(58)
+    xs, ys = random_matrix_tuple(gen, 3, 2), random_matrix_tuple(gen, 3, 2)
+    zeros = [np.zeros((2, 2)), np.zeros((2, 2))]
+    finish = decomposable.conic._Lockstep.finish
+
+    def lose_last_point(self, j, elapsed):
+        if j == len(self.programs) - 1:
+            self.best_point[j] = None
+        return finish(self, j, elapsed)
+
+    monkeypatch.setattr(decomposable.conic._Lockstep, "finish", lose_last_point)
+    with pytest.raises(decomposable.conic.SolverError, match="^input 1: no usable iterate"):
+        decomposable.dec_norms([zeros, xs])
+    with pytest.raises(decomposable.conic.SolverError, match="^input 2: no usable iterate"):
+        decomposable.dec_norms([zeros, xs, ys])
+
+
+def _block_diagonal_map(gen, dims):
+    shape = AlgebraShape(dims)
+    images = []
+    for i, di in enumerate(dims):
+        for _ in range(di * di):
+            blocks = [np.zeros((c, c), dtype=np.complex128) for c in dims]
+            blocks[i] = random_ginibre(gen, di, di)
+            images.append(element(shape, blocks))
+    return maps.LinearMapRep(shape, shape, images)
+
+
+def test_direct_sum_batch_matches_the_single_calls():
+    gen = make_generator(61)
+    us = [_block_diagonal_map(gen, dims) for dims in ((2, 2), (2, 1), (2, 2))]
+    for got, u in zip(decomposable.dec_norm_direct_sums(us), us):
+        want = decomposable.dec_norm_direct_sum(u)
+        assert (got.joint_value, got.block_values) == (want.joint_value, want.block_values)
+        assert got.certificate.solver.y.tobytes() == want.certificate.solver.y.tobytes()
+
+
+def test_selfadjoint_batch_matches_the_single_calls():
+    gen = make_generator(62)
+    tuples = [[random_hermitian(gen, 2) for _ in range(3)] for _ in range(3)]
+    tuples.insert(0, [np.zeros((2, 2))] * 3)  # no program: the first failing input is 1
+    for got, xs in zip(decomposable.selfadjoint_dec_norms(tuples), tuples):
+        want = decomposable.selfadjoint_dec_norm(xs)
+        assert got.value == want.value
+        assert got.solver.y.tobytes() == want.solver.y.tobytes()
+        assert got.solver.history == want.solver.history
+    with pytest.raises(decomposable.conic.SolverError, match="^input 1: .*max_iterations"):
+        decomposable.selfadjoint_dec_norms(tuples, max_iter=5)

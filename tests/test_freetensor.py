@@ -160,3 +160,18 @@ def test_common_unitary_rotation_preserves_norms():
     br1 = freetensor.min_norm(t1, restarts=12, seed=14)
     br2 = freetensor.min_norm(t2, restarts=12, seed=14)
     assert br1.upper == pytest.approx(br2.upper, abs=1e-6 * max(1.0, br1.upper))
+
+
+def test_contraction_batch_matches_the_single_checks(monkeypatch):
+    gen = make_generator(88)
+    pairs = [(random_unital_cp_map(gen, 2), random_free_tensor(gen, 3, 2)) for _ in range(3)]
+    batch = freetensor.check_finite_rank_contractions(pairs)
+    assert batch == [freetensor.check_finite_rank_contraction(u, t) for u, t in pairs]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a norm was computed before every pair was validated")
+
+    monkeypatch.setattr(freetensor, "dec_norms", no_solve)
+    with pytest.raises(ValueError, match="coefficient matrix algebra"):
+        freetensor.check_finite_rank_contractions(
+            pairs + [(random_unital_cp_map(gen, 3), pairs[0][1])])

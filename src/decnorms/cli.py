@@ -72,8 +72,11 @@ def _norm_results(parsed, opts) -> dict:
     restarts = int(opts.get("restarts", 24))
     agree_tol = float(opts.get("agree_tol", 5e-4))
 
-    if parsed.kind == "dec_linf":
-        cert = dec_norm_linf(parsed.coefficients, gap_tol=tol, feas_tol=tol)
+    if parsed.kind in ("dec_linf", "dec_matrix"):
+        if parsed.kind == "dec_linf":
+            cert = dec_norm_linf(parsed.coefficients, gap_tol=tol, feas_tol=tol)
+        else:
+            cert = dec_norm_matrix_domain(parsed.linear_map, gap_tol=tol, feas_tol=tol)
         return {
             "value": cert.value,
             "flagged": cert.flagged,
@@ -123,15 +126,6 @@ def _norm_results(parsed, opts) -> dict:
             "seesaw_gap": br.gap,
             "verdict": br.verdict,
             "solver": _solver_summary(br.certificate),
-        }
-    if parsed.kind == "dec_matrix":
-        cert = dec_norm_matrix_domain(parsed.linear_map, gap_tol=tol, feas_tol=tol)
-        return {
-            "value": cert.value,
-            "flagged": cert.flagged,
-            "reconstruction_residual": cert.reconstruction_residual,
-            "factor_bound": cert.factor_bound,
-            "solver": _solver_summary(cert),
         }
     if parsed.kind == "mult_domain":
         samples = int(opts.get("samples", 25))

@@ -27,11 +27,10 @@ the others a small sparse correction with one small dense block.  The
 package's programs have about two nonzeros per column of A, so memory
 and per-iteration cost scale with the nonzeros, not with rows x columns.
 A depends only on the block sizes and the linear parts; F0 enters
-through b alone.  So the assembled and equilibrated A, the inverse's
-parts and the projection's index arrays are kept, read-only, for the
-``SETUP_CACHE_SIZE`` most recently used structures, keyed by their exact
-bytes; a program that shares its structure with an earlier one skips
-that setup and gets the output a fresh setup would give.
+through b alone.  So one call of :func:`solve_all` builds the assembled
+and equilibrated A and the inverse's parts once per constraint
+structure, keyed by its exact bytes, and every program of that
+structure reads them, read-only.  Nothing is kept between calls.
 
 Residual checks are at most ``CHECK_EVERY`` iterations apart.  Each
 check scores the iterate against the tolerances, and while that score
@@ -73,7 +72,6 @@ repeated solves of the same program give bit-identical output.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import time
@@ -594,60 +592,35 @@ def _ruiz_equilibrate(a: CsrMatrix, block_slices: list[slice], iters: int):
     return d, e
 
 
-class _Projection(NamedTuple):
-    """Index arrays of the projection of a cone segment; see :func:`_psd_projector`.
-
-    ``seg[src] * scale`` fills the float64 view of the stacked matrices at
-    ``dst``; ``groups`` holds one (slice, stack shape) per block size, and
-    ``mats_f64[read] * read_scale`` reads the segment back.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    scale: np.ndarray
-    read: np.ndarray
-    read_scale: np.ndarray
-    groups: tuple
-    length: int  # complex entries of the stacked matrices
-
-
-def _projection(qs: list[int]) -> _Projection:
-    """Read-only index arrays projecting onto PSD blocks of sizes ``qs``."""
-    sizes = np.array([q * q for q in qs])
-    offs = np.cumsum(sizes) - sizes  # segment offset of each block
-    order = np.argsort(qs, kind="stable")
-    base = np.empty_like(offs)  # complex offset of each block in the matrix buffers
-    base[order] = np.cumsum(sizes[order]) - sizes[order]
-    maps = [_svec_map(q) for q in qs]
-    groups, start = [], 0
-    for q in sorted(set(qs)):
-        nb = qs.count(q)
-        groups.append((slice(start, start + nb * q * q), (nb, q, q)))
-        start += nb * q * q
-    out = _Projection(
-        np.concatenate([o + mp.src for o, mp in zip(offs, maps)]),
-        np.concatenate([2 * o + mp.dst for o, mp in zip(base, maps)]),
-        np.concatenate([mp.scale for mp in maps]),
-        np.concatenate([2 * o + mp.read for o, mp in zip(base, maps)]),
-        np.concatenate([mp.read_scale for mp in maps]),
-        tuple(groups), start,
-    )
-    for arr in out[:5]:
-        arr.setflags(write=False)
-    return out
-
-
-def _psd_projector(plan: _Projection):
-    """In-place projection of cone segments onto their PSD blocks, with its own buffers.
+def _psd_projector(qs: list[int]):
+    """In-place projection of cone segments onto PSD blocks of sizes ``qs``.
 
     A segment holds the blocks' svec vectors back to back; ``seg`` is one
     segment or a 2-D stack of them, one per row.  Blocks are grouped by
     size: one gather fills every group's stacked matrices (real arithmetic
     on their float64 view), each group takes one ``eigh`` over the whole
     stack, and one gather reads the projections back in segment order.
-    Each matrix gets the bits it gets alone.
+    Each matrix gets the bits it gets alone.  The projector owns its index
+    arrays and buffers.
     """
-    src, dst, scale, read, read_scale, groups, length = plan
+    sizes = np.array([q * q for q in qs])
+    offs = np.cumsum(sizes) - sizes  # segment offset of each block
+    order = np.argsort(qs, kind="stable")
+    base = np.empty_like(offs)  # complex offset of each block in the matrix buffers
+    base[order] = np.cumsum(sizes[order]) - sizes[order]
+    maps = [_svec_map(q) for q in qs]
+    # seg[src] * scale fills the float64 view of the matrices at dst, and
+    # mats_f64[read] * read_scale reads the segment back
+    src = np.concatenate([o + mp.src for o, mp in zip(offs, maps)])
+    dst = np.concatenate([2 * o + mp.dst for o, mp in zip(base, maps)])
+    scale = np.concatenate([mp.scale for mp in maps])
+    read = np.concatenate([2 * o + mp.read for o, mp in zip(base, maps)])
+    read_scale = np.concatenate([mp.read_scale for mp in maps])
+    groups, length = [], 0  # (slice, stack shape) per block size; complex entries
+    for q in sorted(set(qs)):
+        nb = qs.count(q)
+        groups.append((slice(length, length + nb * q * q), (nb, q, q)))
+        length += nb * q * q
     buffers = {}
 
     def project(seg: np.ndarray):
@@ -753,11 +726,6 @@ class _Setup(NamedTuple):
     e_col: np.ndarray
     block_slices: tuple[slice, ...]
     gram: _GramInverse
-    projection: _Projection
-
-
-# Setups of the most recently solved constraint structures, least recent first.
-_setups: collections.OrderedDict[tuple, _Setup] = collections.OrderedDict()
 
 
 def _structure_key(program: ConicProgram) -> tuple:
@@ -770,24 +738,8 @@ def _structure_key(program: ConicProgram) -> tuple:
     return tuple(blocks)
 
 
-def _setup(key: tuple, program: ConicProgram) -> _Setup:
-    """The setup of the program's constraint structure ``key``, built or reused.
-
-    The setup reads neither F0, b nor c, so programs that share the
-    constraint structure share one setup: the last ``SETUP_CACHE_SIZE``
-    structures are kept, keyed by :func:`_structure_key`.
-    """
-    setup = _setups.pop(key, None)
-    if setup is None:
-        setup = _build_setup(program)
-    _setups[key] = setup  # most recently used last
-    if len(_setups) > SETUP_CACHE_SIZE:
-        _setups.popitem(last=False)
-    return setup
-
-
 def _build_setup(program: ConicProgram) -> _Setup:
-    """Assemble A, equilibrate it, invert I + A^T A and plan the projection."""
+    """Assemble A, equilibrate it and invert I + A^T A; F0, b and c are not read."""
     parts, block_slices, off = [], [], 0
     for blk in program.psd_blocks:
         block_slices.append(slice(off, off + blk.size ** 2))
@@ -803,8 +755,7 @@ def _build_setup(program: ConicProgram) -> _Setup:
     for mat in (a, at, gram.r, gram.rt):
         for arr in (mat.data, mat.indices, mat.indptr, mat.row_of):
             arr.setflags(write=False)
-    return _Setup(a, at, d_row, e_col, tuple(block_slices), gram,
-                  _projection([blk.size for blk in program.psd_blocks]))
+    return _Setup(a, at, d_row, e_col, tuple(block_slices), gram)
 
 
 def _spd_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -858,8 +809,6 @@ RUIZ_ITERS = 10
 CHECK_EVERY = 25
 # Relative accuracy an infeasibility certificate must reach.
 INFEAS_TOL = 1e-8
-# Constraint structures whose setup is kept for reuse.
-SETUP_CACHE_SIZE = 16
 # Bytes of stacked iterate state a lockstep run may hold; larger groups run in chunks.
 BATCH_BYTES = 2 << 20
 # Programs run in lockstep only when at least this many fit in BATCH_BYTES.  A
@@ -878,7 +827,8 @@ _EYE.setflags(write=False)
 def _state_bytes(setup: _Setup) -> int:
     """Bytes of stacked state one program adds to a lockstep run, temporaries included."""
     size = sum(setup.a.shape) + 1
-    return 8 * (size * (4 * AA_MEMORY + 24) + 4 * setup.projection.length + 4 * setup.a.nnz)
+    # the projection's matrices hold as many complex entries as A has rows
+    return 8 * (size * (4 * AA_MEMORY + 24) + 4 * setup.a.shape[0] + 4 * setup.a.nnz)
 
 
 class _Lockstep:
@@ -905,12 +855,12 @@ class _Lockstep:
                  gap_tol: float, feas_tol: float, max_iter: int):
         self.setup, self.programs, self.index = setup, programs, index
         self.gap_tol, self.feas_tol, self.max_iter = gap_tol, feas_tol, max_iter
-        a, _, d_row, e_col, block_slices, _, projection = setup
+        a, _, d_row, e_col, block_slices, _ = setup
         n = len(programs)
         m, rows = a.shape[1], a.shape[0]
         self.m, self.rows, self.size = m, rows, m + rows + 1
         self.qs = [blk.size for blk in programs[0].psd_blocks]
-        self.project = _psd_projector(projection)
+        self.project = _psd_projector(self.qs)
 
         # --- b in svec coordinates, and the b/c normalization ----------------
         self.b = np.zeros((n, rows))
@@ -1278,10 +1228,11 @@ def solve_all(
     """Solve many programs; each gets, bit for bit, the solution :func:`solve` gives it.
 
     Programs are grouped by constraint structure (:func:`_structure_key`),
-    and each group runs in lockstep, in input order and in chunks of at
-    most ``BATCH_BYTES`` of stacked state (one program at least): one
-    iteration of the chunk is one iteration of each program still
-    running, so numpy's per-call cost is paid once per chunk.  Solutions
+    each group's setup is built once, and the group runs in lockstep, in
+    input order and in chunks of at most ``BATCH_BYTES`` of stacked state
+    (one program at least) that share that setup: one iteration of the
+    chunk is one iteration of each program still running, so numpy's
+    per-call cost is paid once per chunk.  Solutions
     come back in input order, and ``solve_seconds`` is the wall time of
     the group from its setup to the end of the program's chunk.  Arguments
     and outcomes are those of :func:`solve`; a ``SolverError`` from a
@@ -1296,9 +1247,9 @@ def solve_all(
     for i, program in enumerate(programs):
         groups.setdefault(_structure_key(program), []).append(i)
     out: list[ConicSolution | None] = [None] * len(programs)
-    for key, members in groups.items():
+    for members in groups.values():
         t0 = time.perf_counter()
-        setup = _setup(key, programs[members[0]])
+        setup = _build_setup(programs[members[0]])
         chunk = BATCH_BYTES // _state_bytes(setup)
         if chunk < LOCKSTEP_MIN:
             chunk = 1
@@ -1338,8 +1289,8 @@ def solve(
     sigma fell since the previous check, the next check goes where the
     geometric decay between the two predicts sigma = 1, between 1 and
     ``CHECK_EVERY`` iterations ahead; otherwise it comes ``CHECK_EVERY``
-    iterations later.  The setup that depends on the constraint matrix
-    alone (see :func:`_setup`) is reused across programs that share it,
-    with output byte-identical to a fresh setup.
+    iterations later.  The setup, which depends on the constraint matrix
+    alone, is built for this call; :func:`solve_all` shares one setup among
+    the programs of one structure in its batch.
     """
     return solve_all([program], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]

@@ -535,7 +535,7 @@ def dec_norm_direct_sums(
         for k, i, r, s in matrix_units(u.domain):
             img = u.images[k]
             for t in range(len(cn)):
-                if t != i and element_norm(AlgebraElement(AlgebraShape((cn[t],)), [img.blocks[t]])) > 1e-12:
+                if t != i and linalg.operator_norm(img.blocks[t]) > 1e-12:
                     raise ValueError(
                         f"map is not block-diagonal: unit of domain block {i} "
                         f"has support on codomain block {t}"

@@ -159,6 +159,28 @@ def _parse_options(obj, field_path: str) -> dict:
     return out
 
 
+def _parse_matrices(raw: dict, name: str, kind: str):
+    """The matrices of the nonempty array ``raw[name]``, the codomain and their blocks.
+
+    The matrices are square and of one size, which the optional
+    ``codomain`` splits into blocks; errors name ``name[j]`` or ``codomain``.
+    """
+    mats = [parse_complex_matrix(m, f"{name}[{j}]") for j, m in enumerate(raw[name])]
+    size = mats[0].shape[0]
+    for j, m in enumerate(mats):
+        _require(m.shape[0] == m.shape[1], f"{name}[{j}]", "matrix must be square")
+        _require(m.shape[0] == size, f"{name}[{j}]",
+                 f"matrix size {m.shape[0]} differs from {name}[0] size {size}")
+    if "codomain" in raw:
+        codomain = _parse_shape(raw["codomain"], "codomain", total=size)
+    else:
+        codomain = AlgebraShape(block_dims=(size,))
+    if kind in ("free_tensor", "cb_linf"):
+        _require(codomain.num_blocks == 1, "codomain",
+                 f"{kind} takes coefficients in a single matrix block")
+    return mats, codomain, [_split_blocks(m, codomain, f"{name}[{j}]") for j, m in enumerate(mats)]
+
+
 def parse_instance(raw: dict) -> ParsedInstance:
     """Validate a decoded instance document and build the domain objects."""
     _require(isinstance(raw, dict), "$", "instance must be a JSON object")
@@ -179,20 +201,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
         coeffs_raw = raw["coefficients"]
         _require(isinstance(coeffs_raw, list) and len(coeffs_raw) > 0,
                  "coefficients", "expected a nonempty array of matrices")
-        mats = [parse_complex_matrix(c, f"coefficients[{j}]") for j, c in enumerate(coeffs_raw)]
-        size = mats[0].shape[0]
-        for j, m in enumerate(mats):
-            _require(m.shape[0] == m.shape[1], f"coefficients[{j}]", "matrix must be square")
-            _require(m.shape[0] == size, f"coefficients[{j}]",
-                     f"matrix size {m.shape[0]} differs from coefficients[0] size {size}")
-        if "codomain" in raw:
-            codomain = _parse_shape(raw["codomain"], "codomain", total=size)
-        else:
-            codomain = AlgebraShape(block_dims=(size,))
-        if kind in ("free_tensor", "cb_linf"):
-            _require(codomain.num_blocks == 1, "codomain",
-                     f"{kind} takes coefficients in a single matrix block")
-        elements = [_split_blocks(m, codomain, f"coefficients[{j}]") for j, m in enumerate(mats)]
+        mats, codomain, elements = _parse_matrices(raw, "coefficients", kind)
         if kind == "selfadjoint_dec":
             for j, m in enumerate(mats):
                 defect = float(np.abs(m - m.conj().T).max())
@@ -214,20 +223,10 @@ def parse_instance(raw: dict) -> ParsedInstance:
     _require(isinstance(imgs_raw, list), "images", "expected an array of matrices")
     _require(len(imgs_raw) == n * n, "images",
              f"expected {n * n} images of the matrix units, got {len(imgs_raw)}")
-    mats = [parse_complex_matrix(m, f"images[{j}]") for j, m in enumerate(imgs_raw)]
-    size = mats[0].shape[0]
-    for j, m in enumerate(mats):
-        _require(m.shape[0] == m.shape[1], f"images[{j}]", "matrix must be square")
-        _require(m.shape[0] == size, f"images[{j}]",
-                 f"matrix size {m.shape[0]} differs from images[0] size {size}")
-    if "codomain" in raw:
-        codomain = _parse_shape(raw["codomain"], "codomain", total=size)
-    else:
-        codomain = AlgebraShape(block_dims=(size,))
-    images = [_split_blocks(m, codomain, f"images[{j}]") for j, m in enumerate(mats)]
+    _, codomain, images = _parse_matrices(raw, "images", kind)
     domain = AlgebraShape(block_dims=(n,))
     # Image order matches the matrix-unit index: e_rs sits at r*n + s.
-    lin = LinearMapRep(domain=domain, codomain=codomain, images=list(images))
+    lin = LinearMapRep(domain=domain, codomain=codomain, images=images)
     return ParsedInstance(kind=kind, digest=canonical_digest(raw), linear_map=lin,
                           codomain=codomain, options=options, raw=raw)
 

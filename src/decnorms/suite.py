@@ -421,14 +421,12 @@ def _oracle_cross_check(cfg, n, gen, seed, inject):
     sizes = [(2, 1), (3, 1), (2, 2), (3, 2)]
     worst = 0.0
     sound = True
-    for i in range(n):
-        nn, dd = sizes[i % len(sizes)]
-        xs = random_matrix_tuple(gen, nn, dd)
+    tuples = [random_matrix_tuple(gen, *sizes[i % len(sizes)]) for i in range(n)]
+    for i, (xs, cert) in enumerate(zip(tuples, dec_norms(tuples))):
         oracle = grid_oracle_min_norm(xs)
         saw = seesaw_min_norm(xs, restarts=8, seed=_sub_seed(seed, i))
-        upper = dec_norm_linf(xs).value
         worst = max(worst, abs(oracle - saw.lower))
-        sound = sound and oracle <= upper + upper_slack
+        sound = sound and oracle <= cert.value + upper_slack
     return _Outcome(worst, "grid oracle against the see-saw; oracle stays below the SDP value"
                            + ("" if sound else " (SOUNDNESS VIOLATED)"), ok=sound)
 

@@ -213,7 +213,7 @@ def test_projection_matches_per_block_reference_bitwise():
         want.append(conic.svec((v * w[None, :]) @ v.conj().T))
         off += q * q
     got = seg.copy()
-    conic._psd_projector(conic._projection(sizes))(got)
+    conic._psd_projector(sizes)(got)
     assert got.tobytes() == np.concatenate(want).tobytes()
 
 
@@ -222,7 +222,6 @@ def test_multi_size_solve_is_repeatable_across_map_rebuilds():
     prog, hs = _multi_size_program(gen, [3, 1, 2, 5, 2])
     s1 = conic.solve(prog)
     conic._svec_map.cache_clear()
-    conic._setups.clear()
     s2 = conic.solve(prog)
     assert s1.status == s2.status == "optimal"
     assert s1.iterations == s2.iterations
@@ -231,32 +230,42 @@ def test_multi_size_solve_is_repeatable_across_map_rebuilds():
     assert s1.primal_value == pytest.approx(top, abs=1e-7)
 
 
-def test_setup_reuse_is_exact_and_bounded():
+def test_setup_reuse_is_exact_and_bounded(monkeypatch):
     # P and Q share every block's linear part and differ only in F0.
     gen = make_generator(42)
     prog_p, _ = _multi_size_program(gen, [3, 2, 2])
     prog_q, _ = _multi_size_program(gen, [3, 2, 2])
     assert conic._structure_key(prog_p) == conic._structure_key(prog_q)
-    conic._setups.clear()
-    fresh = conic.solve(prog_p)
-    conic.solve(prog_q)
-    assert len(conic._setups) == 1
-    reused = conic.solve(prog_p)
-    for sol in (fresh, reused):
-        assert sol.status == "optimal"
-    assert reused.y.tobytes() == fresh.y.tobytes()
-    assert [z.tobytes() for z in reused.dual_psd] == [z.tobytes() for z in fresh.dual_psd]
-    assert reused.history == fresh.history
-    setup = next(iter(conic._setups.values()))
-    for arr in (setup.a.data, setup.at.indices, setup.d_row, setup.e_col, setup.projection.src,
+    solo = [conic.solve(p) for p in (prog_p, prog_q)]
+    built, build = [], conic._build_setup
+
+    def counted(program):
+        built.append(build(program))
+        return built[-1]
+
+    monkeypatch.setattr(conic, "_build_setup", counted)
+    batch = conic.solve_all([prog_p, prog_q, prog_p])
+    assert len(built) == 1
+    for got, want in zip(batch, solo + solo[:1]):
+        assert got.status == "optimal"
+        _assert_same_solution(got, want)
+    # the chunks of a group share the setup, so nothing in it can be written
+    setup = built[0]
+    for arr in (setup.a.data, setup.at.indices, setup.d_row, setup.e_col,
                 setup.gram.d0_inv, setup.gram.r.data, setup.gram.rt.indices, setup.gram.c_inv):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    # one structure per block size: more structures than the cache keeps
-    for q in range(1, conic.SETUP_CACHE_SIZE + 4):
-        conic.solve(eigenvalue_program(random_hermitian(gen, q)))
-        assert len(conic._setups) <= conic.SETUP_CACHE_SIZE
-    assert len(conic._setups) == conic.SETUP_CACHE_SIZE
+    # one setup per structure per call, however the group is chunked
+    programs = _three_structure_programs()
+    first = conic.solve_all(programs)
+    assert len(built) == 1 + 3
+    for got, want in zip(conic.solve_all(programs), first):
+        _assert_same_solution(got, want)
+    assert len(built) == 1 + 3 + 3
+    monkeypatch.setattr(conic, "BATCH_BYTES", 1)  # every chunk holds one program
+    for got, want in zip(conic.solve_all(programs), first):
+        _assert_same_solution(got, want)
+    assert len(built) == 1 + 3 + 3 + 3
 
 
 def _choi(u):
@@ -455,7 +464,6 @@ def test_bad_tolerance_is_rejected_before_any_setup(monkeypatch):
         raise AssertionError("setup built before the arguments were checked")
 
     monkeypatch.setattr(conic, "_build_setup", no_setup)
-    conic._setups.clear()
     prog = eigenvalue_program(np.eye(2))
     for bad in (0.0, -1e-8):
         with pytest.raises(ValueError, match="gap_tol"):
@@ -464,9 +472,9 @@ def test_bad_tolerance_is_rejected_before_any_setup(monkeypatch):
             conic.solve_all([prog], feas_tol=bad)
 
 
-def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
-    # 20 programs of three structures, interleaved: matrix-domain Choi
-    # programs on M_2, 3-tuples in M_2 and eigenvalue programs of size 4.
+def _three_structure_programs() -> list:
+    """20 programs of three structures, interleaved: matrix-domain Choi
+    programs on M_2, 3-tuples in M_2 and eigenvalue programs of size 4."""
     gen = make_generator(60)
     programs = []
     for i in range(20):
@@ -477,6 +485,11 @@ def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
                                                  for x in random_matrix_tuple(gen, 3, 2)])))
         else:
             programs.append(eigenvalue_program(random_hermitian(gen, 4)))
+    return programs
+
+
+def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
+    programs = _three_structure_programs()
     assert len({conic._structure_key(p) for p in programs}) == 3
     solo = [conic.solve(p) for p in programs]
     assert all(sol.status == "optimal" for sol in solo)

@@ -234,9 +234,7 @@ def cb_norm_linf(
     restarts: int = 24,
     seed: int = 0,
     agree_tol: float = 5e-4,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
+    tol: float = 1e-8,
     aux_dim: int | None = None,
     pin_first: bool = False,
     certificate: DecCertificate | None = None,
@@ -257,7 +255,7 @@ def cb_norm_linf(
     _check_seesaw_args(k0, restarts)  # before the SDP, which bad arguments would waste
     cert = certificate
     if cert is None:
-        cert = dec_norm_linf(mats, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+        cert = dec_norm_linf(mats, tol=tol)
     upper = float(cert.value)
 
     saw = seesaw_min_norm(mats, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)

@@ -33,9 +33,10 @@ structure, keyed by its exact bytes, and every program of that
 structure reads them, read-only.  Nothing is kept between calls.
 
 Residual checks are at most ``CHECK_EVERY`` iterations apart.  Each
-check scores the iterate against the tolerances, and while that score
-decays the next check is placed where the measured geometric rate says
-it reaches them, so a solve stops within a few iterations of converging.
+check scores the iterate against the one tolerance ``tol``, and while
+that score decays the next check is placed where the measured geometric
+rate says it reaches it, so a solve stops within a few iterations of
+converging, or at ``MAX_ITER`` iterations.
 
 :func:`solve_all` solves many programs at once, and :func:`solve` is its
 batch of one.  Programs of one constraint structure form a group that
@@ -809,6 +810,8 @@ RUIZ_ITERS = 10
 CHECK_EVERY = 25
 # Relative accuracy an infeasibility certificate must reach.
 INFEAS_TOL = 1e-8
+# Iterations a program may run before it stops with status ``max_iterations``.
+MAX_ITER = 200_000
 # Bytes of stacked iterate state a lockstep run may hold; larger groups run in chunks.
 BATCH_BYTES = 2 << 20
 # Programs run in lockstep only when at least this many fit in BATCH_BYTES.  A
@@ -852,9 +855,9 @@ class _Lockstep:
                 "stored", "slot", "on_trial", "next_check")
 
     def __init__(self, setup: _Setup, programs: list[ConicProgram], index: list[int | None],
-                 gap_tol: float, feas_tol: float, max_iter: int):
+                 tol: float):
         self.setup, self.programs, self.index = setup, programs, index
-        self.gap_tol, self.feas_tol, self.max_iter = gap_tol, feas_tol, max_iter
+        self.tol, self.max_iter = tol, MAX_ITER
         a, _, d_row, e_col, block_slices, _ = setup
         n = len(programs)
         m, rows = a.shape[1], a.shape[0]
@@ -892,7 +895,7 @@ class _Lockstep:
         self.stored, self.slot = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.on_trial = np.zeros(n, dtype=bool)
         self.f_sq_old = np.zeros(n)
-        self.next_check = np.full(n, min(CHECK_EVERY, max_iter))
+        self.next_check = np.full(n, min(CHECK_EVERY, self.max_iter))
 
         # per-program records, indexed by position in ``programs``
         self.history: list[list] = [[] for _ in range(n)]
@@ -901,7 +904,7 @@ class _Lockstep:
         self.last_check: list[tuple[int, float] | None] = [None] * n  # (iteration, sigma)
         self.status: list[str | None] = [None] * n
         self.message = [""] * n
-        self.iterations = [max_iter] * n
+        self.iterations = [self.max_iter] * n
 
     def _scratch(self, n: int):
         self.row_ix = np.arange(n)
@@ -917,7 +920,7 @@ class _Lockstep:
         return x
 
     def run(self):
-        """Iterate until every program has stopped or reached ``max_iter``."""
+        """Iterate until every program has stopped or reached ``MAX_ITER``."""
         next_check = int(self.next_check.min())
         for it in range(1, self.max_iter + 1):
             check = it == next_check
@@ -1127,7 +1130,7 @@ class _Lockstep:
                 if score < self.best_score[j]:
                     self.best_score[j] = score
                     self.best_point[j] = (x[k].copy(), eta[k].copy(), po, do, rp, rd, rg, it)
-                sigma = max(rp / self.feas_tol, rd / self.feas_tol, rg / self.gap_tol)
+                sigma = max(rp / self.tol, rd / self.tol, rg / self.tol)
                 if sigma <= 1.0:
                     self.status[j], self.iterations[j] = "optimal", it
                     stopped.append(row)
@@ -1218,13 +1221,7 @@ class _Lockstep:
         )
 
 
-def solve_all(
-    programs: list[ConicProgram],
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> list[ConicSolution]:
+def solve_all(programs: list[ConicProgram], *, tol: float = 1e-8) -> list[ConicSolution]:
     """Solve many programs; each gets, bit for bit, the solution :func:`solve` gives it.
 
     Programs are grouped by constraint structure (:func:`_structure_key`),
@@ -1238,11 +1235,8 @@ def solve_all(
     and outcomes are those of :func:`solve`; a ``SolverError`` from a
     batch of several names the failing program by its position.
     """
-    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     groups: dict[tuple, list[int]] = {}
     for i, program in enumerate(programs):
         groups.setdefault(_structure_key(program), []).append(i)
@@ -1256,8 +1250,7 @@ def solve_all(
         for start in range(0, len(members), chunk):
             part = members[start:start + chunk]
             index = [i if len(programs) > 1 else None for i in part]
-            run = _Lockstep(setup, [programs[i] for i in part], index,
-                            gap_tol, feas_tol, max_iter)
+            run = _Lockstep(setup, [programs[i] for i in part], index, tol)
             run.run()
             elapsed = time.perf_counter() - t0
             for j, i in enumerate(part):
@@ -1265,32 +1258,25 @@ def solve_all(
     return out
 
 
-def solve(
-    program: ConicProgram,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> ConicSolution:
-    """Solve a program to the requested normalized tolerances: ``solve_all([program])[0]``.
+def solve(program: ConicProgram, *, tol: float = 1e-8) -> ConicSolution:
+    """Solve a program to the normalized tolerance ``tol``: ``solve_all([program])[0]``.
 
     Termination: primal residual / (1 + ||b||), dual residual / (1 + ||c||)
-    both below ``feas_tol`` and relative duality gap below ``gap_tol``.
-    When the iteration cap is hit the best candidate seen is returned with
-    status ``max_iterations``; infeasibility certificates come back as
+    and relative duality gap all below ``tol``.  When the iteration cap
+    ``MAX_ITER`` is hit the best candidate seen is returned with status
+    ``max_iterations``; infeasibility certificates come back as
     ``infeasible_suspected`` (a dual-infeasibility certificate, meaning an
     unbounded primal, is reported the same way and distinguished in the
-    message).  Tolerances must be positive and finite and ``max_iter`` at
-    least 1; anything else raises ``ValueError``.
+    message).  ``tol`` must be positive and finite; anything else raises
+    ``ValueError``.
 
     Residual checks are scheduled from the measured convergence rate.  A
-    check scores the iterate by sigma = max(res_p / feas_tol, res_d /
-    feas_tol, gap / gap_tol), and the solve stops once sigma <= 1.  When
-    sigma fell since the previous check, the next check goes where the
-    geometric decay between the two predicts sigma = 1, between 1 and
-    ``CHECK_EVERY`` iterations ahead; otherwise it comes ``CHECK_EVERY``
-    iterations later.  The setup, which depends on the constraint matrix
+    check scores the iterate by sigma = max(res_p, res_d, gap) / tol, and
+    the solve stops once sigma <= 1.  When sigma fell since the previous
+    check, the next check goes where the geometric decay between the two
+    predicts sigma = 1, between 1 and ``CHECK_EVERY`` iterations ahead;
+    otherwise it comes ``CHECK_EVERY`` iterations later.  The setup, which depends on the constraint matrix
     alone, is built for this call; :func:`solve_all` shares one setup among
     the programs of one structure in its batch.
     """
-    return solve_all([program], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
+    return solve_all([program], tol=tol)[0]

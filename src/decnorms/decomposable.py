@@ -117,7 +117,7 @@ def _require_optimal(sol: conic.ConicSolution, label: str = "") -> conic.ConicSo
 
 
 def _solve_optimal(programs: list[conic.ConicProgram], inputs: list[int], several: bool,
-                   options: dict) -> list[conic.ConicSolution]:
+                   tol: float) -> list[conic.ConicSolution]:
     """Solve the programs of the inputs ``inputs`` in one batch, all to optimality.
 
     A lone program goes through :func:`conic.solve`, where solve counters
@@ -125,8 +125,8 @@ def _solve_optimal(programs: list[conic.ConicProgram], inputs: list[int], severa
     ``SolverError`` names the failing one as ``input k``.
     """
     try:
-        sols = (conic.solve_all(programs, **options) if len(programs) > 1
-                else [conic.solve(program, **options) for program in programs])
+        sols = (conic.solve_all(programs, tol=tol) if len(programs) > 1
+                else [conic.solve(program, tol=tol) for program in programs])
     except conic.SolverError as exc:
         at = exc.index if len(programs) > 1 else 0  # position among the programs
         if not several or at is None:
@@ -344,12 +344,12 @@ def _diagonal_images(u: LinearMapRep, cs: dict) -> list[AlgebraElement]:
     return out
 
 
-def _certify_all(items: list[tuple[LinearMapRep, str]], options: dict) -> list[DecCertificate]:
+def _certify_all(items: list[tuple[LinearMapRep, str]], tol: float) -> list[DecCertificate]:
     """Decomposable norms of maps ``u`` with their certificates, for any domains.
 
     ``items`` pairs each map with its certificate kind.  Each map is scaled
     to unit size and its Choi program built; the programs are solved in one
-    :func:`conic.solve_all` call (``options`` go there), so programs of one
+    :func:`conic.solve_all` call at tolerance ``tol``, so programs of one
     structure run in lockstep and each gets the solution it gets alone.
     Each dressing is then repaired and factored, and everything is scaled
     back using the homogeneity of the norm (value and dressing linearly,
@@ -374,7 +374,7 @@ def _certify_all(items: list[tuple[LinearMapRep, str]], options: dict) -> list[D
         program, decode = _choi_program(su, x_choi)
         jobs.append((k, scale, su, x_choi, decode))
         programs.append(program)
-    sols = _solve_optimal(programs, [job[0] for job in jobs], len(items) > 1, options)
+    sols = _solve_optimal(programs, [job[0] for job in jobs], len(items) > 1, tol)
     del programs
     for (k, scale, su, x_choi, decode), sol in zip(jobs, sols):
         certs[k] = _finish_certificate(items[k][0], items[k][1], scale, su, x_choi, decode, sol)
@@ -420,13 +420,7 @@ def _finish_certificate(u: LinearMapRep, kind: str, scale: float, su: LinearMapR
 # Tuples, matrix domains and direct sums
 # ---------------------------------------------------------------------------
 
-def dec_norm_linf(
-    xs,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> DecCertificate:
+def dec_norm_linf(xs, *, tol: float = 1e-8) -> DecCertificate:
     """Decomposable norm of the map ``e_j -> x_j`` on an abelian domain.
 
     The coefficients may be plain square arrays (single matrix block) or
@@ -435,32 +429,20 @@ def dec_norm_linf(
     coefficient is one domain block of the Choi program and a zero
     coefficient gets no variables.
     """
-    return dec_norms([xs], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
+    return dec_norms([xs], tol=tol)[0]
 
 
-def dec_norm_matrix_domain(
-    u: LinearMapRep,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> DecCertificate:
+def dec_norm_matrix_domain(u: LinearMapRep, *, tol: float = 1e-8) -> DecCertificate:
     """Decomposable norm of a map from a single matrix block.
 
     Maps that factor through the diagonal give a genuinely different
     program from the tuple of their diagonal images; the two are compared
     in the test suite.
     """
-    return dec_norms([u], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
+    return dec_norms([u], tol=tol)[0]
 
 
-def dec_norms(
-    inputs: list,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> list[DecCertificate]:
+def dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
     """Decomposable norms of many tuples and single-block maps, in one call.
 
     Each input is either the coefficients of a tuple, as
@@ -480,7 +462,7 @@ def dec_norms(
             items.append((item, "matrix_domain"))
         else:
             items.append((map_from_linf(_coerce_elements(item)), "linf"))
-    return _certify_all(items, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
+    return _certify_all(items, tol)
 
 
 @dataclass
@@ -493,13 +475,7 @@ class DirectSumDecReport:
     certificate: DecCertificate
 
 
-def dec_norm_direct_sum(
-    u: LinearMapRep,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> DirectSumDecReport:
+def dec_norm_direct_sum(u: LinearMapRep, *, tol: float = 1e-8) -> DirectSumDecReport:
     """Dec norm of a block-diagonal map, jointly and block by block.
 
     ``u`` must send the i-th domain block into the i-th codomain block
@@ -507,16 +483,11 @@ def dec_norm_direct_sum(
     values agree for decomposable norms; both are returned so the caller
     can check.
     """
-    return dec_norm_direct_sums([u], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
+    return dec_norm_direct_sums([u], tol=tol)[0]
 
 
-def dec_norm_direct_sums(
-    maps: list[LinearMapRep],
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> list[DirectSumDecReport]:
+def dec_norm_direct_sums(maps: list[LinearMapRep], *,
+                         tol: float = 1e-8) -> list[DirectSumDecReport]:
     """:func:`dec_norm_direct_sum` of many maps, in one call.
 
     Every map is validated first.  Then the per-block programs and the
@@ -548,7 +519,7 @@ def dec_norm_direct_sums(
                       for r in range(n_i) for s in range(n_i)]
             items.append((LinearMapRep(AlgebraShape((n_i,)), sub_cod, images), "matrix_domain"))
         items.append((u, "direct_sum"))
-    certs = _certify_all(items, dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
+    certs = _certify_all(items, tol)
     reports, end = [], 0
     for u in maps:
         start, end = end, end + u.domain.num_blocks + 1
@@ -577,13 +548,7 @@ class SelfadjointDecResult:
     solver: conic.ConicSolution = field(repr=False)
 
 
-def selfadjoint_dec_norm(
-    xs,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> SelfadjointDecResult:
+def selfadjoint_dec_norm(xs, *, tol: float = 1e-8) -> SelfadjointDecResult:
     """Dec norm of self-adjoint coefficients as inf ||u1(1) + u2(1)||.
 
     The tuple is split as ``x_j = R_j - (R_j - x_j)`` with both parts
@@ -591,16 +556,10 @@ def selfadjoint_dec_norm(
     splittings is the decomposable norm for self-adjoint maps from an
     abelian domain.  Raises if some coefficient is not self-adjoint.
     """
-    return selfadjoint_dec_norms([xs], gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)[0]
+    return selfadjoint_dec_norms([xs], tol=tol)[0]
 
 
-def selfadjoint_dec_norms(
-    inputs: list,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> list[SelfadjointDecResult]:
+def selfadjoint_dec_norms(inputs: list, *, tol: float = 1e-8) -> list[SelfadjointDecResult]:
     """:func:`selfadjoint_dec_norm` of many tuples, in one call.
 
     Every tuple is validated first; the programs then go to the solver
@@ -624,8 +583,7 @@ def selfadjoint_dec_norms(
         program, offs = _selfadjoint_program(scaled)
         jobs.append((k, scaled, scale, offs))
         programs.append(program)
-    sols = _solve_optimal(programs, [job[0] for job in jobs], len(inputs) > 1,
-                          dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter))
+    sols = _solve_optimal(programs, [job[0] for job in jobs], len(inputs) > 1, tol)
     for (k, scaled, scale, offs), sol in zip(jobs, sols):
         out[k] = _selfadjoint_result(scaled, scale, offs, sol)
     return out

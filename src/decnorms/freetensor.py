@@ -64,15 +64,9 @@ def free_tensor(coeffs) -> FreeTensor:
     return FreeTensor(coeffs=tuple(coeffs))
 
 
-def max_norm(
-    t: FreeTensor,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> tuple[float, DecCertificate]:
+def max_norm(t: FreeTensor, *, tol: float = 1e-8) -> tuple[float, DecCertificate]:
     """Largest tensor norm, as the decomposable norm of ``e_j -> x_j``."""
-    cert = dec_norm_linf(list(t.coeffs), gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    cert = dec_norm_linf(list(t.coeffs), tol=tol)
     return float(cert.value), cert
 
 
@@ -96,33 +90,19 @@ class ContractionReport:
     ok: bool
 
 
-def check_finite_rank_contraction(
-    u: LinearMapRep,
-    t: FreeTensor,
-    *,
-    tol: float = 1e-6,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> ContractionReport:
+def check_finite_rank_contraction(u: LinearMapRep, t: FreeTensor, *,
+                                  tol: float = 1e-6) -> ContractionReport:
     """Push ``t`` through ``u`` and compare norms.
 
     The left side is the max norm of the tensor with coefficients
     ``u(x_j)``; the right side is ``dec(u)`` times the min-norm upper value
     of ``t``.  ``ok`` allows slack ``tol`` relative to the right side.
     """
-    return check_finite_rank_contractions([(u, t)], tol=tol, gap_tol=gap_tol,
-                                          feas_tol=feas_tol, max_iter=max_iter)[0]
+    return check_finite_rank_contractions([(u, t)], tol=tol)[0]
 
 
-def check_finite_rank_contractions(
-    pairs: list[tuple[LinearMapRep, FreeTensor]],
-    *,
-    tol: float = 1e-6,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> list[ContractionReport]:
+def check_finite_rank_contractions(pairs: list[tuple[LinearMapRep, FreeTensor]], *,
+                                   tol: float = 1e-6) -> list[ContractionReport]:
     """:func:`check_finite_rank_contraction` of many ``(u, t)`` pairs, in one call.
 
     Every pair is validated before any norm is computed.  The three norms
@@ -137,8 +117,7 @@ def check_finite_rank_contractions(
             raise ValueError("map domain must be the coefficient matrix algebra")
         dom = matrix_algebra(t.coeff_dim)
         inputs += [[apply_map(u, element(dom, [x])) for x in t.coeffs], u, list(t.coeffs)]
-    values = [float(cert.value) for cert in dec_norms(
-        inputs, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)]
+    values = [float(cert.value) for cert in dec_norms(inputs)]
     reports = []
     for lhs, dec_value, min_upper in zip(values[0::3], values[1::3], values[2::3]):
         rhs = dec_value * min_upper

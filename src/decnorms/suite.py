@@ -151,7 +151,7 @@ def _solver_eigenvalue(cfg, n, gen, seed, inject):
     clean = True
     hs = [random_hermitian(gen, lo + (i % (hi - lo + 1))) for i in range(n)]
     progs = [eigenvalue_program(h) for h in hs]
-    for h, prog, sol in zip(hs, progs, solve_all(progs, gap_tol=1e-9, feas_tol=1e-9)):
+    for h, prog, sol in zip(hs, progs, solve_all(progs, tol=1e-9)):
         lam = float(np.linalg.eigvalsh(h)[-1])
         worst = max(worst, abs(sol.primal_value - lam), abs(sol.gap))
         if sol.status != "optimal" or not verify_certificate(prog, sol).clean:
@@ -204,8 +204,7 @@ def _closed_form_scalars(cfg, n, gen, seed, inject):
     lo, hi = cfg["n_range"]
     worst = 0.0
     draws = [random_ginibre(gen, lo + (i % (hi - lo + 1)), 1).reshape(-1) for i in range(n)]
-    certs = dec_norms([[v.reshape(1, 1) for v in vals] for vals in draws],
-                      gap_tol=1e-10, feas_tol=1e-10)
+    certs = dec_norms([[v.reshape(1, 1) for v in vals] for vals in draws], tol=1e-10)
     for vals, cert in zip(draws, certs):
         target = float(np.abs(vals).sum())
         worst = max(worst, abs(cert.value - target) / max(1.0, target))
@@ -219,7 +218,7 @@ def _closed_form_unitary(cfg, n, gen, seed, inject):
     worst = 0.0
     families = [[random_haar_unitary(gen, dlo + (i % (dhi - dlo + 1)))
                  for _ in range(nlo + (i % (nhi - nlo + 1)))] for i in range(n)]
-    certs = dec_norms(families, gap_tol=1e-10, feas_tol=1e-10)
+    certs = dec_norms(families, tol=1e-10)
     for i, (xs, cert) in enumerate(zip(families, certs)):
         nn = len(xs)
         saw = seesaw_min_norm(xs, restarts=2, seed=_sub_seed(seed, i))
@@ -239,7 +238,7 @@ def _closed_form_trace(cfg, n, gen, seed, inject):
         return map_from_function(matrix_algebra(a.shape[0]), cod,
                                  lambda x: element(cod, [np.array([[np.trace(x.blocks[0] @ a)]])]))
 
-    certs = dec_norms([trace_map(a) for a in mats], gap_tol=1e-10, feas_tol=1e-10)
+    certs = dec_norms([trace_map(a) for a in mats], tol=1e-10)
     for a, cert in zip(mats, certs):
         target = float(np.linalg.svd(a, compute_uv=False).sum())
         worst = max(worst, abs(cert.value - target) / max(1.0, target))
@@ -251,8 +250,8 @@ def _selfadjoint_consistency(cfg, n, gen, seed, inject):
     dd, nn = cfg["d"], cfg["n"]
     worst = 0.0
     tuples = [[random_hermitian(gen, dd) for _ in range(nn)] for _ in range(n)]
-    general = dec_norms(tuples, gap_tol=1e-9, feas_tol=1e-9)
-    for sa, cert in zip(selfadjoint_dec_norms(tuples, gap_tol=1e-9, feas_tol=1e-9), general):
+    general = dec_norms(tuples, tol=1e-9)
+    for sa, cert in zip(selfadjoint_dec_norms(tuples, tol=1e-9), general):
         worst = max(worst, abs(sa.value - cert.value))
     return _Outcome(worst, "self-adjoint two-map program against the general program")
 
@@ -352,7 +351,6 @@ def _nuclearity(cfg, n, gen, seed, inject):
     tol = float(cfg["tolerance"])
     dd, nn = cfg["d"], cfg["n"]
     worst = -np.inf
-    worst_saw = 0.0
     ok = True
     tensors = [random_free_tensor(gen, nn, dd) for _ in range(n)]
     certs = dec_norms([list(t.coeffs) for t in tensors])
@@ -360,10 +358,10 @@ def _nuclearity(cfg, n, gen, seed, inject):
         # the max norm is the bracket's upper value: its gap is the max-min gap
         gap = min_norm(t, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol, certificate=cert).gap
         worst = max(worst, gap)
-        worst_saw = max(worst_saw, gap)
         ok = ok and gap >= -1e-6
-    return _Outcome(max(worst, worst_saw),
-                    f"max-min relative gap {worst:.2e}, see-saw bracket {worst_saw:.2e}", ok=ok)
+    bracket = max(0.0, worst)
+    return _Outcome(bracket, f"max-min relative gap {worst:.2e}, see-saw bracket {bracket:.2e}",
+                    ok=ok)
 
 
 @_check("mult_domain")

@@ -139,7 +139,7 @@ def test_pinning_the_first_unitary_loses_nothing():
 
 def test_cb_norm_scalar_closed_form():
     agg = cbnorm.cb_norm_linf([np.array([[2.0]]), np.array([[-1.0]]), np.array([[2j]])],
-                              restarts=4, seed=0, gap_tol=1e-10, feas_tol=1e-10)
+                              restarts=4, seed=0, tol=1e-10)
     assert agg.upper == pytest.approx(5.0, abs=1e-8)
     assert agg.lower == pytest.approx(5.0, abs=1e-8)
 
@@ -147,7 +147,7 @@ def test_cb_norm_scalar_closed_form():
 def test_cb_norm_unitary_closed_form():
     gen = make_generator(68)
     xs = [random_haar_unitary(gen, 2) for _ in range(3)]
-    agg = cbnorm.cb_norm_linf(xs, restarts=4, seed=0, gap_tol=1e-10, feas_tol=1e-10)
+    agg = cbnorm.cb_norm_linf(xs, restarts=4, seed=0, tol=1e-10)
     assert agg.upper == pytest.approx(3.0, abs=1e-7)
     assert agg.lower == pytest.approx(3.0, abs=1e-7)
 

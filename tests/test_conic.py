@@ -129,7 +129,7 @@ def test_infeasible_program_detected():
     b2.add_constant(-np.eye(d))
     b2.add_hermitian_var(0, d, 0, -1.0)
     prog = conic.ConicProgram(objective=np.zeros(m), psd_blocks=[b1.build(), b2.build()])
-    sol = conic.solve(prog, max_iter=20_000)
+    sol = conic.solve(prog)
     assert sol.status == "infeasible_suspected"
     assert "infeasibility" in sol.message
 
@@ -138,7 +138,7 @@ def test_unbounded_program_reported_as_suspected():
     builder = conic.BlockBuilder(1, 1)
     builder.add_scalar_identity(0, 1, 0, 1.0)
     prog = conic.ConicProgram(objective=np.array([-1.0]), psd_blocks=[builder.build()])
-    sol = conic.solve(prog, max_iter=20_000)
+    sol = conic.solve(prog)
     assert sol.status == "infeasible_suspected"
     assert "unbounded" in sol.message
 
@@ -177,16 +177,13 @@ def test_residual_history_ends_at_the_stopping_check():
             assert max(rp / 1e-8, rd / 1e-8, g / 1e-8) > 1.0
 
 
-def test_bad_solver_arguments_are_rejected_by_name():
+def test_bad_solver_arguments_are_rejected_by_name(monkeypatch):
     prog = eigenvalue_program(np.eye(2))
-    for name in ("gap_tol", "feas_tol"):
-        for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match=name):
-                conic.solve(prog, **{name: bad})
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_iter"):
-            conic.solve(prog, max_iter=bad)
-    assert conic.solve(prog, max_iter=1).iterations == 1
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            conic.solve(prog, tol=bad)
+    monkeypatch.setattr(conic, "MAX_ITER", 1)
+    assert conic.solve(prog).iterations == 1
 
 
 def _multi_size_program(gen, sizes):
@@ -386,7 +383,7 @@ def test_extrapolation_never_collapses_tau():
     gen = make_generator(5, stream=101)
     h = [random_hermitian(gen, q) for q in range(2, 11)][-1]
     prog = eigenvalue_program(h)
-    sol = conic.solve(prog, gap_tol=1e-9, feas_tol=1e-9)
+    sol = conic.solve(prog, tol=1e-9)
     assert sol.status == "optimal"
     assert sol.primal_value == pytest.approx(float(np.linalg.eigvalsh(h)[-1]), abs=1e-7)
     rep = conic.verify_certificate(prog, sol)
@@ -412,7 +409,7 @@ def _scalar_program(f0, c, sign=None):
     return conic.ConicProgram(objective=np.array([c]), psd_blocks=[builder.build()])
 
 
-def test_batch_gives_each_program_its_own_outcome():
+def test_batch_gives_each_program_its_own_outcome(monkeypatch):
     capped = _choi(map_from_linf([element(matrix_algebra(4), [x])
                                   for x in random_matrix_tuple(make_generator(38), 6, 4)]))
     programs = [
@@ -421,13 +418,14 @@ def test_batch_gives_each_program_its_own_outcome():
         _scalar_program(0.0, -1.0, 1.0),  # minimize -y subject to y >= 0: unbounded
         eigenvalue_program(random_hermitian(make_generator(50), 2)),
     ]
-    batch = conic.solve_all(programs, max_iter=30)
+    monkeypatch.setattr(conic, "MAX_ITER", 30)
+    batch = conic.solve_all(programs)
     assert [sol.status for sol in batch] == [
         "infeasible_suspected", "max_iterations", "infeasible_suspected", "optimal"]
     assert "primal infeasibility" in batch[0].message and "unbounded" in batch[2].message
     assert np.isnan(batch[0].primal_value) and np.all(np.isnan(batch[2].y))
     for program, sol in zip(programs, batch):
-        _assert_same_solution(sol, conic.solve(program, max_iter=30))
+        _assert_same_solution(sol, conic.solve(program))
 
 
 def _interval_program(lo, hi, c):
@@ -466,10 +464,8 @@ def test_bad_tolerance_is_rejected_before_any_setup(monkeypatch):
     monkeypatch.setattr(conic, "_build_setup", no_setup)
     prog = eigenvalue_program(np.eye(2))
     for bad in (0.0, -1e-8):
-        with pytest.raises(ValueError, match="gap_tol"):
-            conic.solve_all([prog], gap_tol=bad)
-        with pytest.raises(ValueError, match="feas_tol"):
-            conic.solve_all([prog], feas_tol=bad)
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            conic.solve_all([prog], tol=bad)
 
 
 def _three_structure_programs() -> list:

@@ -30,7 +30,7 @@ from decnorms.testkit import (
     random_unital_cp_map,
 )
 
-TIGHT = dict(gap_tol=1e-10, feas_tol=1e-10)
+TIGHT = dict(tol=1e-10)
 
 
 def test_scalar_tuple_closed_form():
@@ -333,7 +333,7 @@ def test_zero_coefficient_among_live_ones():
     assert element_norm(cert.P[1]) == 0.0
 
 
-def test_batch_entry_matches_the_single_entries():
+def test_batch_entry_matches_the_single_entries(monkeypatch):
     gen = make_generator(59)
     xs = random_matrix_tuple(gen, 3, 2)
     ys = random_matrix_tuple(gen, 3, 2)
@@ -351,8 +351,9 @@ def test_batch_entry_matches_the_single_entries():
     with pytest.raises(ValueError, match="single matrix block"):
         decomposable.dec_norms([xs, maps.identity_map(abelian_algebra(2))])
     # the capped program names its input
+    monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)
     with pytest.raises(decomposable.conic.SolverError, match="input 1: .*max_iterations"):
-        decomposable.dec_norms([zeros, xs], max_iter=5)
+        decomposable.dec_norms([zeros, xs])
 
 
 def test_solver_failure_names_the_input_behind_a_zero_one(monkeypatch):
@@ -395,7 +396,7 @@ def test_direct_sum_batch_matches_the_single_calls():
         assert got.certificate.solver.y.tobytes() == want.certificate.solver.y.tobytes()
 
 
-def test_selfadjoint_batch_matches_the_single_calls():
+def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):
     gen = make_generator(62)
     tuples = [[random_hermitian(gen, 2) for _ in range(3)] for _ in range(3)]
     tuples.insert(0, [np.zeros((2, 2))] * 3)  # no program: the first failing input is 1
@@ -404,5 +405,6 @@ def test_selfadjoint_batch_matches_the_single_calls():
         assert got.value == want.value
         assert got.solver.y.tobytes() == want.solver.y.tobytes()
         assert got.solver.history == want.solver.history
+    monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)
     with pytest.raises(decomposable.conic.SolverError, match="^input 1: .*max_iterations"):
-        decomposable.selfadjoint_dec_norms(tuples, max_iter=5)
+        decomposable.selfadjoint_dec_norms(tuples)

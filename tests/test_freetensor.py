@@ -19,7 +19,7 @@ from decnorms.testkit import (
     random_unital_cp_map,
 )
 
-TIGHT = dict(gap_tol=1e-10, feas_tol=1e-10)
+TIGHT = dict(tol=1e-10)
 
 
 def test_free_tensor_validation():

@@ -6,15 +6,7 @@ programming with verifiable certificates.  See ``decnorms.cli`` for the
 command-line entry point and ``decnorms.suite`` for the self-check corpus.
 """
 
-import os as _os
-
 __version__ = "0.1.0"
-
-# Thread count for the underlying BLAS, read before numpy loads it.
-_threads = _os.environ.get("DECNORMS_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
 
 from decnorms.algebra import (
     AlgebraElement,
@@ -39,8 +31,6 @@ from decnorms.maps import (
 )
 from decnorms.decomposable import (
     DecCertificate,
-    dec_norm_direct_sum,
-    dec_norm_direct_sums,
     dec_norm_linf,
     dec_norm_matrix_domain,
     dec_norms,
@@ -90,8 +80,6 @@ __all__ = [
     "DecCertificate",
     "dec_norm_linf",
     "dec_norm_matrix_domain",
-    "dec_norm_direct_sum",
-    "dec_norm_direct_sums",
     "dec_norms",
     "selfadjoint_dec_norm",
     "selfadjoint_dec_norms",

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -358,10 +357,11 @@ class BlockBuilder:
         pair_idx = _svec_map(q).pair[a_sub + row0, b_sub + row0]
         return np.arange(row0, row0 + qsub), q + pair_idx, q + q * (q - 1) // 2 + pair_idx
 
-    def add_constant(self, mat: np.ndarray, row0: int = 0):
+    def add_constant(self, mat: np.ndarray):
+        """Add the constant ``mat`` at the top-left corner of the block."""
         m = np.asarray(mat, dtype=np.complex128)
         qsub = m.shape[0]
-        self.f0[row0:row0 + qsub, row0:row0 + qsub] += m
+        self.f0[:qsub, :qsub] += m
 
     def add_constant_offdiag(self, mat: np.ndarray, row0: int, col0: int):
         """Place a constant rectangular block at (row0, col0), mirrored."""
@@ -451,7 +451,6 @@ class ConicSolution:
     res_dual: float
     dual_psd: list[np.ndarray] = field(default_factory=list, repr=False)
     message: str = ""
-    solve_seconds: float = 0.0
     # (iteration, res_primal, res_dual, gap) at every residual check
     history: list[tuple[int, float, float, float]] = field(default_factory=list, repr=False)
 
@@ -486,14 +485,15 @@ def _psd_residual(program: ConicProgram, y: np.ndarray) -> float:
     return res
 
 
-def verify_certificate(program: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> CertificateReport:
+def verify_certificate(program: ConicProgram, sol: ConicSolution) -> CertificateReport:
     """Recompute all residuals of a reported solution from scratch.
 
     Primal feasibility, objective values, dual feasibility (cone membership
     and stationarity of the Lagrangian) and the duality gap are rebuilt
     from the program data alone; any disagreement with the reported fields
-    beyond ``tol`` is listed in ``discrepancies``.
+    beyond ``tol = 1e-6`` is listed in ``discrepancies``.
     """
+    tol = 1e-6
     issues: list[str] = []
     y = np.asarray(sol.y, dtype=np.float64)
     if y.shape != (program.num_vars,):
@@ -1181,7 +1181,7 @@ class _Lockstep:
                 setattr(self, name, getattr(self, name)[keep])
             self._scratch(self.ids.size)
 
-    def finish(self, j: int, elapsed: float) -> ConicSolution:
+    def finish(self, j: int) -> ConicSolution:
         """The solution of program ``j`` once the run is over."""
         program, status, iterations = self.programs[j], self.status[j], self.iterations[j]
         m, history = self.m, self.history[j]
@@ -1190,8 +1190,7 @@ class _Lockstep:
             return ConicSolution(
                 status=status, primal_value=nan, y=np.full(m, nan), dual_value=nan,
                 psd_residual=nan, gap=nan, iterations=iterations,
-                res_primal=nan, res_dual=nan, message=self.message[j], solve_seconds=elapsed,
-                history=history,
+                res_primal=nan, res_dual=nan, message=self.message[j], history=history,
             )
         if self.best_point[j] is None:
             raise SolverError(
@@ -1216,7 +1215,6 @@ class _Lockstep:
             res_dual=res_d,
             dual_psd=[unsvec(eta[sl], q) for sl, q in zip(self.setup.block_slices, self.qs)],
             message=message,
-            solve_seconds=elapsed,
             history=history,
         )
 
@@ -1229,11 +1227,10 @@ def solve_all(programs: list[ConicProgram], *, tol: float = 1e-8) -> list[ConicS
     input order and in chunks of at most ``BATCH_BYTES`` of stacked state
     (one program at least) that share that setup: one iteration of the
     chunk is one iteration of each program still running, so numpy's
-    per-call cost is paid once per chunk.  Solutions
-    come back in input order, and ``solve_seconds`` is the wall time of
-    the group from its setup to the end of the program's chunk.  Arguments
-    and outcomes are those of :func:`solve`; a ``SolverError`` from a
-    batch of several names the failing program by its position.
+    per-call cost is paid once per chunk.  Solutions come back in input
+    order.  Arguments and outcomes are those of :func:`solve`; a
+    ``SolverError`` from a batch of several names the failing program by
+    its position.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -1242,7 +1239,6 @@ def solve_all(programs: list[ConicProgram], *, tol: float = 1e-8) -> list[ConicS
         groups.setdefault(_structure_key(program), []).append(i)
     out: list[ConicSolution | None] = [None] * len(programs)
     for members in groups.values():
-        t0 = time.perf_counter()
         setup = _build_setup(programs[members[0]])
         chunk = BATCH_BYTES // _state_bytes(setup)
         if chunk < LOCKSTEP_MIN:
@@ -1252,9 +1248,8 @@ def solve_all(programs: list[ConicProgram], *, tol: float = 1e-8) -> list[ConicS
             index = [i if len(programs) > 1 else None for i in part]
             run = _Lockstep(setup, [programs[i] for i in part], index, tol)
             run.run()
-            elapsed = time.perf_counter() - t0
             for j, i in enumerate(part):
-                out[i] = run.finish(j, elapsed)
+                out[i] = run.finish(j)
     return out
 
 

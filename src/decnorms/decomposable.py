@@ -437,101 +437,33 @@ def dec_norm_matrix_domain(u: LinearMapRep, *, tol: float = 1e-8) -> DecCertific
 
     Maps that factor through the diagonal give a genuinely different
     program from the tuple of their diagonal images; the two are compared
-    in the test suite.
+    in the test suite.  A map from a direct sum goes to :func:`dec_norms`.
     """
+    if not u.domain.is_factor():
+        raise ValueError("domain must be a single matrix block; see dec_norms")
     return dec_norms([u], tol=tol)[0]
 
 
 def dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
-    """Decomposable norms of many tuples and single-block maps, in one call.
+    """Decomposable norms of many tuples and maps, in one call.
 
     Each input is either the coefficients of a tuple, as
-    :func:`dec_norm_linf` takes them, or a :class:`LinearMapRep` from a
-    single matrix block, as :func:`dec_norm_matrix_domain` takes it, and
-    gets the certificate that function returns, bit for bit.  The programs
-    go to :func:`conic.solve_all` together, so inputs whose programs share
-    a constraint structure (tuples of one length and algebra, maps of one
-    shape) are solved in lockstep.  Inputs are validated as the two
-    functions do; a ``SolverError`` names the failing input by position.
+    :func:`dec_norm_linf` takes them, or a :class:`LinearMapRep` from any
+    direct sum of matrix blocks.  A tuple gets the certificate
+    :func:`dec_norm_linf` returns, bit for bit, with kind ``linf``; a map
+    gets kind ``matrix_domain`` from one block and ``direct_sum`` from
+    several.  The programs go to :func:`conic.solve_all` together, so
+    inputs whose programs share a constraint structure (tuples of one
+    length and algebra, maps of one shape) are solved in lockstep.  A
+    ``SolverError`` names the failing input by position.
     """
     items = []
     for item in inputs:
         if isinstance(item, LinearMapRep):
-            if not item.domain.is_factor():
-                raise ValueError("domain must be a single matrix block; see dec_norm_direct_sum")
-            items.append((item, "matrix_domain"))
+            items.append((item, "matrix_domain" if item.domain.is_factor() else "direct_sum"))
         else:
             items.append((map_from_linf(_coerce_elements(item)), "linf"))
     return _certify_all(items, tol)
-
-
-@dataclass
-class DirectSumDecReport:
-    """Joint dec norm of a block-diagonal map next to its per-block norms."""
-
-    joint_value: float
-    block_values: list[float]
-    max_block_value: float
-    certificate: DecCertificate
-
-
-def dec_norm_direct_sum(u: LinearMapRep, *, tol: float = 1e-8) -> DirectSumDecReport:
-    """Dec norm of a block-diagonal map, jointly and block by block.
-
-    ``u`` must send the i-th domain block into the i-th codomain block
-    (same block count).  The joint value and the max of the per-block
-    values agree for decomposable norms; both are returned so the caller
-    can check.
-    """
-    return dec_norm_direct_sums([u], tol=tol)[0]
-
-
-def dec_norm_direct_sums(maps: list[LinearMapRep], *,
-                         tol: float = 1e-8) -> list[DirectSumDecReport]:
-    """:func:`dec_norm_direct_sum` of many maps, in one call.
-
-    Every map is validated first.  Then the per-block programs and the
-    joint one of every map go to the solver together, so blocks of equal
-    sizes, and the joint programs of maps of one shape, are solved in
-    lockstep; each report is the one the single call returns.  A
-    ``SolverError`` names the failing program by its position in that
-    list: each map's blocks in order, then its joint program.
-    """
-    items = []
-    for u in maps:
-        dn = u.domain.block_dims
-        cn = u.codomain.block_dims
-        if len(dn) != len(cn):
-            raise ValueError("block-diagonal maps need matching block counts")
-        for k, i, r, s in matrix_units(u.domain):
-            img = u.images[k]
-            for t in range(len(cn)):
-                if t != i and linalg.operator_norm(img.blocks[t]) > 1e-12:
-                    raise ValueError(
-                        f"map is not block-diagonal: unit of domain block {i} "
-                        f"has support on codomain block {t}"
-                    )
-    for u in maps:
-        dn, cn = u.domain.block_dims, u.codomain.block_dims
-        for i, n_i in enumerate(dn):
-            sub_cod = AlgebraShape((cn[i],))
-            images = [AlgebraElement(sub_cod, [u.image(i, r, s).blocks[i]])
-                      for r in range(n_i) for s in range(n_i)]
-            items.append((LinearMapRep(AlgebraShape((n_i,)), sub_cod, images), "matrix_domain"))
-        items.append((u, "direct_sum"))
-    certs = _certify_all(items, tol)
-    reports, end = [], 0
-    for u in maps:
-        start, end = end, end + u.domain.num_blocks + 1
-        *blocks, cert = certs[start:end]
-        block_values = [c.value for c in blocks]
-        reports.append(DirectSumDecReport(
-            joint_value=cert.value,
-            block_values=block_values,
-            max_block_value=float(max(block_values)),
-            certificate=cert,
-        ))
-    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ class ParsedInstance:
     codomain: AlgebraShape | None = None
     linear_map: LinearMapRep | None = None
     options: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def canonical_digest(obj) -> str:
@@ -210,7 +209,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
         # digest only after validation: allow_nan=False chokes on non-finite
         # leaves, and those must surface as field errors instead
         return ParsedInstance(kind=kind, digest=canonical_digest(raw), coefficients=elements,
-                              codomain=codomain, options=options, raw=raw)
+                              codomain=codomain, options=options)
 
     # map kinds: dec_matrix, mult_domain
     _require("domain" in raw, "domain", "missing")
@@ -228,7 +227,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
     # Image order matches the matrix-unit index: e_rs sits at r*n + s.
     lin = LinearMapRep(domain=domain, codomain=codomain, images=images)
     return ParsedInstance(kind=kind, digest=canonical_digest(raw), linear_map=lin,
-                          codomain=codomain, options=options, raw=raw)
+                          codomain=codomain, options=options)
 
 
 def load_instance(path: str) -> ParsedInstance:

@@ -60,14 +60,14 @@ def symmetrize(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def herm_eigensystem(a, *, rtol: float = HERMITIAN_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     ``v`` such that ``a = v @ diag(w) @ v*``.  The input is symmetrized
-    first; a Hermitian defect above ``rtol`` (relative) raises.
+    first; a Hermitian defect above ``HERMITIAN_RTOL`` (relative) raises.
     """
-    h = symmetrize(a, rtol=rtol)
+    h = symmetrize(a)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails

@@ -501,10 +501,10 @@ def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
 def test_batch_failure_names_the_program_by_position(monkeypatch):
     finish = conic._Lockstep.finish
 
-    def lose_last_point(self, j, elapsed):
+    def lose_last_point(self, j):
         if j == len(self.programs) - 1:
             self.best_point[j] = None
-        return finish(self, j, elapsed)
+        return finish(self, j)
 
     monkeypatch.setattr(conic._Lockstep, "finish", lose_last_point)
     programs = [eigenvalue_program(random_hermitian(make_generator(70 + i), 2)) for i in range(2)]

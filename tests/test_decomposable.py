@@ -242,16 +242,21 @@ def test_direct_sum_joint_equals_max_block():
     shape = tuple(int(t) for t in dom)
     domain = AlgebraShape(shape)
     codomain = AlgebraShape(shape)
-    images = []
+    images, block_maps = [], []
     for i, di in enumerate(shape):
+        block_images = []
         for _ in range(di * di):
             blocks = [np.zeros((c, c), dtype=np.complex128) for c in shape]
             blocks[i] = random_ginibre(gen, di, di)
             images.append(element(codomain, blocks))
+            block_images.append(element(matrix_algebra(di), [blocks[i]]))
+        block_maps.append(maps.LinearMapRep(matrix_algebra(di), matrix_algebra(di), block_images))
     u = maps.LinearMapRep(domain, codomain, images)
-    rep = decomposable.dec_norm_direct_sum(u)
-    assert rep.joint_value == pytest.approx(rep.max_block_value, abs=1e-6 * max(1.0, rep.max_block_value))
-    assert len(rep.block_values) == 2
+    joint, *blocks = decomposable.dec_norms([u, *block_maps])
+    assert joint.kind == "direct_sum"
+    assert [c.kind for c in blocks] == ["matrix_domain"] * 2
+    top = max(c.value for c in blocks)
+    assert joint.value == pytest.approx(top, abs=1e-6 * max(1.0, top))
 
 
 def test_direct_sum_certificate_rebuilds_the_map():
@@ -265,7 +270,8 @@ def test_direct_sum_certificate_rebuilds_the_map():
             blocks[i] = random_ginibre(gen, codomain.block_dims[i], codomain.block_dims[i])
             images.append(element(codomain, blocks))
     u = maps.LinearMapRep(domain, codomain, images)
-    cert = decomposable.dec_norm_direct_sum(u).certificate
+    cert = decomposable.dec_norms([u])[0]
+    assert cert.kind == "direct_sum"
     assert len(cert.factor_a) == len(cert.factor_b) == domain.total_dim
     worst = 0.0
     for k, i, r, s in maps.matrix_units(domain):
@@ -281,17 +287,24 @@ def test_direct_sum_certificate_rebuilds_the_map():
     assert not cert.flagged
 
 
-def test_direct_sum_rejects_off_block_support():
-    domain = AlgebraShape((2, 2))
-    codomain = AlgebraShape((2, 2))
-    images = []
-    for i in range(2):
-        for _ in range(4):
-            blocks = [np.eye(2, dtype=np.complex128), np.eye(2, dtype=np.complex128)]
-            images.append(element(codomain, blocks))
-    u = maps.LinearMapRep(domain, codomain, images)
-    with pytest.raises(ValueError):
-        decomposable.dec_norm_direct_sum(u)
+def test_direct_sum_takes_any_map_on_the_sum():
+    # a tuple is the map e_j -> x_j on M_1 + ... + M_1, so handing dec_norms
+    # that map solves the tuple's own program
+    xs = random_matrix_tuple(make_generator(60), 3, 2)
+    as_map = maps.map_from_linf([element(matrix_algebra(2), [x]) for x in xs])
+    # every matrix unit of both domain blocks goes to the unit: support
+    # across the blocks, where no per-block program applies
+    shape = AlgebraShape((2, 2))
+    across = maps.LinearMapRep(shape, shape, [unit(shape) for _ in range(8)])
+    got, cert = decomposable.dec_norms([as_map, across])
+    want = decomposable.dec_norm_linf(xs)
+    assert (got.kind, want.kind) == ("direct_sum", "linf")
+    assert (got.value, got.factor_bound) == (want.value, want.factor_bound)
+    assert got.solver.y.tobytes() == want.solver.y.tobytes()
+    assert got.solver.history == want.solver.history
+    assert cert.kind == "direct_sum"
+    assert cert.factor_bound == pytest.approx(cert.value, abs=1e-5 * max(1.0, cert.value))
+    assert not cert.flagged
 
 
 def test_selfadjoint_route_agrees_with_general_route():
@@ -321,7 +334,7 @@ def test_degenerate_inputs():
         decomposable.dec_norm_linf([])
     with pytest.raises(ValueError):
         decomposable.dec_norm_linf([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="single matrix block; see dec_norms"):
         decomposable.dec_norm_matrix_domain(maps.identity_map(abelian_algebra(2)))
 
 
@@ -333,23 +346,35 @@ def test_zero_coefficient_among_live_ones():
     assert element_norm(cert.P[1]) == 0.0
 
 
+def _block_diagonal_map(gen, dims):
+    shape = AlgebraShape(dims)
+    images = []
+    for i, di in enumerate(dims):
+        for _ in range(di * di):
+            blocks = [np.zeros((c, c), dtype=np.complex128) for c in dims]
+            blocks[i] = random_ginibre(gen, di, di)
+            images.append(element(shape, blocks))
+    return maps.LinearMapRep(shape, shape, images)
+
+
 def test_batch_entry_matches_the_single_entries(monkeypatch):
     gen = make_generator(59)
     xs = random_matrix_tuple(gen, 3, 2)
     ys = random_matrix_tuple(gen, 3, 2)
     u = maps.map_from_function(matrix_algebra(2), matrix_algebra(2),
                                lambda x: element(matrix_algebra(2), [x.blocks[0].T]))
+    w = _block_diagonal_map(gen, (2, 1))
     zeros = [np.zeros((2, 2)), np.zeros((2, 2))]
-    batch = decomposable.dec_norms([xs, u, ys, zeros])
+    batch = decomposable.dec_norms([xs, u, ys, zeros, w])
     singles = [decomposable.dec_norm_linf(xs), decomposable.dec_norm_matrix_domain(u),
-               decomposable.dec_norm_linf(ys), decomposable.dec_norm_linf(zeros)]
-    for got, want in zip(batch, singles):
+               decomposable.dec_norm_linf(ys), decomposable.dec_norm_linf(zeros),
+               decomposable.dec_norms([w])[0]]
+    for got, want in zip(batch, singles, strict=True):
         assert (got.kind, got.value, got.factor_bound) == (want.kind, want.value, want.factor_bound)
         assert got.solver.y.tobytes() == want.solver.y.tobytes()
         assert got.solver.history == want.solver.history
+    assert batch[-1].kind == "direct_sum"
     assert decomposable.dec_norms([]) == []
-    with pytest.raises(ValueError, match="single matrix block"):
-        decomposable.dec_norms([xs, maps.identity_map(abelian_algebra(2))])
     # the capped program names its input
     monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)
     with pytest.raises(decomposable.conic.SolverError, match="input 1: .*max_iterations"):
@@ -364,36 +389,16 @@ def test_solver_failure_names_the_input_behind_a_zero_one(monkeypatch):
     zeros = [np.zeros((2, 2)), np.zeros((2, 2))]
     finish = decomposable.conic._Lockstep.finish
 
-    def lose_last_point(self, j, elapsed):
+    def lose_last_point(self, j):
         if j == len(self.programs) - 1:
             self.best_point[j] = None
-        return finish(self, j, elapsed)
+        return finish(self, j)
 
     monkeypatch.setattr(decomposable.conic._Lockstep, "finish", lose_last_point)
     with pytest.raises(decomposable.conic.SolverError, match="^input 1: no usable iterate"):
         decomposable.dec_norms([zeros, xs])
     with pytest.raises(decomposable.conic.SolverError, match="^input 2: no usable iterate"):
         decomposable.dec_norms([zeros, xs, ys])
-
-
-def _block_diagonal_map(gen, dims):
-    shape = AlgebraShape(dims)
-    images = []
-    for i, di in enumerate(dims):
-        for _ in range(di * di):
-            blocks = [np.zeros((c, c), dtype=np.complex128) for c in dims]
-            blocks[i] = random_ginibre(gen, di, di)
-            images.append(element(shape, blocks))
-    return maps.LinearMapRep(shape, shape, images)
-
-
-def test_direct_sum_batch_matches_the_single_calls():
-    gen = make_generator(61)
-    us = [_block_diagonal_map(gen, dims) for dims in ((2, 2), (2, 1), (2, 2))]
-    for got, u in zip(decomposable.dec_norm_direct_sums(us), us):
-        want = decomposable.dec_norm_direct_sum(u)
-        assert (got.joint_value, got.block_values) == (want.joint_value, want.block_values)
-        assert got.certificate.solver.y.tobytes() == want.certificate.solver.y.tobytes()
 
 
 def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):

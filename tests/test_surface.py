@@ -2,7 +2,8 @@
 
 Every module-level public function in ``src/decnorms/*.py`` must be
 referenced by name from package code outside its own ``def``, or be part
-of the documented API in ``decnorms.__all__``.  A helper that only tests
+of the documented API in ``decnorms.__all__``, and every name in
+``decnorms.__all__`` exists.  A helper that only tests
 use belongs in the tests.  The solver stops on one tolerance, ``tol``,
 and one cap, ``conic.MAX_ITER``, so no function takes separate
 tolerances or an iteration cap.
@@ -68,3 +69,8 @@ def test_no_function_takes_separate_tolerances_or_an_iteration_cap():
     _, _, params = _walk_package()
     knobs = [f"{func}({name})" for func, name in params if name in SOLVER_KNOBS]
     assert knobs == [], f"solver knobs other than tol and conic.MAX_ITER: {knobs}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in decnorms.__all__ if not hasattr(decnorms, name)]
+    assert missing == [], f"names in decnorms.__all__ the package does not define: {missing}"

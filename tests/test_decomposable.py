@@ -401,6 +401,17 @@ def test_solver_failure_names_the_input_behind_a_zero_one(monkeypatch):
         decomposable.dec_norms([zeros, xs, ys])
 
 
+def test_direct_sum_batch_matches_the_single_calls():
+    gen = make_generator(61)
+    us = [_block_diagonal_map(gen, dims) for dims in ((2, 2), (2, 1), (2, 2))]
+    for got, u in zip(decomposable.dec_norms(us), us, strict=True):
+        want = decomposable.dec_norms([u])[0]
+        assert (got.kind, want.kind) == ("direct_sum", "direct_sum")
+        assert (got.value, got.factor_bound) == (want.value, want.factor_bound)
+        assert got.solver.y.tobytes() == want.solver.y.tobytes()
+        assert got.solver.history == want.solver.history
+
+
 def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):
     gen = make_generator(62)
     tuples = [[random_hermitian(gen, 2) for _ in range(3)] for _ in range(3)]

@@ -46,11 +46,7 @@ from decnorms.cbnorm import (
     seesaw_min_norm,
 )
 from decnorms.freetensor import (
-    FreeTensor,
-    check_finite_rank_contraction,
     check_finite_rank_contractions,
-    free_tensor,
-    max_norm,
     min_norm,
 )
 from decnorms.multdomain import (
@@ -89,11 +85,7 @@ __all__ = [
     "evaluate_tensor_norm",
     "seesaw_min_norm",
     "cb_norm_linf",
-    "FreeTensor",
-    "free_tensor",
-    "max_norm",
     "min_norm",
-    "check_finite_rank_contraction",
     "check_finite_rank_contractions",
     "SubalgebraBasis",
     "multiplicative_domain",

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from decnorms import linalg
-from decnorms.algebra import AlgebraElement
-from decnorms.decomposable import DecCertificate, dec_norm_linf
+from decnorms.algebra import AlgebraElement, element_norm, matrix_algebra
+from decnorms.decomposable import FLAG_RESIDUAL, DecCertificate, dec_norm_linf
 from decnorms.testkit import make_generator, random_haar_unitary
 
 # Bytes of stacked see-saw arrays that one chunk of restarts may hold at
@@ -228,6 +228,20 @@ class CbAgreement:
     certificate: DecCertificate = field(repr=False)
 
 
+def _check_certificate(mats: list[np.ndarray], cert: DecCertificate):
+    """Raise ``ValueError`` unless ``cert`` is a tuple certificate whose factors rebuild ``mats``."""
+    if cert.kind != "linf" or len(cert.factor_a) != len(mats):
+        raise ValueError("certificate is not a dec_norm_linf certificate of these coefficients")
+    shape = matrix_algebra(mats[0].shape[0])
+    resid = max(element_norm(AlgebraElement(shape, [x]) - a.adjoint() * b)
+                for x, a, b in zip(mats, cert.factor_a, cert.factor_b))
+    # as closely as they rebuilt their own tuple, or to the level that flags a certificate
+    limit = max(cert.reconstruction_residual,
+                FLAG_RESIDUAL * max(1.0, max(linalg.operator_norm(x) for x in mats)))
+    if resid > limit:
+        raise ValueError(f"certificate factors miss these coefficients by {resid:.3g}")
+
+
 def cb_norm_linf(
     xs,
     *,
@@ -248,7 +262,8 @@ def cb_norm_linf(
     identity.  Verdict ``"agree"`` means the bracket closed within
     ``agree_tol``.  A caller that already holds the ``dec_norm_linf``
     certificate of ``xs`` (say from one ``dec_norms`` call over many
-    tuples) passes it as ``certificate``, and the SDP is not solved again.
+    tuples) passes it as ``certificate``, and the SDP is not solved again;
+    a certificate whose factors do not rebuild ``xs`` raises ``ValueError``.
     """
     mats = _coerce_mats(xs)
     k0 = int(aux_dim) if aux_dim is not None else mats[0].shape[0]
@@ -256,6 +271,8 @@ def cb_norm_linf(
     cert = certificate
     if cert is None:
         cert = dec_norm_linf(mats, tol=tol)
+    else:
+        _check_certificate(mats, cert)
     upper = float(cert.value)
 
     saw = seesaw_min_norm(mats, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)

@@ -17,7 +17,7 @@ from decnorms.decomposable import (
     dec_norm_matrix_domain,
     selfadjoint_dec_norm,
 )
-from decnorms.freetensor import FreeTensor, min_norm
+from decnorms.freetensor import min_norm
 from decnorms.iofmt import (
     InstanceError,
     build_report,
@@ -114,10 +114,9 @@ def _norm_results(parsed, opts) -> dict:
             "solver": _solver_summary(agg.certificate),
         }
     if parsed.kind == "free_tensor":
-        t = FreeTensor(coeffs=tuple(c.blocks[0] for c in parsed.coefficients))
         # the max norm is the bracket's upper value, so one gap serves both
-        br = min_norm(t, restarts=restarts, seed=seed, agree_tol=agree_tol,
-                      tol=tol, aux_dim=aux_dim)
+        br = min_norm([c.blocks[0] for c in parsed.coefficients], restarts=restarts, seed=seed,
+                      agree_tol=agree_tol, tol=tol, aux_dim=aux_dim)
         return {
             "max": br.upper,
             "min_upper": br.upper,

@@ -66,7 +66,6 @@ class ParsedInstance:
     kind: str
     digest: str
     coefficients: list = field(default_factory=list)
-    codomain: AlgebraShape | None = None
     linear_map: LinearMapRep | None = None
     options: dict = field(default_factory=dict)
 
@@ -200,7 +199,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
         coeffs_raw = raw["coefficients"]
         _require(isinstance(coeffs_raw, list) and len(coeffs_raw) > 0,
                  "coefficients", "expected a nonempty array of matrices")
-        mats, codomain, elements = _parse_matrices(raw, "coefficients", kind)
+        mats, _, elements = _parse_matrices(raw, "coefficients", kind)
         if kind == "selfadjoint_dec":
             for j, m in enumerate(mats):
                 defect = float(np.abs(m - m.conj().T).max())
@@ -209,7 +208,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
         # digest only after validation: allow_nan=False chokes on non-finite
         # leaves, and those must surface as field errors instead
         return ParsedInstance(kind=kind, digest=canonical_digest(raw), coefficients=elements,
-                              codomain=codomain, options=options)
+                              options=options)
 
     # map kinds: dec_matrix, mult_domain
     _require("domain" in raw, "domain", "missing")
@@ -227,7 +226,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
     # Image order matches the matrix-unit index: e_rs sits at r*n + s.
     lin = LinearMapRep(domain=domain, codomain=codomain, images=images)
     return ParsedInstance(kind=kind, digest=canonical_digest(raw), linear_map=lin,
-                          codomain=codomain, options=options)
+                          options=options)
 
 
 def load_instance(path: str) -> ParsedInstance:

@@ -55,7 +55,6 @@ from decnorms.testkit import (
     random_ginibre,
     random_haar_unitary,
     random_hermitian,
-    random_free_tensor,
     random_matrix_tuple,
     random_unital_cp_map,
 )
@@ -306,7 +305,7 @@ def _ineq_contraction(cfg, n, gen, seed, inject):
     dd, nn = cfg["d"], cfg["n"]
     worst = 0.0
     ok = True
-    pairs = [(_random_map(gen, dd, scale=0.8), random_free_tensor(gen, nn, dd)) for _ in range(n)]
+    pairs = [(_random_map(gen, dd, scale=0.8), random_matrix_tuple(gen, nn, dd)) for _ in range(n)]
     for rep in check_finite_rank_contractions(pairs, tol=tol):
         ok = ok and rep.ok
         worst = max(worst, (rep.lhs - rep.rhs) / max(1.0, rep.rhs))
@@ -357,11 +356,11 @@ def _nuclearity(cfg, n, gen, seed, inject):
     dd, nn = cfg["d"], cfg["n"]
     worst = -np.inf
     ok = True
-    tensors = [random_free_tensor(gen, nn, dd) for _ in range(n)]
-    certs = dec_norms([list(t.coeffs) for t in tensors])
-    for i, (t, cert) in enumerate(zip(tensors, certs)):
+    tensors = [random_matrix_tuple(gen, nn, dd) for _ in range(n)]
+    certs = dec_norms(tensors)
+    for i, (xs, cert) in enumerate(zip(tensors, certs)):
         # the max norm is the bracket's upper value: its gap is the max-min gap
-        gap = min_norm(t, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol, certificate=cert).gap
+        gap = min_norm(xs, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol, certificate=cert).gap
         worst = max(worst, gap)
         ok = ok and gap >= -1e-6
     bracket = max(0.0, worst)

@@ -83,13 +83,6 @@ def random_unital_cp_map(gen: np.random.Generator, d: int, num_kraus: int = 3) -
     return kraus_map(kraus)
 
 
-def random_free_tensor(gen: np.random.Generator, n: int, d: int):
-    """Random tensor over n unitary generators (slot 0 the unit), iid Ginibre M_d coefficients."""
-    from decnorms.freetensor import FreeTensor
-
-    return FreeTensor(coeffs=tuple(random_matrix_tuple(gen, n, d)))
-
-
 # ---------------------------------------------------------------------------
 # Grid oracle for the min tensor norm on small instances
 # ---------------------------------------------------------------------------

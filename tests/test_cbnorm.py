@@ -9,7 +9,9 @@ from its factors.
 import numpy as np
 import pytest
 
-from decnorms import cbnorm
+from decnorms import cbnorm, maps
+from decnorms.algebra import matrix_algebra
+from decnorms.decomposable import dec_norm_linf, dec_norm_matrix_domain
 from decnorms.testkit import (
     grid_oracle_min_norm,
     make_generator,
@@ -301,3 +303,22 @@ def test_given_certificate_replaces_the_sdp(monkeypatch):
     given = cbnorm.cb_norm_linf(xs, restarts=4, seed=3, certificate=alone.certificate)
     assert (given.upper, given.lower, given.verdict) == (alone.upper, alone.lower, alone.verdict)
     assert given.certificate is alone.certificate
+
+
+def test_certificate_of_other_coefficients_is_rejected(monkeypatch):
+    gen = make_generator(0)
+    other = dec_norm_linf(random_matrix_tuple(gen, 3, 2))
+    xs = random_matrix_tuple(gen, 3, 2)
+    longer = random_matrix_tuple(gen, 4, 2)
+    # the identity on M_2 has a certificate of another kind for its own images
+    u = maps.identity_map(matrix_algebra(2))
+    images = [img.blocks[0] for img in u.images]
+    map_cert = dec_norm_matrix_domain(u)
+
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("the see-saw ran on a foreign certificate")
+
+    monkeypatch.setattr(cbnorm, "seesaw_min_norm", no_seesaw)
+    for coeffs, cert in ((xs, other), (longer, other), (images, map_cert)):
+        with pytest.raises(ValueError, match="certificate"):
+            cbnorm.cb_norm_linf(coeffs, certificate=cert)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from decnorms import algebra, iofmt, testkit
+from decnorms import iofmt, testkit
 
 INSTANCE_DIR = "instances"
 
@@ -47,7 +47,7 @@ def test_shipped_instances_parse():
             assert inst.linear_map is None
             assert len(inst.coefficients) > 0
             for el in inst.coefficients:
-                assert el.shape == inst.codomain
+                assert el.shape == inst.coefficients[0].shape
 
 
 def test_parse_round_trips_coefficients():
@@ -56,13 +56,13 @@ def test_parse_round_trips_coefficients():
     inst = iofmt.parse_instance(_coeff_doc(mats))
     for m, el in zip(mats, inst.coefficients):
         assert np.allclose(el.assemble(), m, atol=1e-15)
-    assert inst.codomain.block_dims == (3,)
+    assert inst.coefficients[0].shape.block_dims == (3,)
 
 
 def test_codomain_blocks_respected():
     m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     inst = iofmt.parse_instance(_coeff_doc([m], codomain=[1, 2]))
-    assert inst.codomain.block_dims == (1, 2)
+    assert inst.coefficients[0].shape.block_dims == (1, 2)
     assert inst.coefficients[0].blocks[0].shape == (1, 1)
     assert inst.coefficients[0].blocks[1].shape == (2, 2)
 

@@ -6,7 +6,8 @@ of the documented API in ``decnorms.__all__``, and every name in
 ``decnorms.__all__`` exists.  A helper that only tests
 use belongs in the tests.  The solver stops on one tolerance, ``tol``,
 and one cap, ``conic.MAX_ITER``, so no function takes separate
-tolerances or an iteration cap.
+tolerances or an iteration cap.  No package or test module imports a name
+it never uses.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 import decnorms
 
 SRC = Path(decnorms.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 # parameter names the single ``tol`` and ``conic.MAX_ITER`` replaced
@@ -74,3 +76,34 @@ def test_no_function_takes_separate_tolerances_or_an_iteration_cap():
 def test_every_exported_name_resolves():
     missing = [name for name in decnorms.__all__ if not hasattr(decnorms, name)]
     assert missing == [], f"names in decnorms.__all__ the package does not define: {missing}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import in ``path`` binds that the module never uses as a name.
+
+    Imports on a line marked ``# noqa: F401`` and names listed in the
+    module's ``__all__`` are kept on purpose.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    bound, used, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return [f"{path.parent.name}/{path.name}:{line} {name}"
+            for name, line in bound.items() if name not in used and name not in exported]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [hit for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+              for hit in _unused_imports(path)]
+    assert unused == [], f"imported names never used: {unused}"

@@ -152,7 +152,9 @@ def is_positive(x: AlgebraElement, tol: float = 1e-9) -> bool:
     return True
 
 
-def is_selfadjoint(x: AlgebraElement, tol: float = 1e-10) -> bool:
+def is_selfadjoint(x: AlgebraElement) -> bool:
+    """True iff ``||x - x*|| <= 1e-10 max(1, ||x||)`` in operator norm."""
+    tol = 1e-10 * max(1.0, element_norm(x))
     return all(linalg.operator_norm(b - b.conj().T) <= tol for b in x.blocks)
 
 

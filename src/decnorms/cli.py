@@ -72,27 +72,18 @@ def _norm_results(parsed, opts) -> dict:
     restarts = int(opts.get("restarts", 24))
     agree_tol = float(opts.get("agree_tol", 5e-4))
 
-    if parsed.kind in ("dec_linf", "dec_matrix"):
-        if parsed.kind == "dec_linf":
-            cert = dec_norm_linf(parsed.coefficients, tol=tol)
-        else:
+    if parsed.kind in ("dec_linf", "dec_matrix", "selfadjoint_dec"):
+        if parsed.kind == "dec_matrix":
             cert = dec_norm_matrix_domain(parsed.linear_map, tol=tol)
+        else:
+            route = dec_norm_linf if parsed.kind == "dec_linf" else selfadjoint_dec_norm
+            cert = route(parsed.coefficients, tol=tol)
         return {
             "value": cert.value,
             "flagged": cert.flagged,
             "reconstruction_residual": cert.reconstruction_residual,
             "factor_bound": cert.factor_bound,
             "solver": _solver_summary(cert),
-        }
-    if parsed.kind == "selfadjoint_dec":
-        res = selfadjoint_dec_norm(parsed.coefficients, tol=tol)
-        return {
-            "value": res.value,
-            "solver": {
-                "status": res.solver.status,
-                "iterations": res.solver.iterations,
-                "gap": res.solver.gap,
-            },
         }
     aux_dim = opts.get("aux_dim")
     aux_dim = int(aux_dim) if aux_dim is not None else None

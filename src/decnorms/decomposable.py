@@ -12,7 +12,10 @@ over the Choi blocks of ``S1`` and ``S2``, one pair per domain block and
 codomain block.  The same program serves every domain: a tuple
 ``x_1..x_n`` is the map ``e_j -> x_j`` on ``l_inf^n = M_1 + ... + M_1``
 (:func:`maps.map_from_linf`), a matrix domain is a single block, and a
-direct sum has several.
+direct sum has several.  A self-adjoint tuple may instead go through
+Haagerup's smaller program ``inf ||u1(1) + u2(1)||`` over splittings
+``u = u1 - u2`` into CP maps, whose optimum is the dressing
+``S1 = S2 = u1 + u2``.
 
 Every routine returns not just the optimal value but a certificate: the
 dressing evaluated on diagonal units plus an explicit factorization
@@ -57,8 +60,14 @@ class DecCertificate:
     for a block of size n whose units start at position o.  For a tuple
     this reads ``x_j = factor_a[j]* factor_b[j]``.  ``factor_bound`` is the
     column-norm value ``||sum a* a||^(1/2) ||sum b* b||^(1/2)``, which never
-    exceeds ``value`` beyond roundoff.  ``choi_s1`` and ``choi_s2`` are the
-    Choi blocks of the repaired dressing per (domain block, codomain block).
+    exceeds ``value`` beyond roundoff.
+
+    ``kind`` names the program: ``linf``, ``matrix_domain`` and
+    ``direct_sum`` come from the Choi program of :func:`dec_norms`, and
+    ``selfadjoint`` from the split ``x_j = R_j - N_j`` of
+    :func:`selfadjoint_dec_norm`, whose dressing is ``S1 = S2 = u1 + u2``:
+    there ``P[j] = Q[j] = R_j + N_j``, so ``R_j = (P[j] + x_j) / 2`` and
+    ``N_j = (P[j] - x_j) / 2``.
 
     ``solver`` is the record of the program actually solved, which is the
     map scaled to max ||image|| = 1: its ``primal_value`` and ``dual_value``
@@ -78,8 +87,6 @@ class DecCertificate:
     factor_bound: float
     flagged: bool
     solver: conic.ConicSolution = field(repr=False)
-    choi_s1: list[np.ndarray] | None = field(default=None, repr=False)
-    choi_s2: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 # Residual above which a certificate is flagged rather than trusted.
@@ -348,7 +355,8 @@ def _certify_all(items: list[tuple[LinearMapRep, str]], tol: float) -> list[DecC
     """Decomposable norms of maps ``u`` with their certificates, for any domains.
 
     ``items`` pairs each map with its certificate kind.  Each map is scaled
-    to unit size and its Choi program built; the programs are solved in one
+    to unit size and its program built (the split for kind ``selfadjoint``,
+    else the Choi program); the programs are solved in one
     :func:`conic.solve_all` call at tolerance ``tol``, so programs of one
     structure run in lockstep and each gets the solution it gets alone.
     Each dressing is then repaired and factored, and everything is scaled
@@ -371,7 +379,8 @@ def _certify_all(items: list[tuple[LinearMapRep, str]], tol: float) -> list[DecC
             continue
         su = LinearMapRep(u.domain, u.codomain, [(1.0 / scale) * img for img in u.images])
         x_choi = _choi_data(su)
-        program, decode = _choi_program(su, x_choi)
+        build = _selfadjoint_program if kind == "selfadjoint" else _choi_program
+        program, decode = build(su, x_choi)
         jobs.append((k, scale, su, x_choi, decode))
         programs.append(program)
     sols = _solve_optimal(programs, [job[0] for job in jobs], len(items) > 1, tol)
@@ -411,8 +420,6 @@ def _finish_certificate(u: LinearMapRep, kind: str, scale: float, su: LinearMapR
         factor_a=factor_a, factor_b=factor_b,
         reconstruction_residual=float(resid), factor_bound=float(bound),
         flagged=bool(resid > FLAG_RESIDUAL * max(1.0, scale)), solver=sol,
-        choi_s1=[c1[k] for k in sorted(c1)],
-        choi_s2=[c2[k] for k in sorted(c2)],
     )
 
 
@@ -470,61 +477,45 @@ def dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
 # Self-adjoint tuples
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SelfadjointDecResult:
-    """Dec norm of a self-adjoint tuple via the two-CP-summands program."""
-
-    value: float
-    positive_part: list[AlgebraElement]
-    negative_part: list[AlgebraElement]
-    solver: conic.ConicSolution = field(repr=False)
-
-
-def selfadjoint_dec_norm(xs, *, tol: float = 1e-8) -> SelfadjointDecResult:
+def selfadjoint_dec_norm(xs, *, tol: float = 1e-8) -> DecCertificate:
     """Dec norm of self-adjoint coefficients as inf ||u1(1) + u2(1)||.
 
-    The tuple is split as ``x_j = R_j - (R_j - x_j)`` with both parts
-    positive; minimizing the norm of the sum of the two CP halves over such
+    The tuple is split as ``x_j = R_j - N_j`` with both parts positive;
+    minimizing the norm of the sum of the two CP halves over such
     splittings is the decomposable norm for self-adjoint maps from an
-    abelian domain.  Raises if some coefficient is not self-adjoint.
+    abelian domain.  The split is the dressing ``S1 = S2 = u1 + u2``, so the
+    certificate, of kind ``selfadjoint``, is repaired, factored and checked
+    like every other.  Raises if some coefficient is not self-adjoint.
     """
     return selfadjoint_dec_norms([xs], tol=tol)[0]
 
 
-def selfadjoint_dec_norms(inputs: list, *, tol: float = 1e-8) -> list[SelfadjointDecResult]:
+def selfadjoint_dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
     """:func:`selfadjoint_dec_norm` of many tuples, in one call.
 
     Every tuple is validated first; the programs then go to the solver
-    together, so tuples of one length and block shape are solved in
-    lockstep, and each result is the one the single call returns.  A
-    ``SolverError`` names the failing input by position.
+    together, as in :func:`dec_norms`, and each certificate is the one the
+    single call returns.
     """
-    out: list[SelfadjointDecResult | None] = [None] * len(inputs)
-    jobs, programs = [], []
-    for k, xs in enumerate(inputs):
+    items = []
+    for xs in inputs:
         elems = _coerce_elements(xs)
         for j, x in enumerate(elems):
-            if not is_selfadjoint(x, tol=1e-10 * max(1.0, element_norm(x))):
+            if not is_selfadjoint(x):
                 raise ValueError(f"coefficient {j} is not self-adjoint")
-        scale = max(element_norm(x) for x in elems)
-        if scale == 0.0:
-            zc = [zero(elems[0].shape) for _ in elems]
-            out[k] = SelfadjointDecResult(0.0, zc, list(zc), _trivial_solution())
-            continue
-        scaled = [(1.0 / scale) * x for x in elems]
-        program, offs = _selfadjoint_program(scaled)
-        jobs.append((k, scaled, scale, offs))
-        programs.append(program)
-    sols = _solve_optimal(programs, [job[0] for job in jobs], len(inputs) > 1, tol)
-    for (k, scaled, scale, offs), sol in zip(jobs, sols):
-        out[k] = _selfadjoint_result(scaled, scale, offs, sol)
-    return out
+        items.append((map_from_linf(elems), "selfadjoint"))
+    return _certify_all(items, tol)
 
 
-def _selfadjoint_program(scaled: list[AlgebraElement]) -> tuple[conic.ConicProgram, dict]:
-    """The two-CP-summands program of a unit-scale self-adjoint tuple, and its variable offsets."""
-    dims = scaled[0].shape.block_dims
-    n = len(scaled)
+def _selfadjoint_program(su: LinearMapRep, x_choi: dict):
+    """The two-CP-summands program of a unit-scale self-adjoint tuple.
+
+    One Hermitian variable R_j per coefficient and codomain block, with
+    R_j >= 0, R_j - x_j >= 0 and s - sum_j (2 R_j - x_j) >= 0.  ``decode``
+    returns the dressing S1 = S2 with Choi blocks R_j + N_j = 2 R_j - x_j.
+    """
+    dims = su.codomain.block_dims
+    n = len(su.domain.block_dims)
     m = 1
     offs = {}
     for j in range(n):
@@ -539,7 +530,7 @@ def _selfadjoint_program(scaled: list[AlgebraElement]) -> tuple[conic.ConicProgr
             blocks.append(bb.build())
             bb = conic.BlockBuilder(c, m)
             bb.add_hermitian_var(offs[(j, t)], c, 0, +1.0)
-            bb.add_constant(-scaled[j].blocks[t])
+            bb.add_constant(-x_choi[(j, t)])
             blocks.append(bb.build())
     for t, c in enumerate(dims):
         bb = conic.BlockBuilder(c, m)
@@ -547,38 +538,18 @@ def _selfadjoint_program(scaled: list[AlgebraElement]) -> tuple[conic.ConicProgr
         acc = np.zeros((c, c), dtype=np.complex128)
         for j in range(n):
             bb.add_hermitian_var(offs[(j, t)], c, 0, -2.0)
-            acc += scaled[j].blocks[t]
+            acc += x_choi[(j, t)]
         bb.add_constant((acc + acc.conj().T) / 2.0)
         blocks.append(bb.build())
     cvec = np.zeros(m)
     cvec[0] = 1.0
-    return conic.ConicProgram(objective=cvec, psd_blocks=blocks), offs
 
+    def decode(y: np.ndarray):
+        dressing = {}
+        for k, x in x_choi.items():
+            c = x.shape[0]
+            r = conic.unsvec(y[offs[k]:offs[k] + c * c], c)
+            dressing[k] = (r + r.conj().T) - x
+        return dressing, dressing
 
-def _selfadjoint_result(scaled: list[AlgebraElement], scale: float, offs: dict,
-                        sol: conic.ConicSolution) -> SelfadjointDecResult:
-    """Repair the split at the program's optimum and scale it back by ``scale``."""
-    shape = scaled[0].shape
-    dims = shape.block_dims
-    pos, neg = [], []
-    eye = AlgebraElement(shape, [np.eye(c, dtype=np.complex128) for c in dims])
-    for j in range(len(scaled)):
-        r_blocks = [conic.unsvec(sol.y[offs[(j, t)]:offs[(j, t)] + c * c], c) for t, c in enumerate(dims)]
-        r = AlgebraElement(shape, [(b + b.conj().T) / 2.0 for b in r_blocks])
-        # one shift restores both R_j >= 0 and R_j - x_j >= 0 exactly
-        eps = 0.0
-        for t in range(len(dims)):
-            eps = max(eps, -float(np.linalg.eigvalsh(r.blocks[t])[0]))
-            eps = max(eps, -float(np.linalg.eigvalsh(r.blocks[t] - scaled[j].blocks[t])[0]))
-        if eps > 0:
-            r = r + eps * eye
-        pos.append(r)
-        neg.append(r - scaled[j])
-
-    total = pos[0] + neg[0]
-    for p, q in zip(pos[1:], neg[1:]):
-        total = total + p + q
-    value = element_norm(total) * scale
-    pos = [scale * p for p in pos]
-    neg = [scale * q for q in neg]
-    return SelfadjointDecResult(float(value), pos, neg, sol)
+    return conic.ConicProgram(objective=cvec, psd_blocks=blocks), decode

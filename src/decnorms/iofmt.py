@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from decnorms import __version__
-from decnorms.algebra import AlgebraShape, from_assembled
+from decnorms.algebra import AlgebraShape, from_assembled, is_selfadjoint
 from decnorms.maps import LinearMapRep
 
 KINDS = (
@@ -50,7 +50,6 @@ _OPTION_RANGES = {
 }
 
 BLOCK_LEAK_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
 
 
 class InstanceError(ValueError):
@@ -158,7 +157,7 @@ def _parse_options(obj, field_path: str) -> dict:
 
 
 def _parse_matrices(raw: dict, name: str, kind: str):
-    """The matrices of the nonempty array ``raw[name]``, the codomain and their blocks.
+    """The codomain of the nonempty matrix array ``raw[name]`` and the matrices' blocks.
 
     The matrices are square and of one size, which the optional
     ``codomain`` splits into blocks; errors name ``name[j]`` or ``codomain``.
@@ -176,7 +175,7 @@ def _parse_matrices(raw: dict, name: str, kind: str):
     if kind in ("free_tensor", "cb_linf"):
         _require(codomain.num_blocks == 1, "codomain",
                  f"{kind} takes coefficients in a single matrix block")
-    return mats, codomain, [_split_blocks(m, codomain, f"{name}[{j}]") for j, m in enumerate(mats)]
+    return codomain, [_split_blocks(m, codomain, f"{name}[{j}]") for j, m in enumerate(mats)]
 
 
 def parse_instance(raw: dict) -> ParsedInstance:
@@ -199,12 +198,10 @@ def parse_instance(raw: dict) -> ParsedInstance:
         coeffs_raw = raw["coefficients"]
         _require(isinstance(coeffs_raw, list) and len(coeffs_raw) > 0,
                  "coefficients", "expected a nonempty array of matrices")
-        mats, _, elements = _parse_matrices(raw, "coefficients", kind)
+        _, elements = _parse_matrices(raw, "coefficients", kind)
         if kind == "selfadjoint_dec":
-            for j, m in enumerate(mats):
-                defect = float(np.abs(m - m.conj().T).max())
-                _require(defect <= HERMITIAN_TOL * max(1.0, float(np.abs(m).max())),
-                         f"coefficients[{j}]", "matrix is not self-adjoint")
+            for j, x in enumerate(elements):
+                _require(is_selfadjoint(x), f"coefficients[{j}]", "matrix is not self-adjoint")
         # digest only after validation: allow_nan=False chokes on non-finite
         # leaves, and those must surface as field errors instead
         return ParsedInstance(kind=kind, digest=canonical_digest(raw), coefficients=elements,
@@ -221,7 +218,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
     _require(isinstance(imgs_raw, list), "images", "expected an array of matrices")
     _require(len(imgs_raw) == n * n, "images",
              f"expected {n * n} images of the matrix units, got {len(imgs_raw)}")
-    _, codomain, images = _parse_matrices(raw, "images", kind)
+    codomain, images = _parse_matrices(raw, "images", kind)
     domain = AlgebraShape(block_dims=(n,))
     # Image order matches the matrix-unit index: e_rs sits at r*n + s.
     lin = LinearMapRep(domain=domain, codomain=codomain, images=images)

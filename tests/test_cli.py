@@ -38,6 +38,18 @@ def test_norm_json_report(capsys):
     assert rep["timing"]["seconds"] >= 0.0
 
 
+def test_decomposable_kinds_report_one_key_set(capsys):
+    keys = set()
+    for path in (SCALAR, "instances/matrix_identity.json", "instances/selfadjoint_pair.json"):
+        assert main(["norm", path, "--json"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        keys.add((tuple(sorted(res)), tuple(sorted(res["solver"]))))
+    assert keys == {(
+        ("factor_bound", "flagged", "reconstruction_residual", "solver", "value"),
+        ("gap", "iterations", "res_dual", "res_primal", "status"),
+    )}
+
+
 def test_norm_flag_overrides_merge_into_options(capsys):
     code = main(["norm", PAULI, "--json", "--restarts", "2", "--seed", "1", "--K", "4"])
     assert code == 0

@@ -203,7 +203,6 @@ def test_matrix_domain_certificate_reconstruction():
             worst = max(worst, np.linalg.norm(u.image(0, i, j).blocks[0] - acc, 2))
     assert worst <= 1e-6
     assert cert.factor_bound == pytest.approx(cert.value, abs=1e-5 * max(1.0, cert.value))
-    assert cert.choi_s1 is not None and cert.choi_s2 is not None
 
 
 def test_matrix_route_agrees_with_abelian_route_through_pinching():
@@ -314,10 +313,13 @@ def test_selfadjoint_route_agrees_with_general_route():
         sa = decomposable.selfadjoint_dec_norm(xs)
         gl = decomposable.dec_norm_linf(xs)
         assert sa.value == pytest.approx(gl.value, abs=2e-6 * max(1.0, gl.value))
-        for p, m, x in zip(sa.positive_part, sa.negative_part, xs):
-            assert is_positive(p, tol=1e-8)
-            assert is_positive(m, tol=1e-8)
-            assert np.linalg.norm(p.blocks[0] - m.blocks[0] - x, 2) <= 1e-9
+        assert sa.kind == "selfadjoint" and not sa.flagged
+        assert sa.factor_bound <= sa.value * (1 + 1e-12)
+        # the dressing is S1 = S2 = R + N, so the split reads off P
+        for p, q, x in zip(sa.P, sa.Q, xs, strict=True):
+            assert p.blocks[0].tobytes() == q.blocks[0].tobytes()
+            assert is_positive(element(p.shape, [(p.blocks[0] + x) / 2]), tol=1e-8)
+            assert is_positive(element(p.shape, [(p.blocks[0] - x) / 2]), tol=1e-8)
 
 
 def test_selfadjoint_route_rejects_nonhermitian():
@@ -336,6 +338,9 @@ def test_degenerate_inputs():
         decomposable.dec_norm_linf([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError, match="single matrix block; see dec_norms"):
         decomposable.dec_norm_matrix_domain(maps.identity_map(abelian_algebra(2)))
+    cert = decomposable.selfadjoint_dec_norm([np.zeros((2, 2)), np.zeros((2, 2))])
+    assert (cert.value, cert.factor_bound, cert.kind) == (0.0, 0.0, "selfadjoint")
+    assert not cert.flagged
 
 
 def test_zero_coefficient_among_live_ones():
@@ -418,7 +423,9 @@ def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):
     tuples.insert(0, [np.zeros((2, 2))] * 3)  # no program: the first failing input is 1
     for got, xs in zip(decomposable.selfadjoint_dec_norms(tuples), tuples):
         want = decomposable.selfadjoint_dec_norm(xs)
-        assert got.value == want.value
+        assert (got.kind, want.kind) == ("selfadjoint", "selfadjoint")
+        assert (got.value, got.factor_bound) == (want.value, want.factor_bound)
+        assert got.reconstruction_residual == want.reconstruction_residual
         assert got.solver.y.tobytes() == want.solver.y.tobytes()
         assert got.solver.history == want.solver.history
     monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)

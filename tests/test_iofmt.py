@@ -146,6 +146,11 @@ def test_selfadjoint_kind_requires_hermitian():
     doc = _coeff_doc([h, 1.0j * np.eye(2)])
     doc["kind"] = "selfadjoint_dec"
     assert _err(doc).field == "coefficients[1]"
+    # entry defect 8e-11 but operator-norm defect 6.4e-10: the solver
+    # route refuses this matrix, so the file must fail on its field
+    doc = _coeff_doc([0.5 * np.eye(8) + 4e-11j * np.ones((8, 8))])
+    doc["kind"] = "selfadjoint_dec"
+    assert _err(doc).field == "coefficients[0]"
 
 
 def test_map_kind_errors():

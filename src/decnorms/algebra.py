@@ -123,6 +123,32 @@ def element(shape: AlgebraShape, blocks) -> AlgebraElement:
     return AlgebraElement(shape, list(blocks))
 
 
+def coefficient_tuple(xs) -> list[AlgebraElement]:
+    """The coefficients ``x_1..x_n`` of a tuple, validated, as elements of one algebra.
+
+    Each coefficient is an :class:`AlgebraElement` or a square matrix, which
+    becomes an element of the single matrix block of its size.  There must
+    be at least one, all in one algebra; an error names the coefficient.
+    """
+    out = []
+    for j, x in enumerate(xs):
+        if not isinstance(x, AlgebraElement):
+            try:
+                m = linalg.as_matrix(x)
+            except ValueError as exc:
+                raise ValueError(f"coefficient {j}: {exc}") from exc
+            if m.shape[0] != m.shape[1]:
+                raise ValueError(f"coefficient {j}: expected a square matrix, got shape {m.shape}")
+            x = AlgebraElement(matrix_algebra(m.shape[0]), [m])
+        if out and x.shape != out[0].shape:
+            raise ValueError(f"coefficient {j}: algebra {x.shape.block_dims} differs from "
+                             f"coefficient 0's {out[0].shape.block_dims}")
+        out.append(x)
+    if not out:
+        raise ValueError("need at least one coefficient")
+    return out
+
+
 def unit(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.eye(d, dtype=np.complex128) for d in shape.block_dims])
 

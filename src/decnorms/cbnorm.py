@@ -26,8 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from decnorms import linalg
-from decnorms.algebra import AlgebraElement, element_norm, matrix_algebra
-from decnorms.decomposable import FLAG_RESIDUAL, DecCertificate, dec_norm_linf
+from decnorms.algebra import AlgebraElement, coefficient_tuple, element_norm
+from decnorms.decomposable import (
+    FLAG_RESIDUAL,
+    DecCertificate,
+    dec_norm_linf,
+    reconstruction_residual,
+)
+from decnorms.maps import map_from_linf
 from decnorms.testkit import make_generator, random_haar_unitary
 
 # Bytes of stacked see-saw arrays that one chunk of restarts may hold at
@@ -42,38 +48,19 @@ SWEEP_BYTES = 8 << 20
 SWEEP_TOL = 1e-11
 
 
-def _coerce_mats(xs) -> list[np.ndarray]:
-    out = []
-    d = None
-    for x in xs:
-        if isinstance(x, AlgebraElement):
-            if x.shape.num_blocks != 1:
-                raise ValueError("coefficients must live in a single matrix block")
-            m = x.blocks[0]
-        else:
-            m = linalg.as_matrix(x)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("coefficients must be square")
-        if d is None:
-            d = m.shape[0]
-        elif m.shape[0] != d:
-            raise ValueError("coefficients must share one size")
-        out.append(m.astype(np.complex128))
-    if not out:
-        raise ValueError("need at least one coefficient")
-    return out
-
-
 def evaluate_tensor_norm(us, xs) -> float:
     """Operator norm of ``sum_i u_i (x) x_i``.
 
-    ``us`` and ``xs`` are equally long lists of square matrices; the u_i
-    must share one size and the x_i another.
+    ``us`` is a list of square matrices of one size, one per coefficient
+    of the tuple ``xs``, whose coefficients lie in one matrix block.
     """
     if len(us) != len(xs):
         raise ValueError("need one u per coefficient")
     u_mats = [linalg.as_matrix(u) for u in us]
-    x_mats = _coerce_mats(xs)
+    elems = coefficient_tuple(xs)
+    if not elems[0].shape.is_factor():
+        raise ValueError("coefficients must live in a single matrix block")
+    x_mats = [x.blocks[0] for x in elems]
     k = u_mats[0].shape[0]
     for u in u_mats:
         if u.shape != (k, k):
@@ -96,13 +83,19 @@ class SeeSawResult:
     objective_history: list[float] = field(default_factory=list, repr=False)
 
 
-def _check_seesaw_args(aux_dim: int, restarts: int, max_sweeps: int = 0):
-    if aux_dim < 1:
+def _seesaw_aux_dim(elems: list[AlgebraElement], aux_dim: int | None, restarts: int,
+                    max_sweeps: int = 0) -> int:
+    """The see-saw's auxiliary dimension, ``aux_dim`` or d, once its arguments are checked."""
+    if not elems[0].shape.is_factor():
+        raise ValueError("coefficients must live in a single matrix block")
+    k = int(aux_dim) if aux_dim is not None else elems[0].shape.embed_dim
+    if k < 1:
         raise ValueError("auxiliary dimension must be positive")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
+    return k
 
 
 def seesaw_min_norm(
@@ -140,10 +133,10 @@ def seesaw_min_norm(
     when it converges, so each restart ends where it would on its own, bit
     for bit, whatever the chunk split.
     """
-    x = np.stack(_coerce_mats(xs))
+    elems = coefficient_tuple(xs)
+    k = _seesaw_aux_dim(elems, aux_dim, restarts, max_sweeps)
+    x = np.stack([e.blocks[0] for e in elems])
     n, d = x.shape[:2]
-    k = int(aux_dim) if aux_dim is not None else d
-    _check_seesaw_args(k, restarts, max_sweeps)
     kd = k * d
     chunk = max(1, SWEEP_BYTES // (16 * (4 * kd * kd + 6 * n * k * k)))
     lo = 1 if pin_first else 0
@@ -228,16 +221,14 @@ class CbAgreement:
     certificate: DecCertificate = field(repr=False)
 
 
-def _check_certificate(mats: list[np.ndarray], cert: DecCertificate):
-    """Raise ``ValueError`` unless ``cert`` is a tuple certificate whose factors rebuild ``mats``."""
-    if cert.kind != "linf" or len(cert.factor_a) != len(mats):
+def _check_certificate(xs: list[AlgebraElement], cert: DecCertificate):
+    """Raise ``ValueError`` unless ``cert`` is a tuple certificate whose factors rebuild ``xs``."""
+    if cert.kind != "linf" or len(cert.factor_a) != len(xs):
         raise ValueError("certificate is not a dec_norm_linf certificate of these coefficients")
-    shape = matrix_algebra(mats[0].shape[0])
-    resid = max(element_norm(AlgebraElement(shape, [x]) - a.adjoint() * b)
-                for x, a, b in zip(mats, cert.factor_a, cert.factor_b))
+    resid = reconstruction_residual(map_from_linf(xs), cert.factor_a, cert.factor_b)
     # as closely as they rebuilt their own tuple, or to the level that flags a certificate
     limit = max(cert.reconstruction_residual,
-                FLAG_RESIDUAL * max(1.0, max(linalg.operator_norm(x) for x in mats)))
+                FLAG_RESIDUAL * max(1.0, max(element_norm(x) for x in xs)))
     if resid > limit:
         raise ValueError(f"certificate factors miss these coefficients by {resid:.3g}")
 
@@ -265,20 +256,19 @@ def cb_norm_linf(
     tuples) passes it as ``certificate``, and the SDP is not solved again;
     a certificate whose factors do not rebuild ``xs`` raises ``ValueError``.
     """
-    mats = _coerce_mats(xs)
-    k0 = int(aux_dim) if aux_dim is not None else mats[0].shape[0]
-    _check_seesaw_args(k0, restarts)  # before the SDP, which bad arguments would waste
+    elems = coefficient_tuple(xs)
+    k0 = _seesaw_aux_dim(elems, aux_dim, restarts)  # before the SDP, which bad ones would waste
     cert = certificate
     if cert is None:
-        cert = dec_norm_linf(mats, tol=tol)
+        cert = dec_norm_linf(elems, tol=tol)
     else:
-        _check_certificate(mats, cert)
+        _check_certificate(elems, cert)
     upper = float(cert.value)
 
-    saw = seesaw_min_norm(mats, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)
+    saw = seesaw_min_norm(elems, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)
     gap = (upper - saw.lower) / max(1.0, upper)
     if gap > agree_tol:
-        saw2 = seesaw_min_norm(mats, aux_dim=2 * k0, restarts=2 * restarts, seed=seed,
+        saw2 = seesaw_min_norm(elems, aux_dim=2 * k0, restarts=2 * restarts, seed=seed,
                                pin_first=pin_first)
         if saw2.lower > saw.lower:
             saw = saw2

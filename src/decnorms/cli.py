@@ -88,8 +88,7 @@ def _norm_results(parsed, opts) -> dict:
     aux_dim = opts.get("aux_dim")
     aux_dim = int(aux_dim) if aux_dim is not None else None
     if parsed.kind == "cb_linf":
-        mats = [c.blocks[0] for c in parsed.coefficients]
-        agg = cb_norm_linf(mats, restarts=restarts, seed=seed, agree_tol=agree_tol,
+        agg = cb_norm_linf(parsed.coefficients, restarts=restarts, seed=seed, agree_tol=agree_tol,
                            tol=tol, aux_dim=aux_dim)
         return {
             "upper": agg.upper,
@@ -106,8 +105,8 @@ def _norm_results(parsed, opts) -> dict:
         }
     if parsed.kind == "free_tensor":
         # the max norm is the bracket's upper value, so one gap serves both
-        br = min_norm([c.blocks[0] for c in parsed.coefficients], restarts=restarts, seed=seed,
-                      agree_tol=agree_tol, tol=tol, aux_dim=aux_dim)
+        br = min_norm(parsed.coefficients, restarts=restarts, seed=seed, agree_tol=agree_tol,
+                      tol=tol, aux_dim=aux_dim)
         return {
             "max": br.upper,
             "min_upper": br.upper,

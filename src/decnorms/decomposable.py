@@ -39,7 +39,7 @@ import numpy as np
 from decnorms import conic, linalg
 from decnorms.algebra import (
     AlgebraElement,
-    AlgebraShape,
+    coefficient_tuple,
     element_norm,
     is_selfadjoint,
     zero,
@@ -91,27 +91,6 @@ class DecCertificate:
 
 # Residual above which a certificate is flagged rather than trusted.
 FLAG_RESIDUAL = 1e-5
-
-
-def _coerce_elements(xs) -> list[AlgebraElement]:
-    out = []
-    shape = None
-    for x in xs:
-        if isinstance(x, AlgebraElement):
-            e = x
-        else:
-            m = linalg.as_matrix(x)
-            if m.shape[0] != m.shape[1]:
-                raise ValueError("coefficients must be square matrices")
-            e = AlgebraElement(AlgebraShape((m.shape[0],)), [m])
-        if shape is None:
-            shape = e.shape
-        elif e.shape != shape:
-            raise ValueError("all coefficients must live in one algebra")
-        out.append(e)
-    if not out:
-        raise ValueError("need at least one coefficient")
-    return out
 
 
 def _require_optimal(sol: conic.ConicSolution, label: str = "") -> conic.ConicSolution:
@@ -339,6 +318,20 @@ def dec_upper_bound_factored(a: list[AlgebraElement], b: list[AlgebraElement]) -
     return float(np.sqrt(element_norm(gram_a) * element_norm(gram_b)))
 
 
+def reconstruction_residual(u: LinearMapRep, factor_a: list[AlgebraElement],
+                            factor_b: list[AlgebraElement]) -> float:
+    """Largest ``||u(e_rs) - sum_k a_kr* b_ks||``, factors laid out as in ``DecCertificate``."""
+    resid = 0.0
+    for k, i, r, s in matrix_units(u.domain):
+        n_i = u.domain.block_dims[i]
+        o = k - r * n_i - s
+        acc = zero(u.codomain)
+        for l in range(n_i):
+            acc = acc + factor_a[o + l * n_i + r].adjoint() * factor_b[o + l * n_i + s]
+        resid = max(resid, element_norm(u.images[k] - acc))
+    return resid
+
+
 def _diagonal_images(u: LinearMapRep, cs: dict) -> list[AlgebraElement]:
     """Images ``S(e_jj)`` of the diagonal domain units, read off Choi blocks."""
     cn = u.codomain.block_dims
@@ -351,22 +344,32 @@ def _diagonal_images(u: LinearMapRep, cs: dict) -> list[AlgebraElement]:
     return out
 
 
-def _certify_all(items: list[tuple[LinearMapRep, str]], tol: float) -> list[DecCertificate]:
-    """Decomposable norms of maps ``u`` with their certificates, for any domains.
+def _certify_all(inputs: list, item, tol: float) -> list[DecCertificate]:
+    """Decomposable norms of the maps of ``inputs``, with their certificates.
 
-    ``items`` pairs each map with its certificate kind.  Each map is scaled
-    to unit size and its program built (the split for kind ``selfadjoint``,
-    else the Choi program); the programs are solved in one
-    :func:`conic.solve_all` call at tolerance ``tol``, so programs of one
-    structure run in lockstep and each gets the solution it gets alone.
+    ``item`` validates one input and returns its map ``u``, from any
+    domain, with its certificate kind; every input is validated before any
+    program is solved, and with several inputs a ``ValueError`` names the
+    failing one as ``input k``.  Each map is scaled to unit size and its
+    program built (the split for kind ``selfadjoint``, else the Choi
+    program); the programs are solved in one :func:`conic.solve_all` call
+    at tolerance ``tol``, so programs of one structure run in lockstep and
+    each gets the solution it gets alone.
     Each dressing is then repaired and factored, and everything is scaled
     back using the homogeneity of the norm (value and dressing linearly,
     factors by the square root).  A program that misses optimality raises
     ``SolverError``, naming its input when there are several.
     """
-    certs: list[DecCertificate | None] = [None] * len(items)
+    several = len(inputs) > 1
+    certs: list[DecCertificate | None] = [None] * len(inputs)
     jobs, programs = [], []
-    for k, (u, kind) in enumerate(items):
+    for k, x in enumerate(inputs):
+        try:
+            u, kind = item(x)
+        except ValueError as exc:
+            if several:
+                raise ValueError(f"input {k}: {exc}") from exc
+            raise
         scale = max(element_norm(img) for img in u.images)
         if scale == 0.0:
             diagonal = [zero(u.codomain) for _ in range(u.domain.embed_dim)]
@@ -381,12 +384,12 @@ def _certify_all(items: list[tuple[LinearMapRep, str]], tol: float) -> list[DecC
         x_choi = _choi_data(su)
         build = _selfadjoint_program if kind == "selfadjoint" else _choi_program
         program, decode = build(su, x_choi)
-        jobs.append((k, scale, su, x_choi, decode))
+        jobs.append((k, u, kind, scale, su, x_choi, decode))
         programs.append(program)
-    sols = _solve_optimal(programs, [job[0] for job in jobs], len(items) > 1, tol)
+    sols = _solve_optimal(programs, [job[0] for job in jobs], several, tol)
     del programs
-    for (k, scale, su, x_choi, decode), sol in zip(jobs, sols):
-        certs[k] = _finish_certificate(items[k][0], items[k][1], scale, su, x_choi, decode, sol)
+    for (k, *job), sol in zip(jobs, sols):
+        certs[k] = _finish_certificate(*job, sol)
     return certs
 
 
@@ -404,14 +407,7 @@ def _finish_certificate(u: LinearMapRep, kind: str, scale: float, su: LinearMapR
     factor_a = [root * x for x in factor_a]
     factor_b = [root * x for x in factor_b]
 
-    resid = 0.0
-    for k, i, r, s in matrix_units(u.domain):
-        n_i = u.domain.block_dims[i]
-        o = k - r * n_i - s
-        acc = zero(u.codomain)
-        for l in range(n_i):
-            acc = acc + factor_a[o + l * n_i + r].adjoint() * factor_b[o + l * n_i + s]
-        resid = max(resid, element_norm(u.images[k] - acc))
+    resid = reconstruction_residual(u, factor_a, factor_b)
     bound = dec_upper_bound_factored(factor_a, factor_b)
 
     return DecCertificate(
@@ -430,10 +426,9 @@ def _finish_certificate(u: LinearMapRep, kind: str, scale: float, su: LinearMapR
 def dec_norm_linf(xs, *, tol: float = 1e-8) -> DecCertificate:
     """Decomposable norm of the map ``e_j -> x_j`` on an abelian domain.
 
-    The coefficients may be plain square arrays (single matrix block) or
-    :class:`AlgebraElement` values in a common algebra.  The tuple is the
-    map :func:`maps.map_from_linf` on ``M_1 + ... + M_1``, so each
-    coefficient is one domain block of the Choi program and a zero
+    The coefficients are those :func:`algebra.coefficient_tuple` accepts.
+    The tuple is the map :func:`maps.map_from_linf` on ``M_1 + ... + M_1``,
+    so each coefficient is one domain block of the Choi program and a zero
     coefficient gets no variables.
     """
     return dec_norms([xs], tol=tol)[0]
@@ -461,16 +456,16 @@ def dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
     gets kind ``matrix_domain`` from one block and ``direct_sum`` from
     several.  The programs go to :func:`conic.solve_all` together, so
     inputs whose programs share a constraint structure (tuples of one
-    length and algebra, maps of one shape) are solved in lockstep.  A
-    ``SolverError`` names the failing input by position.
+    length and algebra, maps of one shape) are solved in lockstep.  An
+    error, from validation or the solver, names the failing input by
+    position.
     """
-    items = []
-    for item in inputs:
-        if isinstance(item, LinearMapRep):
-            items.append((item, "matrix_domain" if item.domain.is_factor() else "direct_sum"))
-        else:
-            items.append((map_from_linf(_coerce_elements(item)), "linf"))
-    return _certify_all(items, tol)
+    def item(x):
+        if isinstance(x, LinearMapRep):
+            return x, "matrix_domain" if x.domain.is_factor() else "direct_sum"
+        return map_from_linf(coefficient_tuple(x)), "linf"
+
+    return _certify_all(inputs, item, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +488,18 @@ def selfadjoint_dec_norm(xs, *, tol: float = 1e-8) -> DecCertificate:
 def selfadjoint_dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
     """:func:`selfadjoint_dec_norm` of many tuples, in one call.
 
-    Every tuple is validated first; the programs then go to the solver
-    together, as in :func:`dec_norms`, and each certificate is the one the
-    single call returns.
+    Every tuple is validated before any solve; the programs then go to the
+    solver together, and errors name the failing input, as in
+    :func:`dec_norms`.  Each certificate is the one the single call returns.
     """
-    items = []
-    for xs in inputs:
-        elems = _coerce_elements(xs)
+    def item(xs):
+        elems = coefficient_tuple(xs)
         for j, x in enumerate(elems):
             if not is_selfadjoint(x):
                 raise ValueError(f"coefficient {j} is not self-adjoint")
-        items.append((map_from_linf(elems), "selfadjoint"))
-    return _certify_all(items, tol)
+        return map_from_linf(elems), "selfadjoint"
+
+    return _certify_all(inputs, item, tol)
 
 
 def _selfadjoint_program(su: LinearMapRep, x_choi: dict):

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from decnorms import linalg
+from decnorms.algebra import coefficient_tuple
 from decnorms.cbnorm import CbAgreement, cb_norm_linf
 # unused here; perfbench/tests/test_perfbench.py checks that the tracer rebinds this name
 from decnorms.cbnorm import seesaw_min_norm  # noqa: F401
 from decnorms.decomposable import dec_norms
-from decnorms.algebra import element, matrix_algebra
 from decnorms.maps import LinearMapRep, apply_map
 
 
@@ -70,13 +69,10 @@ def check_finite_rank_contractions(pairs: list[tuple[LinearMapRep, list]], *,
     """
     inputs = []
     for u, xs in pairs:
-        if len(xs) == 0:
-            raise ValueError("need at least one coefficient")
-        d = linalg.as_matrix(xs[0]).shape[0]
-        if u.domain.block_dims != (d,):
+        elems = coefficient_tuple(xs)
+        if u.domain != elems[0].shape:
             raise ValueError("map domain must be the coefficient matrix algebra")
-        dom = matrix_algebra(d)
-        inputs += [[apply_map(u, element(dom, [x])) for x in xs], u, list(xs)]
+        inputs += [[apply_map(u, x) for x in elems], u, elems]
     values = [float(cert.value) for cert in dec_norms(inputs)]
     reports = []
     for lhs, dec_value, min_upper in zip(values[0::3], values[1::3], values[2::3]):

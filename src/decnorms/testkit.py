@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from decnorms import linalg
-from decnorms.algebra import AlgebraElement, AlgebraShape
+from decnorms.algebra import AlgebraElement, AlgebraShape, coefficient_tuple
 from decnorms.maps import LinearMapRep, kraus_map
 
 
@@ -110,18 +110,6 @@ def _angles_to_unitary(angles: np.ndarray) -> np.ndarray:
     u[..., 1, 0] = -np.exp(-1j * be) * st
     u[..., 1, 1] = np.exp(-1j * al) * ct
     return u * np.exp(1j * phi)[..., None, None]
-
-
-def _coerce_tuple(xs) -> list[np.ndarray]:
-    out = []
-    for x in xs:
-        if isinstance(x, AlgebraElement):
-            if x.shape.num_blocks != 1:
-                raise ValueError("grid oracle handles single-block coefficients only")
-            out.append(x.blocks[0])
-        else:
-            out.append(linalg.as_matrix(x))
-    return out
 
 
 def _objective_batch(us_batch: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
@@ -226,14 +214,11 @@ def grid_oracle_min_norm(xs) -> float:
     ``GRID_BYTES``, each mesh point built from its flat index, and every
     value is the same whatever the chunk size.
     """
-    mats = _coerce_tuple(xs)
-    n = len(mats)
-    if n == 0:
-        raise ValueError("need at least one coefficient")
-    d = mats[0].shape[0]
-    for x in mats:
-        if x.shape != (d, d):
-            raise ValueError("coefficients must share one square shape")
+    elems = coefficient_tuple(xs)
+    if not elems[0].shape.is_factor():
+        raise ValueError("coefficients must live in a single matrix block")
+    mats = [x.blocks[0] for x in elems]
+    n, d = len(mats), mats[0].shape[0]
     if d > 2 or n > 3:
         raise ValueError("grid oracle supports d <= 2 and n <= 3 only")
     if d == 1:

@@ -1,9 +1,15 @@
-"""Block-diagonal algebra arithmetic checked against assembled numpy matrices."""
+"""Block-diagonal algebra arithmetic checked against assembled numpy matrices.
+
+The coefficient-tuple tests at the end hold every routine that takes a
+tuple to the one validation of ``algebra.coefficient_tuple``.
+"""
+
+import re
 
 import numpy as np
 import pytest
 
-from decnorms import algebra
+from decnorms import algebra, cbnorm, decomposable, freetensor, maps, testkit
 from decnorms.testkit import make_generator, random_element, random_ginibre
 
 
@@ -105,3 +111,54 @@ def test_from_assembled_round_trip():
     assert algebra.element_norm(back - x) == 0.0
     with pytest.raises(ValueError):
         algebra.from_assembled(s, random_ginibre(gen, 4, 4))
+
+
+TUPLE_ROUTINES = {
+    "dec_norm_linf": decomposable.dec_norm_linf,
+    "dec_norms": lambda xs: decomposable.dec_norms([xs]),
+    "selfadjoint_dec_norm": decomposable.selfadjoint_dec_norm,
+    "seesaw_min_norm": cbnorm.seesaw_min_norm,
+    "cb_norm_linf": cbnorm.cb_norm_linf,
+    "min_norm": freetensor.min_norm,
+    "evaluate_tensor_norm": lambda xs: cbnorm.evaluate_tensor_norm([np.eye(1)] * len(xs), xs),
+    "grid_oracle_min_norm": testkit.grid_oracle_min_norm,
+    "check_finite_rank_contractions": lambda xs: freetensor.check_finite_rank_contractions(
+        [(maps.kraus_map([np.eye(2)]), xs)]),
+}
+SINGLE_BLOCK_ROUTINES = ("seesaw_min_norm", "cb_norm_linf", "min_norm", "evaluate_tensor_norm",
+                         "grid_oracle_min_norm")
+BAD_TUPLES = {
+    "empty": ([], "need at least one coefficient"),
+    "non-square": ([np.zeros((2, 3))],
+                   "coefficient 0: expected a square matrix, got shape (2, 3)"),
+    "mixed sizes": ([np.eye(2), np.eye(3)],
+                    "coefficient 1: algebra (3,) differs from coefficient 0's (2,)"),
+    "NaN entry": ([np.eye(2), [[np.nan, 0], [0, 1]]],
+                  "coefficient 1: matrix contains NaN or Inf entries"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TUPLES)
+@pytest.mark.parametrize("routine", TUPLE_ROUTINES)
+def test_every_tuple_routine_rejects_a_bad_tuple_alike(routine, bad):
+    xs, message = BAD_TUPLES[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TUPLE_ROUTINES[routine](xs)
+
+
+@pytest.mark.parametrize("routine", SINGLE_BLOCK_ROUTINES)
+def test_unitary_tensor_routines_take_one_matrix_block(routine):
+    two_blocks = [algebra.unit(algebra.AlgebraShape((1, 1)))]
+    with pytest.raises(ValueError, match="^coefficients must live in a single matrix block$"):
+        TUPLE_ROUTINES[routine](two_blocks)
+
+
+def test_coefficient_tuple_keeps_elements_and_wraps_matrices():
+    x = random_element(make_generator(13), algebra.AlgebraShape((2, 1)))
+    assert all(e is x for e in algebra.coefficient_tuple([x, x]))
+    m = random_ginibre(make_generator(14), 2, 2)
+    (e,) = algebra.coefficient_tuple([m])
+    assert e.shape == algebra.matrix_algebra(2)
+    assert e.blocks[0].tobytes() == m.tobytes()
+    with pytest.raises(ValueError, match=r"^coefficient 1: algebra \(2,\) differs"):
+        algebra.coefficient_tuple([x, m])

@@ -326,6 +326,12 @@ def test_selfadjoint_route_rejects_nonhermitian():
     gen = make_generator(56)
     with pytest.raises(ValueError):
         decomposable.selfadjoint_dec_norm([random_ginibre(gen, 2, 2)])
+    # a batch names the failing input; a single input keeps the bare message
+    nilpotent = [[0, 1], [0, 0]]
+    with pytest.raises(ValueError, match="^input 1: coefficient 1 is not self-adjoint$"):
+        decomposable.selfadjoint_dec_norms([[np.eye(2)], [np.eye(2), nilpotent]])
+    with pytest.raises(ValueError, match="^coefficient 1 is not self-adjoint$"):
+        decomposable.selfadjoint_dec_norms([[np.eye(2), nilpotent]])
 
 
 def test_degenerate_inputs():
@@ -380,6 +386,9 @@ def test_batch_entry_matches_the_single_entries(monkeypatch):
         assert got.solver.history == want.solver.history
     assert batch[-1].kind == "direct_sum"
     assert decomposable.dec_norms([]) == []
+    # an input that fails validation is named too
+    with pytest.raises(ValueError, match=r"^input 1: coefficient 1: algebra \(3,\) differs"):
+        decomposable.dec_norms([xs, [np.eye(2), np.eye(3)]])
     # the capped program names its input
     monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)
     with pytest.raises(decomposable.conic.SolverError, match="input 1: .*max_iterations"):

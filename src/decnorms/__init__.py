@@ -32,10 +32,8 @@ from decnorms.maps import (
 from decnorms.decomposable import (
     DecCertificate,
     dec_norm_linf,
-    dec_norm_matrix_domain,
     dec_norms,
     dec_upper_bound_factored,
-    selfadjoint_dec_norm,
     selfadjoint_dec_norms,
 )
 from decnorms.cbnorm import (
@@ -75,9 +73,7 @@ __all__ = [
     "identity_map",
     "DecCertificate",
     "dec_norm_linf",
-    "dec_norm_matrix_domain",
     "dec_norms",
-    "selfadjoint_dec_norm",
     "selfadjoint_dec_norms",
     "dec_upper_bound_factored",
     "SeeSawResult",

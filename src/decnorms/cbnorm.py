@@ -21,6 +21,7 @@ brackets the min tensor norm of ``decnorms.freetensor``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,15 +85,17 @@ class SeeSawResult:
 
 
 def _seesaw_aux_dim(elems: list[AlgebraElement], aux_dim: int | None, restarts: int,
-                    max_sweeps: int = 0) -> int:
+                    seed: int, max_sweeps: int = 0) -> int:
     """The see-saw's auxiliary dimension, ``aux_dim`` or d, once its arguments are checked."""
     if not elems[0].shape.is_factor():
         raise ValueError("coefficients must live in a single matrix block")
     k = int(aux_dim) if aux_dim is not None else elems[0].shape.embed_dim
     if k < 1:
-        raise ValueError("auxiliary dimension must be positive")
+        raise ValueError(f"aux_dim must be positive, got {aux_dim}")
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
     return k
@@ -134,7 +137,7 @@ def seesaw_min_norm(
     for bit, whatever the chunk split.
     """
     elems = coefficient_tuple(xs)
-    k = _seesaw_aux_dim(elems, aux_dim, restarts, max_sweeps)
+    k = _seesaw_aux_dim(elems, aux_dim, restarts, seed, max_sweeps)
     x = np.stack([e.blocks[0] for e in elems])
     n, d = x.shape[:2]
     kd = k * d
@@ -254,10 +257,15 @@ def cb_norm_linf(
     ``agree_tol``.  A caller that already holds the ``dec_norm_linf``
     certificate of ``xs`` (say from one ``dec_norms`` call over many
     tuples) passes it as ``certificate``, and the SDP is not solved again;
-    a certificate whose factors do not rebuild ``xs`` raises ``ValueError``.
+    a certificate whose factors do not rebuild ``xs`` raises ``ValueError``,
+    as does, before any work, an ``agree_tol`` that is not positive and
+    finite or a see-saw argument out of range.
     """
     elems = coefficient_tuple(xs)
-    k0 = _seesaw_aux_dim(elems, aux_dim, restarts)  # before the SDP, which bad ones would waste
+    # checked before the SDP, which bad arguments would waste
+    k0 = _seesaw_aux_dim(elems, aux_dim, restarts, seed)
+    if not (math.isfinite(agree_tol) and agree_tol > 0):
+        raise ValueError(f"agree_tol must be positive and finite, got {agree_tol!r}")
     cert = certificate
     if cert is None:
         cert = dec_norm_linf(elems, tol=tol)

@@ -1,22 +1,21 @@
 """Command line: compute norms for instance files, verify, benchmark.
 
 Exit codes: 0 success, 2 validation error (bad file, bad schema, bad
-flags, map fails an operation's preconditions), 3 solver failure.
+flags, map fails an operation's preconditions), 3 solver failure.  An
+option that neither the instance file nor a flag sets is not passed on,
+so the library routine's default applies.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
-from decnorms.cbnorm import cb_norm_linf
+from decnorms.cbnorm import cb_norm_linf, seesaw_min_norm
 from decnorms.conic import SolverError
-from decnorms.decomposable import (
-    dec_norm_linf,
-    dec_norm_matrix_domain,
-    selfadjoint_dec_norm,
-)
+from decnorms.decomposable import dec_norm_linf, dec_norms, selfadjoint_dec_norms
 from decnorms.freetensor import min_norm
 from decnorms.iofmt import (
     InstanceError,
@@ -43,6 +42,11 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
+def _given(options: dict, *keys: str) -> dict:
+    """The entries of ``options`` under ``keys``: the keyword arguments a routine gets."""
+    return {key: options[key] for key in keys if key in options}
+
+
 def _solver_summary(cert) -> dict:
     sol = cert.solver
     return {
@@ -67,17 +71,11 @@ def _merged_options(parsed, args) -> dict:
 
 
 def _norm_results(parsed, opts) -> dict:
-    tol = float(opts.get("tol", 1e-8))
-    seed = int(opts.get("seed", 0))
-    restarts = int(opts.get("restarts", 24))
-    agree_tol = float(opts.get("agree_tol", 5e-4))
-
+    """Run the routine of the instance's kind on the options that ``opts`` sets."""
     if parsed.kind in ("dec_linf", "dec_matrix", "selfadjoint_dec"):
-        if parsed.kind == "dec_matrix":
-            cert = dec_norm_matrix_domain(parsed.linear_map, tol=tol)
-        else:
-            route = dec_norm_linf if parsed.kind == "dec_linf" else selfadjoint_dec_norm
-            cert = route(parsed.coefficients, tol=tol)
+        entry = selfadjoint_dec_norms if parsed.kind == "selfadjoint_dec" else dec_norms
+        inputs = [parsed.linear_map if parsed.kind == "dec_matrix" else parsed.coefficients]
+        cert = entry(inputs, **_given(opts, "tol"))[0]
         return {
             "value": cert.value,
             "flagged": cert.flagged,
@@ -85,11 +83,9 @@ def _norm_results(parsed, opts) -> dict:
             "factor_bound": cert.factor_bound,
             "solver": _solver_summary(cert),
         }
-    aux_dim = opts.get("aux_dim")
-    aux_dim = int(aux_dim) if aux_dim is not None else None
+    bracket_options = _given(opts, "restarts", "seed", "agree_tol", "tol", "aux_dim")
     if parsed.kind == "cb_linf":
-        agg = cb_norm_linf(parsed.coefficients, restarts=restarts, seed=seed, agree_tol=agree_tol,
-                           tol=tol, aux_dim=aux_dim)
+        agg = cb_norm_linf(parsed.coefficients, **bracket_options)
         return {
             "upper": agg.upper,
             "lower": agg.lower,
@@ -105,8 +101,7 @@ def _norm_results(parsed, opts) -> dict:
         }
     if parsed.kind == "free_tensor":
         # the max norm is the bracket's upper value, so one gap serves both
-        br = min_norm(parsed.coefficients, restarts=restarts, seed=seed, agree_tol=agree_tol,
-                      tol=tol, aux_dim=aux_dim)
+        br = min_norm(parsed.coefficients, **bracket_options)
         return {
             "max": br.upper,
             "min_upper": br.upper,
@@ -117,10 +112,9 @@ def _norm_results(parsed, opts) -> dict:
             "solver": _solver_summary(br.certificate),
         }
     if parsed.kind == "mult_domain":
-        samples = int(opts.get("samples", 25))
         dom = multiplicative_domain(parsed.linear_map)
         closure = subalgebra_closure_report(dom)
-        bim = verify_bimodularity(parsed.linear_map, dom, samples=samples, seed=seed)
+        bim = verify_bimodularity(parsed.linear_map, dom, **_given(opts, "samples", "seed"))
         return {
             "dimension": dom.dimension,
             "closure": closure,
@@ -139,43 +133,21 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_norm(args) -> int:
-    try:
-        parsed = load_instance(args.instance)
-        opts = _merged_options(parsed, args)
-        t0 = time.perf_counter()
-        results = _norm_results(parsed, opts)
-        seconds = time.perf_counter() - t0
-    except ValueError as exc:  # InstanceError included
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    parsed = load_instance(args.instance)
+    opts = _merged_options(parsed, args)
+    t0 = time.perf_counter()
+    results = _norm_results(parsed, opts)
     report = build_report(parsed.kind, parsed.digest, results,
-                          options=opts, seconds=seconds)
+                          options=opts, seconds=time.perf_counter() - t0)
     _emit(render_json(report) if args.json else render_text(report), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = run_suite(
-            profile=args.profile,
-            seed=args.seed,
-            max_instances=args.instances,
-            inject=frozenset(args.inject),
-        )
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    report = run_suite(**_given(vars(args), "profile", "seed", "max_instances"),
+                       inject=frozenset(args.inject))
     if args.json:
-        import json as _json
-
-        _emit(_json.dumps(suite_report_dict(report), indent=2, sort_keys=True) + "\n",
-              args.out)
+        _emit(json.dumps(suite_report_dict(report), indent=2, sort_keys=True) + "\n", args.out)
     else:
         _emit(render_suite_text(report), args.out)
     return EXIT_OK if report.all_passed else 1
@@ -201,32 +173,20 @@ def _parse_sizes(spec: str) -> list[tuple[int, int]]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-        check_option("seed", args.seed, "--seed")
-    except InstanceError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    from decnorms.cbnorm import seesaw_min_norm
-
+    sizes = _parse_sizes(args.sizes)
+    check_option("seed", args.seed, "--seed")
     lines = [f"{'n':>3} {'d':>3} {'sdp_s':>8} {'seesaw_s':>9} {'value':>12} {'gap':>10}"]
-    try:
-        for i, (n, d) in enumerate(sizes):
-            gen = make_generator(args.seed, stream=900 + i)
-            xs = random_matrix_tuple(gen, n, d)
-            t0 = time.perf_counter()
-            value = dec_norm_linf(xs).value
-            sdp_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            saw = seesaw_min_norm(xs, restarts=8, seed=args.seed)
-            saw_s = time.perf_counter() - t0
-            gap = (value - saw.lower) / max(1.0, value)
-            lines.append(
-                f"{n:>3} {d:>3} {sdp_s:>8.3f} {saw_s:>9.3f} {value:>12.8f} {gap:>10.2e}"
-            )
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for i, (n, d) in enumerate(sizes):
+        gen = make_generator(args.seed, stream=900 + i)
+        xs = random_matrix_tuple(gen, n, d)
+        t0 = time.perf_counter()
+        value = dec_norm_linf(xs).value
+        sdp_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        saw = seesaw_min_norm(xs, restarts=8, seed=args.seed)
+        saw_s = time.perf_counter() - t0
+        gap = (value - saw.lower) / max(1.0, value)
+        lines.append(f"{n:>3} {d:>3} {sdp_s:>8.3f} {saw_s:>9.3f} {value:>12.8f} {gap:>10.2e}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -241,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="compute norms for a JSON instance file")
     p_norm.add_argument("instance", help="path to the instance file")
     p_norm.add_argument("--tol", type=float, default=None,
-                        help="solver tolerance for residuals and duality gap (default 1e-8)")
+                        help="solver tolerance for residuals and duality gap")
     p_norm.add_argument("--seed", type=int, default=None, help="search seed")
     p_norm.add_argument("--K", dest="aux_dim", type=int, default=None,
                         help="auxiliary unitary dimension for the see-saw")
@@ -252,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--out", default=None, help="write the report to this file")
 
     p_verify = sub.add_parser("verify", help="run the seeded verification corpus")
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--instances", type=int, default=None,
-                          help="cap the instance count of every check")
-    p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
+    p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_verify.add_argument("--instances", dest="max_instances", type=int,
+                          default=argparse.SUPPRESS, help="cap the instance count of every check")
+    p_verify.add_argument("--profile", choices=("quick", "full"), default=argparse.SUPPRESS)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--inject", action="append", default=[],
@@ -273,7 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"norm": cmd_norm, "verify": cmd_verify, "bench": cmd_bench}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:  # InstanceError included
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

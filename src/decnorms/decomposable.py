@@ -65,7 +65,7 @@ class DecCertificate:
     ``kind`` names the program: ``linf``, ``matrix_domain`` and
     ``direct_sum`` come from the Choi program of :func:`dec_norms`, and
     ``selfadjoint`` from the split ``x_j = R_j - N_j`` of
-    :func:`selfadjoint_dec_norm`, whose dressing is ``S1 = S2 = u1 + u2``:
+    :func:`selfadjoint_dec_norms`, whose dressing is ``S1 = S2 = u1 + u2``:
     there ``P[j] = Q[j] = R_j + N_j``, so ``R_j = (P[j] + x_j) / 2`` and
     ``N_j = (P[j] - x_j) / 2``.
 
@@ -434,18 +434,6 @@ def dec_norm_linf(xs, *, tol: float = 1e-8) -> DecCertificate:
     return dec_norms([xs], tol=tol)[0]
 
 
-def dec_norm_matrix_domain(u: LinearMapRep, *, tol: float = 1e-8) -> DecCertificate:
-    """Decomposable norm of a map from a single matrix block.
-
-    Maps that factor through the diagonal give a genuinely different
-    program from the tuple of their diagonal images; the two are compared
-    in the test suite.  A map from a direct sum goes to :func:`dec_norms`.
-    """
-    if not u.domain.is_factor():
-        raise ValueError("domain must be a single matrix block; see dec_norms")
-    return dec_norms([u], tol=tol)[0]
-
-
 def dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
     """Decomposable norms of many tuples and maps, in one call.
 
@@ -472,25 +460,18 @@ def dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
 # Self-adjoint tuples
 # ---------------------------------------------------------------------------
 
-def selfadjoint_dec_norm(xs, *, tol: float = 1e-8) -> DecCertificate:
-    """Dec norm of self-adjoint coefficients as inf ||u1(1) + u2(1)||.
+def selfadjoint_dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
+    """Dec norms of self-adjoint tuples as inf ||u1(1) + u2(1)||, in one call.
 
-    The tuple is split as ``x_j = R_j - N_j`` with both parts positive;
+    Each tuple is split as ``x_j = R_j - N_j`` with both parts positive;
     minimizing the norm of the sum of the two CP halves over such
     splittings is the decomposable norm for self-adjoint maps from an
-    abelian domain.  The split is the dressing ``S1 = S2 = u1 + u2``, so the
-    certificate, of kind ``selfadjoint``, is repaired, factored and checked
-    like every other.  Raises if some coefficient is not self-adjoint.
-    """
-    return selfadjoint_dec_norms([xs], tol=tol)[0]
-
-
-def selfadjoint_dec_norms(inputs: list, *, tol: float = 1e-8) -> list[DecCertificate]:
-    """:func:`selfadjoint_dec_norm` of many tuples, in one call.
-
-    Every tuple is validated before any solve; the programs then go to the
-    solver together, and errors name the failing input, as in
-    :func:`dec_norms`.  Each certificate is the one the single call returns.
+    abelian domain.  The split is the dressing ``S1 = S2 = u1 + u2``, so
+    each certificate, of kind ``selfadjoint``, is repaired, factored and
+    checked like every other.  As in :func:`dec_norms`, every tuple is
+    validated before any solve (a coefficient that is not self-adjoint
+    raises), the programs go to the solver together, errors name the
+    failing input, and each tuple gets the certificate it gets alone.
     """
     def item(xs):
         elems = coefficient_tuple(xs)

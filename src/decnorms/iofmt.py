@@ -30,23 +30,14 @@ KINDS = (
     "selfadjoint_dec",
 )
 
-OPTION_KEYS = {
-    "seed": int,
-    "restarts": int,
-    "aux_dim": int,
-    "tol": float,
-    "agree_tol": float,
-    "samples": int,
-}
-
-# The range of each option, and the message when a value falls outside it.
-_OPTION_RANGES = {
-    "seed": (lambda v: v >= 0, "must be a non-negative integer"),
-    "restarts": (lambda v: v >= 1, "must be at least 1"),
-    "aux_dim": (lambda v: v >= 1, "auxiliary dimension must be positive"),
-    "samples": (lambda v: v >= 1, "must be at least 1"),
-    "tol": (lambda v: math.isfinite(v) and v > 0, "must be positive and finite"),
-    "agree_tol": (lambda v: math.isfinite(v) and v > 0, "must be positive and finite"),
+# Each option's type, its range, and the message when a value falls outside it.
+OPTIONS = {
+    "seed": (int, lambda v: v >= 0, "must be a non-negative integer"),
+    "restarts": (int, lambda v: v >= 1, "must be at least 1"),
+    "aux_dim": (int, lambda v: v >= 1, "auxiliary dimension must be positive"),
+    "samples": (int, lambda v: v >= 1, "must be at least 1"),
+    "tol": (float, lambda v: math.isfinite(v) and v > 0, "must be positive and finite"),
+    "agree_tol": (float, lambda v: math.isfinite(v) and v > 0, "must be positive and finite"),
 }
 
 BLOCK_LEAK_TOL = 1e-10
@@ -133,7 +124,7 @@ def _split_blocks(m: np.ndarray, shape: AlgebraShape, field_path: str):
 
 def check_option(key: str, value, field_path: str):
     """Raise :class:`InstanceError` naming ``field_path`` when ``value`` is out of range."""
-    in_range, message = _OPTION_RANGES[key]
+    _, in_range, message = OPTIONS[key]
     _require(in_range(value), field_path, f"{message}, got {value!r}")
 
 
@@ -144,14 +135,13 @@ def _parse_options(obj, field_path: str) -> dict:
     out = {}
     for key, val in obj.items():
         kp = f"{field_path}.{key}"
-        _require(key in OPTION_KEYS, kp, "unknown option")
-        want = OPTION_KEYS[key]
-        if want is int:
+        _require(key in OPTIONS, kp, "unknown option")
+        cast = OPTIONS[key][0]
+        if cast is int:
             _require(isinstance(val, int) and not isinstance(val, bool), kp, "expected an integer")
-            out[key] = int(val)
         else:
             _require(_is_number(val), kp, "expected a finite number")
-            out[key] = float(val)
+        out[key] = cast(val)
         check_option(key, out[key], kp)
     return out
 

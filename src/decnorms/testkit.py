@@ -33,7 +33,10 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
     Philox is counter-based, so the stream is reproducible bit-for-bit
     across platforms and numpy builds that share the Generator interface.
+    A negative ``seed`` raises ``ValueError``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(stream)])))
 
 

@@ -3,6 +3,13 @@
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same few examples on every run, with no deadline,
+# so Tier-1 stays repeatable and its time bounded.
+settings.register_profile("tier1", derandomize=True, max_examples=25, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 def _run_traced(fn, *args, **kwargs):

@@ -116,7 +116,7 @@ def test_from_assembled_round_trip():
 TUPLE_ROUTINES = {
     "dec_norm_linf": decomposable.dec_norm_linf,
     "dec_norms": lambda xs: decomposable.dec_norms([xs]),
-    "selfadjoint_dec_norm": decomposable.selfadjoint_dec_norm,
+    "selfadjoint_dec_norm": lambda xs: decomposable.selfadjoint_dec_norms([xs]),
     "seesaw_min_norm": cbnorm.seesaw_min_norm,
     "cb_norm_linf": cbnorm.cb_norm_linf,
     "min_norm": freetensor.min_norm,

@@ -6,12 +6,17 @@ upper value's certificate is validated by reconstructing the coefficients
 from its factors.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from decnorms import cbnorm, maps
+from decnorms import cbnorm, conic, maps
 from decnorms.algebra import matrix_algebra
-from decnorms.decomposable import dec_norm_linf, dec_norm_matrix_domain
+from decnorms.decomposable import dec_norm_linf, dec_norms
+from decnorms.freetensor import min_norm
+from decnorms.multdomain import multiplicative_domain, verify_bimodularity
 from decnorms.testkit import (
     grid_oracle_min_norm,
     make_generator,
@@ -313,7 +318,7 @@ def test_certificate_of_other_coefficients_is_rejected(monkeypatch):
     # the identity on M_2 has a certificate of another kind for its own images
     u = maps.identity_map(matrix_algebra(2))
     images = [img.blocks[0] for img in u.images]
-    map_cert = dec_norm_matrix_domain(u)
+    (map_cert,) = dec_norms([u])
 
     def no_seesaw(*args, **kwargs):
         raise AssertionError("the see-saw ran on a foreign certificate")
@@ -322,3 +327,37 @@ def test_certificate_of_other_coefficients_is_rejected(monkeypatch):
     for coeffs, cert in ((xs, other), (longer, other), (images, map_cert)):
         with pytest.raises(ValueError, match="certificate"):
             cbnorm.cb_norm_linf(coeffs, certificate=cert)
+
+
+# one out-of-range argument of the bracket routines, as (name, value)
+BAD_BRACKET_ARGUMENT = st.one_of(
+    st.tuples(st.just("agree_tol"),
+              st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])),
+    st.tuples(st.just("seed"), st.integers(max_value=-1)),
+    st.tuples(st.just("restarts"), st.integers(max_value=0)),
+    st.tuples(st.just("aux_dim"), st.integers(max_value=0)),
+)
+
+
+@given(route=st.sampled_from([cbnorm.cb_norm_linf, min_norm]), bad=BAD_BRACKET_ARGUMENT)
+def test_bracket_rejects_a_bad_argument_before_any_solve(route, bad):
+    name, value = bad
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"solved an SDP with {name}={value!r}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "solve_all", no_solve)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            route([np.eye(2), np.diag([1.0, -1.0])], **{name: value})
+
+
+def test_negative_seed_is_named_by_every_seeded_routine():
+    message = "^seed must be a non-negative integer, got -1$"
+    u = maps.identity_map(matrix_algebra(2))
+    domain = multiplicative_domain(u)
+    for call in (lambda: make_generator(-1),
+                 lambda: cbnorm.seesaw_min_norm([np.eye(2)], seed=-1),
+                 lambda: verify_bimodularity(u, domain, seed=-1)):
+        with pytest.raises(ValueError, match=message):
+            call()

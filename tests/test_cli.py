@@ -1,10 +1,12 @@
 """Command line entry points: exit codes, report formats, determinism."""
 
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
-from decnorms import conic, suite
+from decnorms import cli, conic, suite
 from decnorms.cli import main
 
 SCALAR = "instances/scalar_dec.json"
@@ -61,6 +63,42 @@ def test_norm_flag_overrides_merge_into_options(capsys):
     assert rep["results"]["verdict"] == "agree"
     assert abs(rep["results"]["upper"] - 3.0) < 1e-5
     assert rep["results"]["seesaw"]["aux_dimension"] == 4
+
+
+# the routine each kind runs, and the routine whose parameters it takes
+ROUTINE_OF_KIND = {
+    "dec_linf": ("dec_norms", "dec_norms"),
+    "dec_matrix": ("dec_norms", "dec_norms"),
+    "selfadjoint_dec": ("selfadjoint_dec_norms", "selfadjoint_dec_norms"),
+    "cb_linf": ("cb_norm_linf", "cb_norm_linf"),
+    "free_tensor": ("min_norm", "cb_norm_linf"),
+    "mult_domain": ("verify_bimodularity", "verify_bimodularity"),
+}
+FLAGS = {"--tol": ("tol", 1e-7), "--seed": ("seed", 1), "--K": ("aux_dim", 3),
+         "--restarts": ("restarts", 2)}
+
+
+@pytest.mark.parametrize("with_flags", [False, True])
+@pytest.mark.parametrize("path", sorted(str(p) for p in Path("instances").glob("*.json")))
+def test_norm_forwards_exactly_the_options_set(monkeypatch, capsys, path, with_flags):
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    routine, signature_of = ROUTINE_OF_KIND[raw["kind"]]
+    takes = inspect.signature(getattr(cli, signature_of)).parameters
+    calls = []
+    for name in {name for name, _ in ROUTINE_OF_KIND.values()}:
+        def record(*args, _name=name, _routine=getattr(cli, name), **kwargs):
+            calls.append((_name, kwargs))
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    options = dict(raw.get("options", {}))
+    argv = ["norm", path]
+    if with_flags:
+        for flag, (key, value) in FLAGS.items():
+            argv += [flag, str(value)]
+            options[key] = value
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(routine, {key: v for key, v in options.items() if key in takes})]
 
 
 def test_norm_out_file(tmp_path, capsys):

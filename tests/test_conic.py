@@ -11,7 +11,7 @@ import pytest
 
 from decnorms import conic
 from decnorms.algebra import AlgebraShape, element, matrix_algebra
-from decnorms.decomposable import _choi_data, _choi_program, dec_norm_linf, dec_norm_matrix_domain
+from decnorms.decomposable import _choi_data, _choi_program, dec_norm_linf, dec_norms
 from decnorms.maps import LinearMapRep, map_from_linf, tensor
 from decnorms.suite import _random_map
 from decnorms.testkit import (
@@ -371,7 +371,7 @@ def test_tensor_submult_corpus_tail_converges_quickly():
     gen = make_generator(5, stream=111)
     pairs = [(_random_map(gen, 2, scale=0.6), _random_map(gen, 2, scale=0.6)) for _ in range(2)]
     u, v = pairs[1]
-    sol = dec_norm_matrix_domain(tensor(u, v)).solver
+    sol = dec_norms([tensor(u, v)])[0].solver
     assert sol.status == "optimal"
     assert sol.iterations <= 3000
 

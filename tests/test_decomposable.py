@@ -159,7 +159,7 @@ def test_certificate_contents_linf():
 
 def test_identity_map_has_norm_one():
     for d in (2, 3):
-        cert = decomposable.dec_norm_matrix_domain(maps.identity_map(matrix_algebra(d)), **TIGHT)
+        cert = decomposable.dec_norms([maps.identity_map(matrix_algebra(d))], **TIGHT)[0]
         assert cert.value == pytest.approx(1.0, abs=1e-7)
         assert cert.reconstruction_residual <= 1e-7
 
@@ -175,7 +175,7 @@ def test_trace_functional_is_trace_norm():
         images = [element(cod, [np.array([[a[s, r]]])]) for r in range(n) for s in range(n)]
         u = maps.LinearMapRep(dom, cod, images)
         want = float(np.linalg.svd(a, compute_uv=False).sum())
-        cert = decomposable.dec_norm_matrix_domain(u, **TIGHT)
+        cert = decomposable.dec_norms([u], **TIGHT)[0]
         assert cert.value == pytest.approx(want, abs=1e-7 * max(1.0, want))
 
 
@@ -183,7 +183,7 @@ def test_cp_matrix_domain_map_has_norm_of_unit_image():
     gen = make_generator(50)
     # x -> sum_k a_k* x a_k with 2x3 Kraus operators: a CP map from M_2 into M_3
     u = maps.kraus_map([random_ginibre(gen, 2, 3) for _ in range(3)])
-    cert = decomposable.dec_norm_matrix_domain(u)
+    cert = decomposable.dec_norms([u])[0]
     want = element_norm(maps.apply_map(u, unit(u.domain)))
     assert cert.value == pytest.approx(want, abs=1e-6)
 
@@ -192,7 +192,7 @@ def test_matrix_domain_certificate_reconstruction():
     gen = make_generator(51)
     imgs = [element(matrix_algebra(2), [random_ginibre(gen, 2, 2)]) for _ in range(4)]
     u = maps.LinearMapRep(matrix_algebra(2), matrix_algebra(2), imgs)
-    cert = decomposable.dec_norm_matrix_domain(u)
+    cert = decomposable.dec_norms([u])[0]
     n = 2
     worst = 0.0
     for i in range(n):
@@ -218,7 +218,7 @@ def test_matrix_route_agrees_with_abelian_route_through_pinching():
         lambda e: element(abelian_algebra(n), [[[v]] for v in np.diagonal(e.blocks[0])]),
     )
     composed = maps.compose(w, pinch)
-    via_matrix = decomposable.dec_norm_matrix_domain(composed).value
+    via_matrix = decomposable.dec_norms([composed])[0].value
     via_abelian = decomposable.dec_norm_linf(xs).value
     assert via_matrix == pytest.approx(via_abelian, abs=2e-6 * max(1.0, via_abelian))
 
@@ -231,7 +231,7 @@ def test_submultiplicativity_under_composition():
         u = maps.map_from_linf([element(matrix_algebra(2), [x]) for x in xs])
         comp = maps.compose(v, u)
         lhs = decomposable.dec_norm_linf(comp.images).value
-        rhs = decomposable.dec_norm_linf(xs).value * decomposable.dec_norm_matrix_domain(v).value
+        rhs = decomposable.dec_norm_linf(xs).value * decomposable.dec_norms([v])[0].value
         assert lhs <= rhs + 1e-6 * max(1.0, rhs)
 
 
@@ -310,7 +310,7 @@ def test_selfadjoint_route_agrees_with_general_route():
     gen = make_generator(55)
     for _ in range(3):
         xs = [random_hermitian(gen, 2) for _ in range(3)]
-        sa = decomposable.selfadjoint_dec_norm(xs)
+        sa = decomposable.selfadjoint_dec_norms([xs])[0]
         gl = decomposable.dec_norm_linf(xs)
         assert sa.value == pytest.approx(gl.value, abs=2e-6 * max(1.0, gl.value))
         assert sa.kind == "selfadjoint" and not sa.flagged
@@ -325,7 +325,7 @@ def test_selfadjoint_route_agrees_with_general_route():
 def test_selfadjoint_route_rejects_nonhermitian():
     gen = make_generator(56)
     with pytest.raises(ValueError):
-        decomposable.selfadjoint_dec_norm([random_ginibre(gen, 2, 2)])
+        decomposable.selfadjoint_dec_norms([[random_ginibre(gen, 2, 2)]])
     # a batch names the failing input; a single input keeps the bare message
     nilpotent = [[0, 1], [0, 0]]
     with pytest.raises(ValueError, match="^input 1: coefficient 1 is not self-adjoint$"):
@@ -342,9 +342,7 @@ def test_degenerate_inputs():
         decomposable.dec_norm_linf([])
     with pytest.raises(ValueError):
         decomposable.dec_norm_linf([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError, match="single matrix block; see dec_norms"):
-        decomposable.dec_norm_matrix_domain(maps.identity_map(abelian_algebra(2)))
-    cert = decomposable.selfadjoint_dec_norm([np.zeros((2, 2)), np.zeros((2, 2))])
+    (cert,) = decomposable.selfadjoint_dec_norms([[np.zeros((2, 2)), np.zeros((2, 2))]])
     assert (cert.value, cert.factor_bound, cert.kind) == (0.0, 0.0, "selfadjoint")
     assert not cert.flagged
 
@@ -377,7 +375,7 @@ def test_batch_entry_matches_the_single_entries(monkeypatch):
     w = _block_diagonal_map(gen, (2, 1))
     zeros = [np.zeros((2, 2)), np.zeros((2, 2))]
     batch = decomposable.dec_norms([xs, u, ys, zeros, w])
-    singles = [decomposable.dec_norm_linf(xs), decomposable.dec_norm_matrix_domain(u),
+    singles = [decomposable.dec_norm_linf(xs), decomposable.dec_norms([u])[0],
                decomposable.dec_norm_linf(ys), decomposable.dec_norm_linf(zeros),
                decomposable.dec_norms([w])[0]]
     for got, want in zip(batch, singles, strict=True):
@@ -431,7 +429,7 @@ def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):
     tuples = [[random_hermitian(gen, 2) for _ in range(3)] for _ in range(3)]
     tuples.insert(0, [np.zeros((2, 2))] * 3)  # no program: the first failing input is 1
     for got, xs in zip(decomposable.selfadjoint_dec_norms(tuples), tuples):
-        want = decomposable.selfadjoint_dec_norm(xs)
+        want = decomposable.selfadjoint_dec_norms([xs])[0]
         assert (got.kind, want.kind) == ("selfadjoint", "selfadjoint")
         assert (got.value, got.factor_bound) == (want.value, want.factor_bound)
         assert got.reconstruction_residual == want.reconstruction_residual

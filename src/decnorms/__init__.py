@@ -26,7 +26,6 @@ from decnorms.maps import (
     compose,
     identity_map,
     is_cp,
-    star_map,
     tensor,
 )
 from decnorms.decomposable import (
@@ -66,7 +65,6 @@ __all__ = [
     "LinearMapRep",
     "choi",
     "is_cp",
-    "star_map",
     "compose",
     "tensor",
     "apply_map",

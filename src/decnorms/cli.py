@@ -1,14 +1,16 @@
 """Command line: compute norms for instance files, verify, benchmark.
 
 Exit codes: 0 success, 2 validation error (bad file, bad schema, bad
-flags, map fails an operation's preconditions), 3 solver failure.  An
-option that neither the instance file nor a flag sets is not passed on,
-so the library routine's default applies.
+flags, map fails an operation's preconditions), 3 solver failure.  ``norm``
+passes a kind's routine the options set that its signature reads; the
+report's ``options`` are those over the signature's defaults, and options
+set but not read are listed under ``ignored_options``, never passed on.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -18,6 +20,7 @@ from decnorms.conic import SolverError
 from decnorms.decomposable import dec_norm_linf, dec_norms, selfadjoint_dec_norms
 from decnorms.freetensor import min_norm
 from decnorms.iofmt import (
+    OPTIONS,
     InstanceError,
     build_report,
     check_option,
@@ -47,6 +50,28 @@ def _given(options: dict, *keys: str) -> dict:
     return {key: options[key] for key in keys if key in options}
 
 
+# The options each kind reads, with their defaults, from the signature of the
+# routine it runs; ``min_norm`` passes its keywords on to ``cb_norm_linf``.
+# Read once here, so that a routine replaced at run time keeps its entry.
+_KIND_OPTIONS = {
+    kind: {name: param.default for name, param in inspect.signature(routine).parameters.items()
+           if name in OPTIONS}
+    for routine, kinds in ((dec_norms, ("dec_linf", "dec_matrix")),
+                           (selfadjoint_dec_norms, ("selfadjoint_dec",)),
+                           (cb_norm_linf, ("cb_linf", "free_tensor")),
+                           (verify_bimodularity, ("mult_domain",)))
+    for kind in kinds
+}
+
+
+class _OptionFlag(argparse.Action):
+    """Store an ``OPTIONS`` value given by a flag; one out of range raises, naming the flag."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        check_option(self.dest, value, option_string)
+        setattr(namespace, self.dest, value)
+
+
 def _solver_summary(cert) -> dict:
     sol = cert.solver
     return {
@@ -58,24 +83,12 @@ def _solver_summary(cert) -> dict:
     }
 
 
-def _merged_options(parsed, args) -> dict:
-    """The file's options, overridden by the flags given; a flag out of range raises."""
-    opts = dict(parsed.options)
-    for key, flag in (("tol", "--tol"), ("seed", "--seed"), ("aux_dim", "--K"),
-                      ("restarts", "--restarts")):
-        value = getattr(args, key, None)
-        if value is not None:
-            check_option(key, value, flag)
-            opts[key] = value
-    return opts
-
-
-def _norm_results(parsed, opts) -> dict:
-    """Run the routine of the instance's kind on the options that ``opts`` sets."""
+def _norm_results(parsed, opts: dict) -> dict:
+    """Run the routine of the instance's kind with the keyword arguments ``opts``."""
     if parsed.kind in ("dec_linf", "dec_matrix", "selfadjoint_dec"):
         entry = selfadjoint_dec_norms if parsed.kind == "selfadjoint_dec" else dec_norms
         inputs = [parsed.linear_map if parsed.kind == "dec_matrix" else parsed.coefficients]
-        cert = entry(inputs, **_given(opts, "tol"))[0]
+        cert = entry(inputs, **opts)[0]
         return {
             "value": cert.value,
             "flagged": cert.flagged,
@@ -83,9 +96,8 @@ def _norm_results(parsed, opts) -> dict:
             "factor_bound": cert.factor_bound,
             "solver": _solver_summary(cert),
         }
-    bracket_options = _given(opts, "restarts", "seed", "agree_tol", "tol", "aux_dim")
     if parsed.kind == "cb_linf":
-        agg = cb_norm_linf(parsed.coefficients, **bracket_options)
+        agg = cb_norm_linf(parsed.coefficients, **opts)
         return {
             "upper": agg.upper,
             "lower": agg.lower,
@@ -101,7 +113,7 @@ def _norm_results(parsed, opts) -> dict:
         }
     if parsed.kind == "free_tensor":
         # the max norm is the bracket's upper value, so one gap serves both
-        br = min_norm(parsed.coefficients, **bracket_options)
+        br = min_norm(parsed.coefficients, **opts)
         return {
             "max": br.upper,
             "min_upper": br.upper,
@@ -114,7 +126,7 @@ def _norm_results(parsed, opts) -> dict:
     if parsed.kind == "mult_domain":
         dom = multiplicative_domain(parsed.linear_map)
         closure = subalgebra_closure_report(dom)
-        bim = verify_bimodularity(parsed.linear_map, dom, **_given(opts, "samples", "seed"))
+        bim = verify_bimodularity(parsed.linear_map, dom, **opts)
         return {
             "dimension": dom.dimension,
             "closure": closure,
@@ -134,11 +146,15 @@ def _emit(text: str, out_path: str | None):
 
 def cmd_norm(args) -> int:
     parsed = load_instance(args.instance)
-    opts = _merged_options(parsed, args)
+    given = {**parsed.options, **_given(vars(args), *OPTIONS)}
+    defaults = _KIND_OPTIONS[parsed.kind]
+    opts = _given(given, *defaults)
     t0 = time.perf_counter()
     results = _norm_results(parsed, opts)
     report = build_report(parsed.kind, parsed.digest, results,
-                          options=opts, seconds=time.perf_counter() - t0)
+                          options={**defaults, **opts},
+                          ignored_options={k: v for k, v in given.items() if k not in defaults},
+                          seconds=time.perf_counter() - t0)
     _emit(render_json(report) if args.json else render_text(report), args.out)
     return EXIT_OK
 
@@ -174,7 +190,6 @@ def _parse_sizes(spec: str) -> list[tuple[int, int]]:
 
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    check_option("seed", args.seed, "--seed")
     lines = [f"{'n':>3} {'d':>3} {'sdp_s':>8} {'seesaw_s':>9} {'value':>12} {'gap':>10}"]
     for i, (n, d) in enumerate(sizes):
         gen = make_generator(args.seed, stream=900 + i)
@@ -200,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="compute norms for a JSON instance file")
     p_norm.add_argument("instance", help="path to the instance file")
-    p_norm.add_argument("--tol", type=float, default=None,
+    option = {"action": _OptionFlag, "default": argparse.SUPPRESS}
+    p_norm.add_argument("--tol", type=float, **option,
                         help="solver tolerance for residuals and duality gap")
-    p_norm.add_argument("--seed", type=int, default=None, help="search seed")
-    p_norm.add_argument("--K", dest="aux_dim", type=int, default=None,
+    p_norm.add_argument("--seed", type=int, **option, help="search seed")
+    p_norm.add_argument("--K", dest="aux_dim", type=int, **option,
                         help="auxiliary unitary dimension for the see-saw")
-    p_norm.add_argument("--restarts", type=int, default=None,
-                        help="see-saw restart count")
+    p_norm.add_argument("--restarts", type=int, **option, help="see-saw restart count")
     p_norm.add_argument("--json", action="store_true",
                         help="machine-readable report instead of the line-oriented one")
     p_norm.add_argument("--out", default=None, help="write the report to this file")
@@ -224,17 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the solver and see-saw on a size grid")
     p_bench.add_argument("--sizes", default="",
                          help="comma-separated NxD pairs, e.g. 3x2,4x3")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, action=_OptionFlag, default=0)
     p_bench.add_argument("--out", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {"norm": cmd_norm, "verify": cmd_verify, "bench": cmd_bench}[args.command]
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return {"norm": cmd_norm, "verify": cmd_verify, "bench": cmd_bench}[args.command](args)
     except ValueError as exc:  # InstanceError included
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

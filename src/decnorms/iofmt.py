@@ -241,8 +241,10 @@ def _jsonable(v):
     return v
 
 
-def build_report(kind: str, digest: str, results: dict, *, options: dict, seconds: float) -> dict:
-    return {
+def build_report(kind: str, digest: str, results: dict, *, options: dict, seconds: float,
+                 ignored_options: dict | None = None) -> dict:
+    """The report; ``ignored_options`` appears only when some option set was not read."""
+    report = {
         "toolkit": {"name": "decnorms", "version": __version__},
         "kind": kind,
         "instance_digest": digest,
@@ -250,6 +252,9 @@ def build_report(kind: str, digest: str, results: dict, *, options: dict, second
         "results": _jsonable(results),
         "timing": {"seconds": float(seconds)},
     }
+    if ignored_options:
+        report["ignored_options"] = _jsonable(ignored_options)
+    return report
 
 
 def render_json(report: dict) -> str:
@@ -269,7 +274,7 @@ def render_text(report: dict) -> str:
         else:
             lines.append(f"{prefix}: {v}")
 
-    for key in ("toolkit", "kind", "instance_digest", "options", "results"):
+    for key in ("toolkit", "kind", "instance_digest", "options", "ignored_options", "results"):
         if key in report:
             walk(key, report[key])
     walk("timing", report.get("timing", {}))

@@ -152,14 +152,6 @@ def is_cp(u: LinearMapRep, tol: float = 1e-9) -> bool:
     return all(is_positive(AlgebraElement(matrix_algebra(len(c)), [c]), tol) for c in choi(u))
 
 
-def star_map(u: LinearMapRep) -> LinearMapRep:
-    """The map ``u_*(x) = u(x*)*``, whose images swap unit indices and adjoin."""
-    images = [None] * len(u.images)
-    for k, i, r, s in matrix_units(u.domain):
-        images[k] = u.image(i, s, r).adjoint()
-    return LinearMapRep(u.domain, u.codomain, images)
-
-
 def compose(v: LinearMapRep, u: LinearMapRep) -> LinearMapRep:
     """The composition ``v after u``."""
     if u.codomain != v.domain:

@@ -455,7 +455,10 @@ def run_suite(
     max_instances: int | None = None,
     inject: frozenset = frozenset(),
 ) -> SuiteReport:
-    """Run the whole corpus; canonical check order, one result per check."""
+    """Run the whole corpus; canonical check order, one result per check.
+
+    A runner that raises fails its checks, with the exception as ``detail``.
+    """
     if profile not in ("quick", "full"):
         raise ValueError("profile must be 'quick' or 'full'")
     if seed < 0:
@@ -475,7 +478,11 @@ def run_suite(
             n = min(n, max_instances)
         gen = make_generator(seed, stream=cfgs[0]["stream"])
         t1 = time.perf_counter()
-        outcomes = runner(*cfgs, n, gen, seed, inject)
+        try:
+            outcomes = runner(*cfgs, n, gen, seed, inject)
+        except Exception as exc:
+            failed = _Outcome(0.0, f"{type(exc).__name__}: {exc}", ok=False, instances=0)
+            outcomes = (failed,) * len(names)
         seconds = time.perf_counter() - t1
         if isinstance(outcomes, _Outcome):
             outcomes = (outcomes,)

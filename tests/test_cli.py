@@ -1,13 +1,18 @@
 """Command line entry points: exit codes, report formats, determinism."""
 
+import contextlib
 import inspect
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from decnorms import cli, conic, suite
 from decnorms.cli import main
+from decnorms.iofmt import OPTIONS
 
 SCALAR = "instances/scalar_dec.json"
 PAULI = "instances/pauli_cb.json"
@@ -214,6 +219,68 @@ def test_out_of_range_option_exits_2_naming_its_field(monkeypatch, tmp_path, cap
     assert calls == []
 
 
+# small in-range values keep each drawn run short
+IN_RANGE = {
+    "seed": st.integers(0, 3),
+    "restarts": st.integers(1, 4),
+    "aux_dim": st.integers(1, 3),
+    "samples": st.integers(1, 5),
+    "tol": st.sampled_from([1e-8, 1e-6, 1e-4]),
+    "agree_tol": st.floats(1e-6, 1e-1),
+}
+OUT_OF_RANGE = {
+    "seed": st.integers(max_value=-1),
+    "restarts": st.integers(max_value=0),
+    "aux_dim": st.integers(max_value=0),
+    "samples": st.integers(max_value=0),
+    "tol": st.floats(max_value=0.0),
+    "agree_tol": st.floats(max_value=0.0),
+}
+
+
+@st.composite
+def option_entries(draw):
+    """One ``options`` entry, and whether the instance format accepts it."""
+    case = draw(st.sampled_from(["unknown", "type", "range", "valid"]))
+    if case == "unknown":
+        return draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in OPTIONS)), 1, False
+    key = draw(st.sampled_from(sorted(OPTIONS)))
+    if case == "type":
+        wrong = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                          st.lists(st.integers(), max_size=2))
+        if OPTIONS[key][0] is int:
+            wrong = wrong | st.floats()
+        return key, draw(wrong), False
+    if case == "range":
+        return key, draw(OUT_OF_RANGE[key]), False
+    return key, draw(IN_RANGE[key]), True
+
+
+@given(path=st.sampled_from(sorted(str(p) for p in Path("instances").glob("*.json"))),
+       entry=option_entries())
+def test_instance_option_exits_2_exactly_when_invalid(path, entry):
+    key, value, valid = entry
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw.setdefault("options", {})[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out = Path(tmp) / "instance.json", Path(tmp) / "report.json"
+        doc.write_text(json.dumps(raw), encoding="utf-8")
+        with contextlib.redirect_stderr(err):
+            code = main(["norm", str(doc), "--json", "--out", str(out)])
+        rep = json.loads(out.read_text(encoding="utf-8")) if code == 0 else None
+    if not valid:
+        assert code == 2
+        assert err.getvalue().startswith(f"validation error: options.{key}: ")
+        return
+    assert code == 0 and err.getvalue() == ""
+    takes = inspect.signature(getattr(cli, ROUTINE_OF_KIND[raw["kind"]][1])).parameters
+    assert set(rep["options"]) == set(takes) & set(OPTIONS)
+    ignored = rep.get("ignored_options", {})
+    assert (key in rep["options"]) != (key in ignored)
+    assert {**rep["options"], **ignored}[key] == value
+
+
 def test_verify_quick_capped(capsys):
     assert main(["verify", "--instances", "1", "--profile", "quick", "--seed", "42"]) == 0
     out = capsys.readouterr().out
@@ -287,6 +354,33 @@ def test_verify_injected_regression_caught(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "dec_cb_agreement" in out
+
+
+def test_verify_runner_that_raises_fails_its_checks(monkeypatch, capsys):
+    def raising(exc):
+        def routine(*args, **kwargs):
+            raise exc
+        return routine
+
+    monkeypatch.setattr(suite, "multiplicative_domain", raising(RuntimeError("rank lost")))
+    monkeypatch.setattr(suite, "cb_norm_linf", raising(ValueError("factors miss")))
+    assert main(["verify", "--instances", "1", "--json", "--seed", "42"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+
+    def no_constant(name):
+        raise AssertionError(f"{name} in the JSON report")
+
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=no_constant)["checks"]}
+    failed = {"mult_domain": "RuntimeError: rank lost",
+              "dec_cb_agreement": "ValueError: factors miss",
+              "dec_certificates": "ValueError: factors miss"}
+    for name, check in checks.items():
+        assert check["passed"] is (name not in failed)
+        if name in failed:
+            assert check["detail"] == failed[name]
+            assert check["instances"] == 0
+    assert len(checks) == len(suite.load_manifest()["checks"])
 
 
 def test_verify_unknown_injection(capsys):

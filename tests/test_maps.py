@@ -132,7 +132,6 @@ def test_trace_map_choi_and_properties():
     assert np.allclose(c, np.eye(9) / 3.0)
     assert maps.is_cp(u)
     assert maps.is_unital(u)
-    assert _all_close(u.images, maps.star_map(u).images)
 
 
 def test_choi_round_trip():
@@ -195,22 +194,6 @@ def test_compose_matches_sequential_application():
         assert _all_close([maps.apply_map(w, x)], [maps.apply_map(v, maps.apply_map(u, x))], rtol=1e-9)
     with pytest.raises(ValueError):
         maps.compose(u, v)
-
-
-def test_star_map_involution_and_cp_fixed_points():
-    gen = make_generator(23)
-    domain, codomain = AlgebraShape((2, 1)), AlgebraShape((2,))
-    u = _random_map(gen, domain, codomain)
-    uss = maps.star_map(maps.star_map(u))
-    assert _all_close(u.images, uss.images)
-    # star of a CP map is itself
-    v = random_cp_map(gen, domain, codomain)
-    assert _all_close(v.images, maps.star_map(v).images, rtol=1e-9)
-    # and star respects u_*(x) = u(x*)* pointwise
-    x = random_element(gen, domain)
-    lhs = maps.apply_map(maps.star_map(u), x)
-    rhs = maps.apply_map(u, x.adjoint()).adjoint()
-    assert element_norm(lhs - rhs) <= 1e-10 * max(1.0, element_norm(rhs))
 
 
 def test_tensor_on_product_elements():

@@ -7,13 +7,17 @@ of the documented API in ``decnorms.__all__``, and every name in
 use belongs in the tests.  The solver stops on one tolerance, ``tol``,
 and one cap, ``conic.MAX_ITER``, so no function takes separate
 tolerances or an iteration cap.  No package or test module imports a name
-it never uses.
+it never uses.  Every instance option is read by the routine of some kind,
+and every option flag of ``decnorms norm`` sets an instance option.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import decnorms
+from decnorms import cli
+from decnorms.iofmt import OPTIONS
 
 SRC = Path(decnorms.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -107,3 +111,11 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [hit for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
               for hit in _unused_imports(path)]
     assert unused == [], f"imported names never used: {unused}"
+
+
+def test_every_option_has_a_reader_and_every_norm_flag_sets_an_option():
+    read = set().union(*cli._KIND_OPTIONS.values())
+    assert read == set(OPTIONS), f"options no kind's routine reads: {sorted(set(OPTIONS) - read)}"
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["norm"]._actions if a.option_strings}
+    assert flags - {"help", "json", "out"} <= set(OPTIONS)

@@ -40,11 +40,8 @@ from decnorms.cbnorm import (
     SeeSawResult,
     cb_norm_linf,
     evaluate_tensor_norm,
-    seesaw_min_norm,
-)
-from decnorms.freetensor import (
-    check_finite_rank_contractions,
     min_norm,
+    seesaw_min_norm,
 )
 from decnorms.multdomain import (
     SubalgebraBasis,
@@ -80,7 +77,6 @@ __all__ = [
     "seesaw_min_norm",
     "cb_norm_linf",
     "min_norm",
-    "check_finite_rank_contractions",
     "SubalgebraBasis",
     "multiplicative_domain",
     "verify_bimodularity",

@@ -15,8 +15,12 @@ families of unitaries of any size.  Two independent routes bracket it:
 For maps into M_d the decomposable norm equals the completely bounded
 norm, which is exactly what the package's agreement checks exercise, with
 the see-saw confirming from below that the program did not stop short.
-``cb_norm_linf`` is the one bracket routine; with ``pin_first`` it also
-brackets the min tensor norm of ``decnorms.freetensor``.
+``cb_norm_linf`` is the one bracket routine.  :func:`min_norm` is the same
+bracket with the see-saw's first unitary pinned to the identity: the min
+tensor norm of ``sum_j U_j (x) x_j`` (``U_0`` the unit, the others universal
+unitaries), whose max norm is ``dec_norm_linf(xs).value``.  For matrix
+coefficients the two norms agree, so the bracket closes on the max norm and
+its gap is how far the see-saw's lower bound sits below it.
 """
 
 from __future__ import annotations
@@ -291,3 +295,14 @@ def cb_norm_linf(
         seesaw=saw,
         certificate=cert,
     )
+
+
+def min_norm(xs, **kwargs) -> CbAgreement:
+    """Smallest tensor norm of the coefficients ``xs``: :func:`cb_norm_linf` with slot 0 pinned.
+
+    Slot 0 belongs to the unit.  Pinning loses nothing: multiplying through
+    by the adjoint of any first unitary makes it the identity without
+    changing the norm.  Keyword arguments are those of :func:`cb_norm_linf`;
+    the bracket's upper value is the max norm.
+    """
+    return cb_norm_linf(xs, pin_first=True, **kwargs)

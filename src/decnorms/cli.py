@@ -15,10 +15,9 @@ import json
 import sys
 import time
 
-from decnorms.cbnorm import cb_norm_linf, seesaw_min_norm
+from decnorms.cbnorm import cb_norm_linf, min_norm, seesaw_min_norm
 from decnorms.conic import SolverError
 from decnorms.decomposable import dec_norm_linf, dec_norms, selfadjoint_dec_norms
-from decnorms.freetensor import min_norm
 from decnorms.iofmt import (
     OPTIONS,
     InstanceError,

@@ -198,6 +198,7 @@ def parse_instance(raw: dict) -> ParsedInstance:
                               options=options)
 
     # map kinds: dec_matrix, mult_domain
+    _require("coefficients" not in raw, kind, "map kinds take 'domain'/'images', not 'coefficients'")
     _require("domain" in raw, "domain", "missing")
     dom_raw = raw["domain"]
     _require(isinstance(dom_raw, int) and not isinstance(dom_raw, bool) and dom_raw > 0,

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from decnorms import algebra, cbnorm, decomposable, freetensor, maps, testkit
+from decnorms import algebra, cbnorm, decomposable, testkit
 from decnorms.testkit import make_generator, random_element, random_ginibre
 
 
@@ -119,11 +119,9 @@ TUPLE_ROUTINES = {
     "selfadjoint_dec_norm": lambda xs: decomposable.selfadjoint_dec_norms([xs]),
     "seesaw_min_norm": cbnorm.seesaw_min_norm,
     "cb_norm_linf": cbnorm.cb_norm_linf,
-    "min_norm": freetensor.min_norm,
+    "min_norm": cbnorm.min_norm,
     "evaluate_tensor_norm": lambda xs: cbnorm.evaluate_tensor_norm([np.eye(1)] * len(xs), xs),
     "grid_oracle_min_norm": testkit.grid_oracle_min_norm,
-    "check_finite_rank_contractions": lambda xs: freetensor.check_finite_rank_contractions(
-        [(maps.kraus_map([np.eye(2)]), xs)]),
 }
 SINGLE_BLOCK_ROUTINES = ("seesaw_min_norm", "cb_norm_linf", "min_norm", "evaluate_tensor_norm",
                          "grid_oracle_min_norm")

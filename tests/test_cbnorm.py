@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from decnorms import cbnorm, conic, maps
 from decnorms.algebra import matrix_algebra
 from decnorms.decomposable import dec_norm_linf, dec_norms
-from decnorms.freetensor import min_norm
 from decnorms.multdomain import multiplicative_domain, verify_bimodularity
 from decnorms.testkit import (
     grid_oracle_min_norm,
@@ -339,7 +338,7 @@ BAD_BRACKET_ARGUMENT = st.one_of(
 )
 
 
-@given(route=st.sampled_from([cbnorm.cb_norm_linf, min_norm]), bad=BAD_BRACKET_ARGUMENT)
+@given(route=st.sampled_from([cbnorm.cb_norm_linf, cbnorm.min_norm]), bad=BAD_BRACKET_ARGUMENT)
 def test_bracket_rejects_a_bad_argument_before_any_solve(route, bad):
     name, value = bad
 

@@ -382,6 +382,19 @@ def test_verify_runner_that_raises_fails_its_checks(monkeypatch, capsys):
             assert check["instances"] == 0
     assert len(checks) == len(suite.load_manifest()["checks"])
 
+    # the text report prints a failing check's detail on an indented line under its row
+    assert main(["verify", "--instances", "1", "--seed", "42"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: i for i, line in enumerate(lines) if line.split()[0] in checks}
+    for name, i in rows.items():
+        follows = lines[i + 1]
+        if name in failed:
+            assert lines[i].endswith("FAIL")
+            assert follows == f"    {failed[name]}"
+        else:
+            assert not follows.startswith(" ")
+    assert len(rows) == len(checks)
+
 
 def test_verify_unknown_injection(capsys):
     assert main(["verify", "--inject", "bogus_name"]) == 2

@@ -9,6 +9,7 @@ of these are computed with the SDP machinery under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from decnorms import decomposable, maps
 from decnorms.algebra import (
@@ -438,3 +439,47 @@ def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):
     monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)
     with pytest.raises(decomposable.conic.SolverError, match="^input 1: .*max_iterations"):
         decomposable.selfadjoint_dec_norms(tuples)
+
+
+# Property tests: a Ginibre tuple of n <= 4 matrices in M_d, d <= 3, drawn from
+# a Philox stream keyed by the example's seed, and one dec_norms call per example.
+SEEDS = st.integers(0, 2**31 - 1)
+SIZES = st.tuples(st.integers(1, 4), st.integers(1, 3))
+REL = 1e-6
+
+
+def _tuple(seed, size):
+    gen = make_generator(seed, stream=4)
+    return gen, random_matrix_tuple(gen, *size)
+
+
+@given(seed=SEEDS, size=SIZES)
+def test_dec_is_unitarily_invariant(seed, size):
+    gen, xs = _tuple(seed, size)
+    v, w = random_haar_unitary(gen, size[1]), random_haar_unitary(gen, size[1])
+    plain, rotated = decomposable.dec_norms([xs, [v @ x @ w for x in xs]])
+    assert rotated.value == pytest.approx(plain.value, rel=REL)
+
+
+@given(seed=SEEDS, size=SIZES, data=st.data())
+def test_dec_is_invariant_under_permutation(seed, size, data):
+    _, xs = _tuple(seed, size)
+    order = data.draw(st.permutations(range(size[0])))
+    plain, permuted = decomposable.dec_norms([xs, [xs[j] for j in order]])
+    assert permuted.value == pytest.approx(plain.value, rel=REL)
+
+
+@given(seed=SEEDS, size=SIZES, modulus=st.floats(0.1, 10.0), phase=st.floats(0.0, 2 * np.pi))
+def test_dec_is_homogeneous(seed, size, modulus, phase):
+    _, xs = _tuple(seed, size)
+    c = modulus * np.exp(1j * phase)
+    plain, scaled = decomposable.dec_norms([xs, [c * x for x in xs]])
+    assert scaled.value == pytest.approx(abs(c) * plain.value, rel=REL)
+
+
+@given(seed=SEEDS, size=SIZES)
+def test_dec_lies_between_the_largest_norm_and_the_norm_sum(seed, size):
+    _, xs = _tuple(seed, size)
+    cert, = decomposable.dec_norms([xs])
+    norms = [np.linalg.norm(x, 2) for x in xs]
+    assert max(norms) * (1 - REL) <= cert.value <= sum(norms) * (1 + REL)

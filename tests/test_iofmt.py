@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from decnorms import iofmt, testkit
+from decnorms.cli import main
 
 INSTANCE_DIR = "instances"
 
@@ -179,6 +180,20 @@ def test_map_kind_errors():
     assert _err(bad).field == "images"
     bad = dict(doc, images=doc["images"][:3] + [_encode(np.eye(3))])
     assert _err(bad).field == "images[3]"
+
+
+@pytest.mark.parametrize("name", ["matrix_identity.json", "pinch_multdomain.json"])
+def test_map_kind_refuses_a_stray_coefficients_field(tmp_path, capsys, name):
+    with open(f"{INSTANCE_DIR}/{name}", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["coefficients"] = [_encode(np.eye(2))]
+    err = _err(doc)
+    assert err.field == SHIPPED[name]
+    assert "coefficients" in str(err)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["norm", str(path)]) == 2
+    assert f"validation error: {SHIPPED[name]}: " in capsys.readouterr().err
 
 
 def test_option_errors_and_coercion():

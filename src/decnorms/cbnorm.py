@@ -15,7 +15,10 @@ families of unitaries of any size.  Two independent routes bracket it:
 For maps into M_d the decomposable norm equals the completely bounded
 norm, which is exactly what the package's agreement checks exercise, with
 the see-saw confirming from below that the program did not stop short.
-``cb_norm_linf`` is the one bracket routine.  :func:`min_norm` is the same
+``cb_norm_linf`` is the one bracket routine.  It runs the see-saw's
+deterministic start first and stops there once the bracket closes; the
+random restarts, and then the escalation to a larger auxiliary dimension,
+run only while it is still open.  :func:`min_norm` is the same
 bracket with the see-saw's first unitary pinned to the identity: the min
 tensor norm of ``sum_j U_j (x) x_j`` (``U_0`` the unit, the others universal
 unitaries), whose max norm is ``dec_norm_linf(xs).value``.  For matrix
@@ -253,17 +256,23 @@ def cb_norm_linf(
 ) -> CbAgreement:
     """cb norm of ``e_i -> x_i`` into M_d, bracketed from both sides.
 
-    The decomposable-norm SDP gives the upper value; the see-saw starts at
-    auxiliary dimension d (or ``aux_dim``) and, if the bracket stays wider
-    than ``agree_tol`` (relative), retries at twice that with double the
-    restarts.  ``pin_first`` keeps the see-saw's first unitary at the
-    identity.  Verdict ``"agree"`` means the bracket closed within
-    ``agree_tol``.  A caller that already holds the ``dec_norm_linf``
-    certificate of ``xs`` (say from one ``dec_norms`` call over many
-    tuples) passes it as ``certificate``, and the SDP is not solved again;
-    a certificate whose factors do not rebuild ``xs`` raises ``ValueError``,
-    as does, before any work, an ``agree_tol`` that is not positive and
-    finite or a see-saw argument out of range.
+    The decomposable-norm SDP gives the upper value; the see-saw works at
+    auxiliary dimension d (or ``aux_dim``).  Its deterministic restart 0
+    runs first, alone, and if the bracket is then within ``agree_tol``
+    (relative) that is the result, with ``seesaw.restarts_used`` 1.  While
+    the bracket stays wider, the see-saw runs again with all ``restarts``
+    (restart 0 included, with the same bits), and then at twice the
+    dimension with double the restarts; so ``restarts`` is a ceiling, and
+    an open bracket ends as if every restart had run from the start.  The
+    SDP's value only decides when to stop: it does not seed the see-saw.
+    ``pin_first`` keeps the see-saw's first unitary at the identity.
+    Verdict ``"agree"`` means the bracket closed within ``agree_tol``.  A
+    caller that already holds the ``dec_norm_linf`` certificate of ``xs``
+    (say from one ``dec_norms`` call over many tuples) passes it as
+    ``certificate``, and the SDP is not solved again; a certificate whose
+    factors do not rebuild ``xs`` raises ``ValueError``, as does, before
+    any work, an ``agree_tol`` that is not positive and finite or a see-saw
+    argument out of range.
     """
     elems = coefficient_tuple(xs)
     # checked before the SDP, which bad arguments would waste
@@ -277,8 +286,13 @@ def cb_norm_linf(
         _check_certificate(elems, cert)
     upper = float(cert.value)
 
-    saw = seesaw_min_norm(elems, aux_dim=k0, restarts=restarts, seed=seed, pin_first=pin_first)
+    # restart 0 alone first: its bits are those it has among the others
+    saw = seesaw_min_norm(elems, aux_dim=k0, restarts=1, seed=seed, pin_first=pin_first)
     gap = (upper - saw.lower) / max(1.0, upper)
+    if gap > agree_tol and restarts > 1:
+        saw = seesaw_min_norm(elems, aux_dim=k0, restarts=restarts, seed=seed,
+                              pin_first=pin_first)
+        gap = (upper - saw.lower) / max(1.0, upper)
     if gap > agree_tol:
         saw2 = seesaw_min_norm(elems, aux_dim=2 * k0, restarts=2 * restarts, seed=seed,
                                pin_first=pin_first)
@@ -303,6 +317,8 @@ def min_norm(xs, **kwargs) -> CbAgreement:
     Slot 0 belongs to the unit.  Pinning loses nothing: multiplying through
     by the adjoint of any first unitary makes it the identity without
     changing the norm.  Keyword arguments are those of :func:`cb_norm_linf`;
-    the bracket's upper value is the max norm.
+    the bracket's upper value is the max norm.  As there, the see-saw's
+    deterministic start runs first, and its random restarts and the
+    escalation run only while the bracket is open.
     """
     return cb_norm_linf(xs, pin_first=True, **kwargs)

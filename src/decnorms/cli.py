@@ -82,6 +82,15 @@ def _solver_summary(cert) -> dict:
     }
 
 
+def _seesaw_summary(saw) -> dict:
+    return {
+        "iterations": saw.iterations,
+        "converged": saw.converged,
+        "aux_dimension": saw.aux_dimension,
+        "restarts_used": saw.restarts_used,
+    }
+
+
 def _norm_results(parsed, opts: dict) -> dict:
     """Run the routine of the instance's kind with the keyword arguments ``opts``."""
     if parsed.kind in ("dec_linf", "dec_matrix", "selfadjoint_dec"):
@@ -102,11 +111,7 @@ def _norm_results(parsed, opts: dict) -> dict:
             "lower": agg.lower,
             "gap": agg.gap,
             "verdict": agg.verdict,
-            "seesaw": {
-                "iterations": agg.seesaw.iterations,
-                "converged": agg.seesaw.converged,
-                "aux_dimension": agg.seesaw.aux_dimension,
-            },
+            "seesaw": _seesaw_summary(agg.seesaw),
             "factorization_residual": agg.certificate.reconstruction_residual,
             "solver": _solver_summary(agg.certificate),
         }
@@ -120,6 +125,7 @@ def _norm_results(parsed, opts: dict) -> dict:
             "rel_gap": br.gap,
             "seesaw_gap": br.gap,
             "verdict": br.verdict,
+            "seesaw": _seesaw_summary(br.seesaw),
             "solver": _solver_summary(br.certificate),
         }
     if parsed.kind == "mult_domain":

@@ -296,6 +296,63 @@ def test_seesaw_is_bitwise_independent_of_the_chunk_split(monkeypatch, pin_first
                    for a, b in zip(other.witness_vectors, first.witness_vectors))
 
 
+def _recorded_seesaw(monkeypatch):
+    """Route ``cbnorm.seesaw_min_norm`` through a recorder; returns the list of
+    ``(aux_dim, restarts)`` of each call."""
+    calls = []
+    seesaw = cbnorm.seesaw_min_norm
+
+    def record(*args, **kwargs):
+        calls.append((kwargs["aux_dim"], kwargs["restarts"]))
+        return seesaw(*args, **kwargs)
+
+    monkeypatch.setattr(cbnorm, "seesaw_min_norm", record)
+    return calls
+
+
+def _assert_same_seesaw(got, want):
+    assert (got.lower, got.iterations, got.restarts_used, got.converged, got.aux_dimension) == (
+        want.lower, want.iterations, want.restarts_used, want.converged, want.aux_dimension)
+    assert got.objective_history == want.objective_history
+    assert all(np.array_equal(a, b) for a, b in zip(got.witness_unitaries, want.witness_unitaries))
+    assert all(np.array_equal(a, b) for a, b in zip(got.witness_vectors, want.witness_vectors))
+
+
+@pytest.mark.parametrize("route", [cbnorm.cb_norm_linf, cbnorm.min_norm])
+@pytest.mark.parametrize("restarts", [1, 6])
+def test_a_closed_bracket_runs_the_deterministic_start_alone(monkeypatch, route, restarts):
+    xs = random_matrix_tuple(make_generator(75), 3, 2)
+    cert = dec_norm_linf(xs)
+    calls = _recorded_seesaw(monkeypatch)
+    agg = route(xs, restarts=restarts, seed=4, certificate=cert)
+    assert agg.verdict == "agree"
+    assert calls == [(2, 1)]
+    assert agg.seesaw.restarts_used == 1
+    alone = cbnorm.seesaw_min_norm(xs, aux_dim=2, restarts=1, seed=4,
+                                   pin_first=route is cbnorm.min_norm)
+    _assert_same_seesaw(agg.seesaw, alone)
+
+
+@pytest.mark.parametrize("route", [cbnorm.cb_norm_linf, cbnorm.min_norm])
+@pytest.mark.parametrize("restarts", [1, 5])
+def test_an_open_bracket_ends_as_if_every_restart_ran(monkeypatch, route, restarts):
+    # a tolerance below the SDP's accuracy keeps the bracket open to the end
+    xs = random_matrix_tuple(make_generator(76), 3, 2)
+    cert = dec_norm_linf(xs)
+    pin_first = route is cbnorm.min_norm
+    full = cbnorm.seesaw_min_norm(xs, aux_dim=2, restarts=restarts, seed=4, pin_first=pin_first)
+    wider = cbnorm.seesaw_min_norm(xs, aux_dim=4, restarts=2 * restarts, seed=4,
+                                   pin_first=pin_first)
+    calls = _recorded_seesaw(monkeypatch)
+    agg = route(xs, restarts=restarts, seed=4, agree_tol=1e-15, certificate=cert)
+    assert agg.verdict == "inconclusive"
+    # restarts=1: the deterministic start is the whole first pass, run once
+    assert calls == [(2, 1)] + ([(2, restarts)] if restarts > 1 else []) + [(4, 2 * restarts)]
+    _assert_same_seesaw(agg.seesaw, wider if wider.lower > full.lower else full)
+    assert agg.lower == max(full.lower, wider.lower)
+    assert agg.gap == (agg.upper - agg.lower) / max(1.0, agg.upper)
+
+
 def test_given_certificate_replaces_the_sdp(monkeypatch):
     xs = random_matrix_tuple(make_generator(57), 3, 2)
     alone = cbnorm.cb_norm_linf(xs, restarts=4, seed=3)

@@ -70,6 +70,24 @@ def test_norm_flag_overrides_merge_into_options(capsys):
     assert rep["results"]["seesaw"]["aux_dimension"] == 4
 
 
+SEESAW_KEYS = ("aux_dimension", "converged", "iterations", "restarts_used")
+
+
+@pytest.mark.parametrize("path,keys", [
+    (PAULI, ("factorization_residual", "gap", "lower", "seesaw", "solver", "upper", "verdict")),
+    ("instances/free_unit.json",
+     ("max", "min_lower", "min_upper", "rel_gap", "seesaw", "seesaw_gap", "solver", "verdict")),
+])
+def test_bracket_kinds_report_the_seesaw(capsys, path, keys):
+    assert main(["norm", path, "--json"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert tuple(sorted(res)) == keys
+    assert tuple(sorted(res["seesaw"])) == SEESAW_KEYS
+    # both brackets close at the see-saw's deterministic start
+    assert res["verdict"] == "agree"
+    assert res["seesaw"]["restarts_used"] == 1
+
+
 # the routine each kind runs, and the routine whose parameters it takes
 ROUTINE_OF_KIND = {
     "dec_linf": ("dec_norms", "dec_norms"),
@@ -104,6 +122,19 @@ def test_norm_forwards_exactly_the_options_set(monkeypatch, capsys, path, with_f
     assert main(argv) == 0
     capsys.readouterr()
     assert calls == [(routine, {key: v for key, v in options.items() if key in takes})]
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p) for p in Path("instances").glob("*.json")
+    if json.loads(p.read_text(encoding="utf-8"))["kind"] != "mult_domain"))
+def test_norm_exits_3_when_the_sdp_stops_at_its_iteration_limit(monkeypatch, capsys, path):
+    # every kind but mult_domain solves an SDP
+    monkeypatch.setattr(conic, "MAX_ITER", 5)
+    assert main(["norm", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: ")
+    assert "max_iterations" in captured.err
 
 
 def test_norm_out_file(tmp_path, capsys):

@@ -5,12 +5,21 @@ that the check fail on the corpus draw, so a check that cannot fail is
 caught.  The check alone also passes on the same draw without the defect.
 """
 
+import dataclasses
+
+import pytest
+
 from decnorms import suite
 
 
 def _only(monkeypatch, name):
     monkeypatch.setattr(suite, "_RUNNERS",
-                        {names: fn for names, fn in suite._RUNNERS.items() if names == (name,)})
+                        {names: fn for names, fn in suite._RUNNERS.items() if name in names})
+
+
+def _on_one_instance(name):
+    report = suite.run_suite(profile="quick", seed=42, max_instances=1)
+    return next(r for r in report.results if r.name == name)
 
 
 def test_contraction_check_fails_when_the_map_doubles_its_images(monkeypatch):
@@ -26,3 +35,26 @@ def test_contraction_check_fails_when_the_map_doubles_its_images(monkeypatch):
     assert broken.name == "ineq_contraction"
     assert not broken.passed
     assert broken.worst > 0.3
+
+
+@pytest.mark.parametrize("name", ["dec_cb_agreement", "nuclearity"])
+def test_bracket_check_fails_when_the_sdp_under_reports(monkeypatch, name):
+    # the bracket stops once the see-saw's deterministic start meets the SDP
+    # value, so an SDP that reports too little must not pass for a closed
+    # bracket: the lower end then sits above the upper one
+    _only(monkeypatch, name)
+    clean = _on_one_instance(name)
+    assert clean.passed
+
+    dec_norms = suite.dec_norms
+
+    def under_reported(inputs, **kwargs):
+        return [dataclasses.replace(c, value=c.value * (1 - 1e-4))
+                for c in dec_norms(inputs, **kwargs)]
+
+    monkeypatch.setattr(suite, "dec_norms", under_reported)
+    broken = _on_one_instance(name)
+    # failed on the lower end, which crossed the upper by the whole defect
+    assert not broken.passed
+    assert broken.worst <= broken.tolerance
+    assert "-1.00e-04" in broken.detail

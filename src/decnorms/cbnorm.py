@@ -233,7 +233,8 @@ class CbAgreement:
 
 def _check_certificate(xs: list[AlgebraElement], cert: DecCertificate):
     """Raise ``ValueError`` unless ``cert`` is a tuple certificate whose factors rebuild ``xs``."""
-    if cert.kind != "linf" or len(cert.factor_a) != len(xs):
+    if (cert.kind != "linf" or len(cert.factor_a) != len(xs)
+            or cert.factor_a[0].shape != xs[0].shape):
         raise ValueError("certificate is not a dec_norm_linf certificate of these coefficients")
     resid = reconstruction_residual(map_from_linf(xs), cert.factor_a, cert.factor_b)
     # as closely as they rebuilt their own tuple, or to the level that flags a certificate

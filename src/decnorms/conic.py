@@ -160,22 +160,22 @@ def svec(mat: np.ndarray) -> np.ndarray:
 
 
 def unsvec(vec: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of :func:`svec`.
+    """Inverse of :func:`svec`; a stack ``(..., q*q)`` gives ``(..., q, q)``.
 
     This runs in complex arithmetic, not through the real gather of the
     map, so a -0.0 coordinate yields the signed zeros complex division gives.
     """
     v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (q * q,):
+    if v.shape[-1:] != (q * q,):
         raise ValueError(f"svec vector for size {q} must have length {q * q}")
     mp = _svec_map(q)
     t = mp.upper.size
-    out = np.zeros(q * q, dtype=np.complex128)
-    out[mp.diag] = v[:q]
-    off = (v[q:q + t] + 1j * v[q + t:]) / _SQRT2
-    out[mp.upper] = off
-    out[mp.lower] = off.conj()
-    return out.reshape(q, q)
+    out = np.zeros(v.shape[:-1] + (q * q,), dtype=np.complex128)
+    out[..., mp.diag] = v[..., :q]
+    off = (v[..., q:q + t] + 1j * v[..., q + t:]) / _SQRT2
+    out[..., mp.upper] = off
+    out[..., mp.lower] = off.conj()
+    return out.reshape(v.shape[:-1] + (q, q))
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +339,17 @@ class BlockBuilder:
     diagonal sub-positions of a constraint block, which in svec terms is a
     coordinate-for-coordinate copy.  The three primitives below cover
     every program the package builds.
+
+    A builder builds the block of ``family`` programs that differ only in
+    their constants: a constant is one matrix for all of them or a stack
+    of ``family``, one per program, and :meth:`build_family` returns one
+    spec per program, all sharing one linear part.
     """
 
-    def __init__(self, size: int, num_vars: int):
+    def __init__(self, size: int, num_vars: int, family: int = 1):
         self.size = size
         self.num_vars = num_vars
-        self.f0 = np.zeros((size, size), dtype=np.complex128)
+        self.f0 = np.zeros((family, size, size), dtype=np.complex128)
         self._rows: list[np.ndarray] = []
         self._cols: list[np.ndarray] = []
         self._vals: list[np.ndarray] = []
@@ -360,17 +365,17 @@ class BlockBuilder:
     def add_constant(self, mat: np.ndarray):
         """Add the constant ``mat`` at the top-left corner of the block."""
         m = np.asarray(mat, dtype=np.complex128)
-        qsub = m.shape[0]
-        self.f0[:qsub, :qsub] += m
+        qsub = m.shape[-1]
+        self.f0[..., :qsub, :qsub] += m
 
     def add_constant_offdiag(self, mat: np.ndarray, row0: int, col0: int):
         """Place a constant rectangular block at (row0, col0), mirrored."""
         m = np.asarray(mat, dtype=np.complex128)
-        r, c = m.shape
+        r, c = m.shape[-2:]
         if row0 == col0:
             raise SolverError("use add_constant for diagonal placements")
-        self.f0[row0:row0 + r, col0:col0 + c] += m
-        self.f0[col0:col0 + c, row0:row0 + r] += m.conj().T
+        self.f0[..., row0:row0 + r, col0:col0 + c] += m
+        self.f0[..., col0:col0 + c, row0:row0 + r] += np.swapaxes(m.conj(), -1, -2)
 
     def add_hermitian_var(self, var_offset: int, qsub: int, row0: int, sign: float = 1.0):
         """Add ``sign * P`` at a diagonal slot, P a Hermitian svec variable."""
@@ -419,7 +424,7 @@ class BlockBuilder:
         self._cols.append(np.concatenate(cols_all))
         self._vals.append(np.concatenate(vals_all))
 
-    def build(self) -> PsdBlockSpec:
+    def _lin(self) -> CsrMatrix:
         q = self.size
         if self._rows:
             rows = np.concatenate(self._rows)
@@ -428,8 +433,16 @@ class BlockBuilder:
         else:
             rows = cols = np.zeros(0, dtype=np.int64)
             vals = np.zeros(0)
-        lin = _csr_from_entries((q * q, self.num_vars), rows, cols, vals)
-        return PsdBlockSpec(size=q, f0=self.f0, lin=lin)
+        return _csr_from_entries((q * q, self.num_vars), rows, cols, vals)
+
+    def build(self) -> PsdBlockSpec:
+        """The spec of the first program of the family."""
+        return self.build_family()[0]
+
+    def build_family(self) -> list[PsdBlockSpec]:
+        """One spec per program of the family, each with its own F0 and the shared linear part."""
+        lin = self._lin()
+        return [PsdBlockSpec(size=self.size, f0=f0, lin=lin) for f0 in self.f0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,22 +42,28 @@ def symmetrize(a, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     The tolerance is relative to the norm of the input; exact zeros pass
     trivially.  Raises ``ValueError`` when the defect is too large, since a
     silently symmetrized non-Hermitian matrix usually hides a bug upstream.
+    A stack ``(..., m, m)`` is checked and symmetrized matrix by matrix.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(a, stack=True)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"cannot symmetrize a non-square matrix {m.shape}")
-    diff = m - m.conj().T
+    mh = np.swapaxes(m.conj(), -1, -2)
+    diff = m - mh
     # the Frobenius norm bounds the operator norm and max(norm, 1) >= 1, so
     # only a Frobenius defect above rtol needs the exact test
     if np.linalg.norm(diff) > rtol:
-        scale = operator_norm(m)
-        defect = operator_norm(diff)
-        if defect > rtol * max(scale, 1.0):
-            raise ValueError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{rtol:.1e} * max(norm, 1) = {rtol * max(scale, 1.0):.3e}"
-            )
-    return (m + m.conj().T) / 2.0
+        q = m.shape[-1]
+        for mk, dk in zip(m.reshape(-1, q, q), diff.reshape(-1, q, q)):
+            if np.linalg.norm(dk) <= rtol:
+                continue
+            scale = operator_norm(mk)
+            defect = operator_norm(dk)
+            if defect > rtol * max(scale, 1.0):
+                raise ValueError(
+                    f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+                    f"{rtol:.1e} * max(norm, 1) = {rtol * max(scale, 1.0):.3e}"
+                )
+    return (m + mh) / 2.0
 
 
 def herm_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
@@ -66,14 +72,15 @@ def herm_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     ``v`` such that ``a = v @ diag(w) @ v*``.  The input is symmetrized
     first; a Hermitian defect above ``HERMITIAN_RTOL`` (relative) raises.
+    A stack ``(..., m, m)`` is decomposed matrix by matrix in one call.
     """
     h = symmetrize(a)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise np.linalg.LinAlgError(
-            f"eigh failed to converge on a {h.shape[0]}x{h.shape[0]} matrix "
-            f"with norm {operator_norm(h):.3e}"
+            f"eigh failed to converge on an array of shape {h.shape} "
+            f"with max entry {np.abs(h).max():.3e}"
         ) from exc
     return w, v
 
@@ -128,14 +135,17 @@ def psd_roots(a, *, rcond: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     negative modes to zero.  In the pseudo-inverse root, eigenvalues below
     ``rcond * max(eigenvalue)`` are treated as zero, so it acts as
     ``a**(-1/2)`` on the numerical range of ``a`` and as zero on its kernel.
+    A stack ``(..., m, m)`` gets the roots of each matrix, each with the
+    bits it gets on its own.
     """
     w, v = herm_eigensystem(a)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    top = max(float(w[-1]), 0.0)
+    vh = np.swapaxes(v.conj(), -1, -2)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ vh
+    top = np.maximum(w[..., -1:], 0.0)
     inv = np.zeros_like(w)
-    keep = w > rcond * max(top, np.finfo(float).tiny)
+    keep = w > rcond * np.maximum(top, np.finfo(float).tiny)
     inv[keep] = 1.0 / np.sqrt(w[keep])
-    return root, (v * inv) @ v.conj().T
+    return root, (v * inv[..., None, :]) @ vh
 
 
 def top_singular_triple(a) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decnorms import cbnorm, conic, maps
-from decnorms.algebra import matrix_algebra
-from decnorms.decomposable import dec_norm_linf, dec_norms
+from decnorms.algebra import AlgebraShape, element, matrix_algebra
+from decnorms.decomposable import dec_norm_linf, dec_norms, reconstruction_residual
 from decnorms.multdomain import multiplicative_domain, verify_bimodularity
 from decnorms.testkit import (
     grid_oracle_min_norm,
@@ -375,12 +375,21 @@ def test_certificate_of_other_coefficients_is_rejected(monkeypatch):
     u = maps.identity_map(matrix_algebra(2))
     images = [img.blocks[0] for img in u.images]
     (map_cert,) = dec_norms([u])
+    # coefficients in M_3 against the certificate of their 2x2 corners
+    wider = random_matrix_tuple(gen, 3, 3)
+    corners = dec_norm_linf([x[:2, :2] for x in wider])
+    # the residual of coefficients in M_2 + M_1 is not read off their M_2 blocks alone
+    summed = [element(AlgebraShape((2, 1)), [x, random_ginibre(gen, 1, 1)]) for x in xs]
+    first = dec_norm_linf(xs)
+    with pytest.raises(ValueError, match="codomain"):
+        reconstruction_residual(maps.map_from_linf(summed), first.factor_a, first.factor_b)
 
     def no_seesaw(*args, **kwargs):
         raise AssertionError("the see-saw ran on a foreign certificate")
 
     monkeypatch.setattr(cbnorm, "seesaw_min_norm", no_seesaw)
-    for coeffs, cert in ((xs, other), (longer, other), (images, map_cert)):
+    for coeffs, cert in ((xs, other), (longer, other), (images, map_cert),
+                         (wider, corners)):
         with pytest.raises(ValueError, match="certificate"):
             cbnorm.cb_norm_linf(coeffs, certificate=cert)
 

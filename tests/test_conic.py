@@ -11,7 +11,7 @@ import pytest
 
 from decnorms import conic
 from decnorms.algebra import AlgebraShape, element, matrix_algebra
-from decnorms.decomposable import _choi_data, _choi_program, dec_norm_linf, dec_norms
+from decnorms.decomposable import _choi_data, _choi_programs, _pair_shapes, dec_norm_linf, dec_norms
 from decnorms.maps import LinearMapRep, map_from_linf, tensor
 from decnorms.suite import _random_map
 from decnorms.testkit import (
@@ -54,6 +54,33 @@ def test_block_builder_hermitian_var_placement():
     got = conic.unsvec(conic.svec(blk.f0) + blk.lin @ y, 2 * d)
     want = np.block([[p, x], [x.conj().T, q]])
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_block_family_shares_its_linear_part_and_keeps_each_constant():
+    # a family builds the block once; each program gets the F0 and the
+    # linear part a builder of its own gives it, bit for bit
+    gen = make_generator(35)
+    d = 2
+    xs = np.stack([random_hermitian(gen, d) + 1j * random_hermitian(gen, d) for _ in range(3)])
+    family = conic.BlockBuilder(2 * d, d * d, family=len(xs))
+    family.add_hermitian_var(0, d, 0)
+    family.add_constant_offdiag(xs, 0, d)
+    family.add_constant(np.eye(d))
+    specs = family.build_family()
+    for x, spec in zip(xs, specs, strict=True):
+        builder = conic.BlockBuilder(2 * d, d * d)
+        builder.add_hermitian_var(0, d, 0)
+        builder.add_constant_offdiag(x, 0, d)
+        builder.add_constant(np.eye(d))
+        want = builder.build()
+        assert spec.lin is specs[0].lin
+        assert spec.f0.tobytes() == want.f0.tobytes()
+        assert spec.lin.data.tobytes() == want.lin.data.tobytes()
+        assert spec.lin.indices.tobytes() == want.lin.indices.tobytes()
+    # the stacked inverse of svec reads each row as the lone call does
+    rows = np.stack([conic.svec(spec.f0) for spec in specs])
+    for row, spec in zip(conic.unsvec(rows, 2 * d), specs):
+        assert row.tobytes() == conic.unsvec(conic.svec(spec.f0), 2 * d).tobytes()
 
 
 def test_block_builder_partial_trace():
@@ -266,7 +293,11 @@ def test_setup_reuse_is_exact_and_bounded(monkeypatch):
 
 
 def _choi(u):
-    return _choi_program(u, _choi_data(u))[0]
+    # the Choi program of u alone, every domain block live
+    dn, cn = u.domain.block_dims, u.codomain.block_dims
+    x_choi = _choi_data(u)
+    xs = {key: np.array([[x_choi[p] for p in pairs]]) for key, pairs in _pair_shapes(dn, cn).items()}
+    return _choi_programs(dn, cn, tuple(range(len(dn))), xs)[0][0]
 
 
 def _direct_sum_map(gen):

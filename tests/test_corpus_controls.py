@@ -58,3 +58,41 @@ def test_bracket_check_fails_when_the_sdp_under_reports(monkeypatch, name):
     assert not broken.passed
     assert broken.worst <= broken.tolerance
     assert "-1.00e-04" in broken.detail
+
+
+def test_certificate_check_fails_when_the_value_is_inflated(monkeypatch):
+    # dec_certificates matches each value against its factors' column-norm
+    # bound within 1e-5, so a value 1e-4 too high fails on the value match
+    _only(monkeypatch, "dec_certificates")
+    clean = _on_one_instance("dec_certificates")
+    assert clean.passed and clean.instances == 1
+
+    dec_norms = suite.dec_norms
+
+    def inflated(inputs, **kwargs):
+        return [dataclasses.replace(c, value=c.value * (1 + 1e-4))
+                for c in dec_norms(inputs, **kwargs)]
+
+    monkeypatch.setattr(suite, "dec_norms", inflated)
+    broken = _on_one_instance("dec_certificates")
+    assert not broken.passed
+    assert "value match 1.00e-04 (tol 1e-05)" in broken.detail
+
+
+def test_certificate_check_fails_when_the_factors_are_scaled(monkeypatch):
+    # the certificate's own residual is not recomputed, so factors that no
+    # longer rebuild the tuple are caught by cb_norm_linf's certificate
+    # check, which raises inside the runner, before the 1e-6 residual gate
+    _only(monkeypatch, "dec_certificates")
+    assert _on_one_instance("dec_certificates").passed
+
+    dec_norms = suite.dec_norms
+
+    def scaled(inputs, **kwargs):
+        return [dataclasses.replace(c, factor_b=[(1 + 1e-4) * b for b in c.factor_b])
+                for c in dec_norms(inputs, **kwargs)]
+
+    monkeypatch.setattr(suite, "dec_norms", scaled)
+    broken = _on_one_instance("dec_certificates")
+    assert not broken.passed and broken.instances == 0
+    assert broken.detail.startswith("ValueError: certificate factors miss these coefficients by ")

@@ -367,6 +367,15 @@ def _block_diagonal_map(gen, dims):
     return maps.LinearMapRep(shape, shape, images)
 
 
+def _certificate_bytes(cert):
+    def elements(xs):
+        return [b.tobytes() for x in xs for b in x.blocks]
+
+    return (cert.kind, cert.flagged, cert.solver.y.tobytes(),
+            np.array([cert.value, cert.factor_bound, cert.reconstruction_residual]).tobytes(),
+            elements(cert.P), elements(cert.Q), elements(cert.factor_a), elements(cert.factor_b))
+
+
 def test_batch_entry_matches_the_single_entries(monkeypatch):
     gen = make_generator(59)
     xs = random_matrix_tuple(gen, 3, 2)
@@ -375,15 +384,22 @@ def test_batch_entry_matches_the_single_entries(monkeypatch):
                                lambda x: element(matrix_algebra(2), [x.blocks[0].T]))
     w = _block_diagonal_map(gen, (2, 1))
     zeros = [np.zeros((2, 2)), np.zeros((2, 2))]
-    batch = decomposable.dec_norms([xs, u, ys, zeros, w])
+    # a zero coefficient changes the live blocks, so this tuple is a group of its own
+    gap = random_matrix_tuple(gen, 3, 2)
+    gap[1] = np.zeros((2, 2))
+    m2 = matrix_algebra(2)
+    more = [gap, random_matrix_tuple(gen, 1, 1),
+            maps.LinearMapRep(m2, m2, [element(m2, [random_ginibre(gen, 2, 2)]) for _ in range(4)]),
+            _block_diagonal_map(gen, (2, 2))]
+    batch = decomposable.dec_norms([xs, u, ys, zeros, w] + more)
     singles = [decomposable.dec_norm_linf(xs), decomposable.dec_norms([u])[0],
                decomposable.dec_norm_linf(ys), decomposable.dec_norm_linf(zeros),
-               decomposable.dec_norms([w])[0]]
+               decomposable.dec_norms([w])[0]] + [decomposable.dec_norms([x])[0] for x in more]
     for got, want in zip(batch, singles, strict=True):
-        assert (got.kind, got.value, got.factor_bound) == (want.kind, want.value, want.factor_bound)
-        assert got.solver.y.tobytes() == want.solver.y.tobytes()
+        assert _certificate_bytes(got) == _certificate_bytes(want)
         assert got.solver.history == want.solver.history
-    assert batch[-1].kind == "direct_sum"
+    assert [c.kind for c in batch[4:]] == ["direct_sum", "linf", "linf", "matrix_domain", "direct_sum"]
+    assert element_norm(batch[5].P[1]) == 0.0
     assert decomposable.dec_norms([]) == []
     # an input that fails validation is named too
     with pytest.raises(ValueError, match=r"^input 1: coefficient 1: algebra \(3,\) differs"):
@@ -429,16 +445,41 @@ def test_selfadjoint_batch_matches_the_single_calls(monkeypatch):
     gen = make_generator(62)
     tuples = [[random_hermitian(gen, 2) for _ in range(3)] for _ in range(3)]
     tuples.insert(0, [np.zeros((2, 2))] * 3)  # no program: the first failing input is 1
-    for got, xs in zip(decomposable.selfadjoint_dec_norms(tuples), tuples):
+    # a zero coefficient leaves the program's structure, and so its group, as it is
+    tuples += [[random_hermitian(gen, 2), np.zeros((2, 2)), random_hermitian(gen, 2)],
+               [random_hermitian(gen, 3) for _ in range(2)]]
+    for got, xs in zip(decomposable.selfadjoint_dec_norms(tuples), tuples, strict=True):
         want = decomposable.selfadjoint_dec_norms([xs])[0]
         assert (got.kind, want.kind) == ("selfadjoint", "selfadjoint")
-        assert (got.value, got.factor_bound) == (want.value, want.factor_bound)
-        assert got.reconstruction_residual == want.reconstruction_residual
-        assert got.solver.y.tobytes() == want.solver.y.tobytes()
+        assert _certificate_bytes(got) == _certificate_bytes(want)
         assert got.solver.history == want.solver.history
     monkeypatch.setattr(decomposable.conic, "MAX_ITER", 5)
     with pytest.raises(decomposable.conic.SolverError, match="^input 1: .*max_iterations"):
         decomposable.selfadjoint_dec_norms(tuples)
+
+
+def test_edge_inputs_meet_their_closed_forms_in_one_call():
+    gen = make_generator(65)
+    x = random_ginibre(gen, 3, 3)
+    scalars = [np.array([[2.0 - 1.0j]]), np.array([[-3.0]]), np.array([[0.5j]])]
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    e = np.eye(3)
+    rank_one = [np.outer(e[0], e[0]), np.outer(e[0], e[1])]  # e11, e12 in M_3
+    draws = make_generator(1, stream=3)
+    spread = [s * random_matrix_tuple(draws, 1, 3)[0] for s in (1e8, 1.0, 1e-8)]
+    n_one, d_one, nil, rank, wide = decomposable.dec_norms([[x], scalars, [e12, e12.T], rank_one,
+                                                            spread])
+    assert n_one.value == pytest.approx(np.linalg.norm(x, 2), rel=1e-7)
+    assert d_one.value == pytest.approx(sum(abs(s[0, 0]) for s in scalars), rel=1e-7)
+    # e12 = e11 e12 and e21 = e22 e21 have Gram sums e11 + e22 = 1 on both sides
+    assert nil.value == pytest.approx(1.0, rel=1e-7)
+    # ||e11 + e12|| = sqrt(2) from below; e1j = (e11 / 2^(1/4))* (2^(1/4) e1j) from above,
+    # with Gram sums sqrt(2) e11 and sqrt(2) (e11 + e22)
+    assert rank.value == pytest.approx(np.sqrt(2.0), rel=1e-7)
+    norms = [np.linalg.norm(s, 2) for s in spread]
+    assert max(norms) * (1 - 1e-7) <= wide.value <= sum(norms) * (1 + 1e-7)
+    for cert in (n_one, d_one, nil, rank, wide):
+        assert not cert.flagged
 
 
 # Property tests: a Ginibre tuple of n <= 4 matrices in M_d, d <= 3, drawn from

@@ -113,6 +113,15 @@ def test_psd_sqrt_and_pinv_sqrt():
         # the orthogonal projector onto the range.
         assert np.allclose(proj @ proj, proj, atol=1e-8)
         assert np.allclose(proj @ p, p, atol=1e-8)
+    # a stack gets the roots of each matrix, each with the bits it gets alone
+    gs = [random_ginibre(gen, 3, 2) for _ in range(4)]
+    stack = np.stack([g @ g.conj().T for g in gs]).reshape(2, 2, 3, 3)
+    roots, invs = linalg.psd_roots(stack)
+    for idx in np.ndindex(2, 2):
+        r, rinv = linalg.psd_roots(stack[idx])
+        assert (roots[idx].tobytes(), invs[idx].tobytes()) == (r.tobytes(), rinv.tobytes())
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.psd_roots(stack + 1e-3j * np.eye(3))
 
 
 def test_top_singular_triple():

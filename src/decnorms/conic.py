@@ -10,13 +10,15 @@ a product of PSD blocks alone.  The solver runs ADMM on the homogeneous
 self-dual embedding (the splitting SCS made standard): primal and dual
 are folded into one monotone inclusion whose fixed point encodes either
 an optimal pair or an infeasibility certificate.  Each iteration solves
-one quasi-definite linear system and projects onto the cone product;
-over-relaxation and Ruiz equilibration speed up the linear rate, and
-safeguarded type-II Anderson acceleration of the fixed-point map
-z = (u, v) -> (u+, v+) cuts the iteration count (Zhang, O'Donoghue and
-Boyd, 2020): residual checks read plain iterates, and an extrapolated
-point that halves tau, or whose image grows the fixed-point residual, is
-dropped for the plain one.
+one quasi-definite linear system and projects onto the cone product.
+The iterate is the Douglas-Rachford variable x of length vars + rows + 1,
+as in SCS 3 (O'Donoghue, SIAM J. Optim. 2021): a step solves the system
+at 2u - x, where u = Pi(x) and v = u - x, and moves x by the relaxed
+difference of that solution and u.  Ruiz equilibration speeds up the
+linear rate, and safeguarded type-II Anderson acceleration of x -> x+
+cuts the iteration count (Zhang, O'Donoghue and Boyd, 2020): checks read
+plain iterates, and an extrapolated point that halves tau or tau + kappa,
+or whose image grows the fixed-point residual, gives way to the plain one.
 
 The constraint matrix A stays sparse (CSR, :class:`CsrMatrix`, numpy
 arrays only) from assembly through Ruiz scaling, residual checks and
@@ -831,7 +833,7 @@ BATCH_BYTES = 2 << 20
 # larger program's per-row work outweighs numpy's per-call cost, and stacking
 # it only adds copies, so it runs alone.
 LOCKSTEP_MIN = 4
-# Anderson acceleration (type-II) of the (u, v) fixed-point map and its safeguards
+# Anderson acceleration (type-II) of the x fixed-point map and its safeguards
 AA_MEMORY = 10
 AA_REG = 1e-9  # Tikhonov weight relative to the trace of the Gram matrix
 AA_SAFEGUARD = 4.0  # largest growth of the fixed-point residual an extrapolation may cause
@@ -843,28 +845,36 @@ _EYE.setflags(write=False)
 def _state_bytes(setup: _Setup) -> int:
     """Bytes of stacked state one program adds to a lockstep run, temporaries included."""
     size = sum(setup.a.shape) + 1
-    # the projection's matrices hold as many complex entries as A has rows
-    return 8 * (size * (4 * AA_MEMORY + 24) + 4 * setup.a.shape[0] + 4 * setup.a.nnz)
+    # S doubles: 2 * AA_MEMORY of Anderson memory, 11 of iterates, scratch and data, and 13 of
+    # temporaries such as a row group's gathered memory; then the Gram, projection and CSR indices
+    return 8 * (size * (2 * AA_MEMORY + 24) + AA_MEMORY ** 2 + 4 * setup.a.shape[0] + 4 * setup.a.nnz)
+
+
+def _keeps_tau(ext, plain):
+    """Whether extrapolated x_tau may replace the plain ones: neither tau = max(x_tau, 0) nor
+    tau + kappa = |x_tau| may halve, lest x head for tau = 0 or for x = 0, which certifies nothing."""
+    return (np.maximum(ext, 0.0) >= 0.5 * np.maximum(plain, 0.0)) & (np.abs(ext) >= 0.5 * np.abs(plain))
 
 
 class _Lockstep:
     """ADMM on the HSDE for programs of one constraint structure, iterated together.
 
     Row k of every stacked array belongs to the program ``ids[k]``; a
-    program that stops leaves the rows.  Each program keeps its own tau,
-    kappa, beta and gamma, Anderson memory and safeguard, check schedule,
-    best point and stop, and each kernel gives a row the bits it gives
-    that program alone: elementwise arithmetic, row-wise ``matmul`` for
-    every dot product, matrix-vector product and norm, stacked CSR
-    products, stacked ``eigh``, and Anderson solves stacked by memory fill.
-    :meth:`run` alternates a step and :meth:`_check`; :meth:`finish`
-    builds one program's solution.  While one row is left the step is
-    :meth:`_step_one`, the same iteration on that row's 1-D views with the
-    1-D kernels, which costs about two thirds of :meth:`_step` on one row.
+    program that stops leaves the rows.  Each program keeps its iterate x
+    and u = Pi(x), tau, kappa, beta and gamma, Anderson memory and
+    safeguard, check schedule, best point and stop, and each kernel gives
+    a row the bits it gives that program alone: elementwise arithmetic,
+    row-wise ``matmul`` for every dot product, matrix-vector product and
+    norm, stacked CSR products, stacked ``eigh``, and Anderson solves
+    stacked by memory fill.  :meth:`run` alternates a step and the
+    projection of its output, which the next step and :meth:`_check` both
+    read; :meth:`finish` builds one program's solution.  While one row is
+    left the step is :meth:`_step_one`: the same iteration on its 1-D
+    views, at about two thirds of the cost of :meth:`_step` on one row.
     """
 
     _STACKED = ("ids", "b", "c", "b_s", "c_s", "beta", "gamma", "norm_b", "norm_c", "g",
-                "denom", "z", "zo", "zg", "f", "f_old", "f_sq_old", "d_f", "d_g", "aa_gram",
+                "denom", "x", "u", "xo", "xg", "f", "f_old", "f_sq_old", "d_f", "d_g", "aa_gram",
                 "stored", "slot", "on_trial", "next_check")
 
     def __init__(self, setup: _Setup, programs: list[ConicProgram], index: list[int | None],
@@ -876,7 +886,7 @@ class _Lockstep:
         m, rows = a.shape[1], a.shape[0]
         self.m, self.rows, self.size = m, rows, m + rows + 1
         self.qs = [blk.size for blk in programs[0].psd_blocks]
-        self.project = _psd_projector(self.qs)
+        self.project_psd = _psd_projector(self.qs)
 
         # --- b in svec coordinates, and the b/c normalization ----------------
         self.b = np.zeros((n, rows))
@@ -898,12 +908,11 @@ class _Lockstep:
         g_x = self._solve_m(self.c_s, self.b_s, self.g)
         self.denom = 1.0 + (_rowdot(self.c_s, g_x) + _rowdot(self.b_s, self.g[:, m:-1]))
 
-        # z = (u, v) is the map's input and zo its output; zg keeps the last
-        # plain output, the point an extrapolated z on trial falls back to.
-        self.z, self.zo, self.zg, self.f, self.f_old = (np.zeros((n, 2 * self.size))
-                                                        for _ in range(5))
-        self.z[:, self.size - 1] = self.z[:, -1] = 1.0  # tau = kappa = 1
-        self.d_f, self.d_g = (np.zeros((n, AA_MEMORY, 2 * self.size)) for _ in range(2))
+        # x is the map's input, u = Pi(x), and xo the map's output; xg keeps
+        # the last plain output, the point an extrapolated x on trial falls back to.
+        self.x, self.u, self.xo, self.xg, self.f, self.f_old = np.zeros((6, n, self.size))
+        self.x[:, -1] = self.u[:, -1] = 1.0  # tau = 1, kappa = 0
+        self.d_f, self.d_g = (np.zeros((n, AA_MEMORY, self.size)) for _ in range(2))
         self.aa_gram = np.zeros((n, AA_MEMORY, AA_MEMORY))
         self.stored, self.slot = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.on_trial = np.zeros(n, dtype=bool)
@@ -921,7 +930,7 @@ class _Lockstep:
 
     def _scratch(self, n: int):
         self.row_ix = np.arange(n)
-        self.w, self.t, self.r = (np.empty((n, self.size)) for _ in range(3))
+        self.w, self.t = (np.empty((n, self.size)) for _ in range(2))
 
     def _solve_m(self, wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve M (x, y) = (wx, wy), row by row for stacks, into ``out[..., :m]`` and
@@ -939,8 +948,10 @@ class _Lockstep:
             check = it == next_check
             if self.ids.size == 1:
                 self._step_one(it, check)
+                self._project(self.x[0], self.u[0])
             else:
                 self._step(it, self.next_check == it if check else None)
+                self._project(self.x, self.u)
             if not check:
                 continue
             self._check(it, np.flatnonzero(self.next_check == it))
@@ -948,49 +959,40 @@ class _Lockstep:
                 break
             next_check = int(self.next_check.min())
 
-    def _admm(self, z, zo, w, t, r, c_s, b_s, g, denom):
-        """One ADMM iteration from ``z`` into ``zo``, on one row's 1-D views or on stacks."""
-        m, rows, size = self.m, self.rows, self.size
-        u, v = z[..., :size], z[..., size:]
-        un, vn = zo[..., :size], zo[..., size:]
-        np.add(u, v, out=w)
-        t_x = self._solve_m(w[..., :m], w[..., m:-1], t)
-        tau_t = (w[..., -1] + _rowdot(c_s, t_x) + _rowdot(b_s, t[..., m:-1])) / denom
+    def _admm(self, x, u, xo, w, t, c_s, b_s, g, denom):
+        """One ADMM iteration from ``x`` and u = Pi(x) into ``xo``, on 1-D views or on stacks."""
+        np.multiply(u, 2.0, out=w)
+        w -= x
+        t_x = self._solve_m(w[..., :self.m], w[..., self.m:-1], t)
+        tau_t = (w[..., -1] + _rowdot(c_s, t_x) + _rowdot(b_s, t[..., self.m:-1])) / denom
         t[..., -1] = tau_t
+        # over-relaxed step x+ = x + alpha (t - tau_t g - u)
+        np.multiply(g.T, tau_t, out=xo.T)
+        np.subtract(t, xo, out=xo)
+        xo -= u
+        xo *= OVER_RELAX
+        xo += x
 
-        # over-relaxed point r = alpha (t - tau_t g) + (1 - alpha) u; w is scratch now
-        np.multiply(g.T, tau_t, out=r.T)
-        np.subtract(t, r, out=r)
-        r *= OVER_RELAX
-        np.multiply(u, 1 - OVER_RELAX, out=w)
-        r += w
-
-        # u update: project (r - v) onto R^m x PSD x R_+, keeping -0.0 as max(-0.0, 0.0) does
-        np.subtract(r, v, out=un)
-        self.project(un[..., m:m + rows])
-        last = un[..., -1:]
-        np.copyto(last, 0.0, where=last < 0.0)
-
-        # v update keeps the pair complementary
-        np.subtract(un, r, out=vn)
-        vn += v
+    def _project(self, x: np.ndarray, u: np.ndarray):
+        """u = Pi(x) onto R^m x PSD x R_+, keeping a -0.0 tau as max(-0.0, 0.0) does."""
+        u[...] = x
+        self.project_psd(u[..., self.m:-1])
+        np.copyto(u[..., -1:], 0.0, where=u[..., -1:] < 0.0)
 
     def _step(self, it: int, check: np.ndarray | None):
         """One ADMM iteration and Anderson step of every row; ``check`` rows stay plain."""
-        z, zo, zg, f = self.z, self.zo, self.zg, self.f
-        self._admm(z, zo, self.w, self.t, self.r, self.c_s, self.b_s, self.g, self.denom)
+        x, xo, xg, f = self.x, self.xo, self.xg, self.f
+        self._admm(x, self.u, xo, self.w, self.t, self.c_s, self.b_s, self.g, self.denom)
 
-        # Anderson step on z; residual checks read plain output, so they never
-        # extrapolate.  zg holds the last plain output of every row.
-        np.subtract(zo, z, out=f)
+        # Anderson step on x; residual checks read plain output, so they never
+        # extrapolate.  xg holds the last plain output of every row.
+        np.subtract(xo, x, out=f)
         f_sq = _rowdot(f, f)
         # an extrapolated point that made the residual grow (or overflow) is
         # dropped: its row restarts from the plain output with cleared memory
         fail = self.on_trial & ~(f_sq <= AA_SAFEGUARD ** 2 * self.f_sq_old)
         any_fail = bool(fail.any())
-        if any_fail:
-            np.copyto(z, zg, where=fail[:, None])
-            self.stored[fail] = self.slot[fail] = 0
+        self.stored[fail] = self.slot[fail] = 0
         # from the second iteration on, every kept row extends its memory
         trials = []
         if it > 1:
@@ -1000,20 +1002,19 @@ class _Lockstep:
                 if sel.size:
                     trials.append(self._extrapolate(sel, s))
 
-        # kept rows: f becomes f_old, zo the plain output zg, and z the plain or extrapolated point
+        # kept rows: f becomes f_old and xo the plain output xg; x is xg or the extrapolated point
         if any_fail:
             kept = ~fail[:, None]
             np.copyto(self.f_old, f, where=kept)
             self.f_sq_old = np.where(fail, self.f_sq_old, f_sq)
-            np.copyto(zg, zo, where=kept)
-            np.copyto(z, zo, where=kept)
+            np.copyto(xg, xo, where=kept)
         else:
             self.f, self.f_old, self.f_sq_old = self.f_old, f, f_sq
-            self.zg, self.zo = zo, zg
-            z[...] = zo
+            self.xg, self.xo = xo, xg
+        x[...] = self.xg
         self.on_trial = np.zeros(self.row_ix.size, dtype=bool)
-        for sel, z_ext in trials:
-            z[sel] = z_ext
+        for sel, x_ext in trials:
+            x[sel] = x_ext
             self.on_trial[sel] = True
 
     def _at(self, sel: np.ndarray):
@@ -1025,7 +1026,7 @@ class _Lockstep:
         at = self._at(ok)
         slot = self.slot[ok]
         self.d_f[ok, slot] = self.f[at] - self.f_old[at]
-        self.d_g[ok, slot] = self.zo[at] - self.zg[at]
+        self.d_g[ok, slot] = self.xo[at] - self.xg[at]
         fills = np.minimum(self.stored[ok] + 1, AA_MEMORY)
         self.stored[ok] = fills
         self.slot[ok] = (slot + 1) % AA_MEMORY
@@ -1041,9 +1042,9 @@ class _Lockstep:
     def _extrapolate(self, sel: np.ndarray, s: int):
         """Type-II Anderson points of the rows ``sel``, all of memory fill s.
 
-        Returns the rows whose point keeps tau at least half the plain
-        output's, and those points.  Rows whose memory is degenerate
-        (singular Gram, huge or non-finite weights) clear it and drop out.
+        Returns the rows whose point :func:`_keeps_tau` accepts, and those
+        points.  Rows whose memory is degenerate (singular Gram, huge or
+        non-finite weights) clear it and drop out.
         """
         at = self._at(sel)
         lhs = self.aa_gram[at, :s, :s]
@@ -1054,25 +1055,24 @@ class _Lockstep:
             self.stored[sel[~good]] = self.slot[sel[~good]] = 0
             sel, weights = sel[good], weights[good]
             at = sel
-        z_ext = self.zo[at] - np.matmul(weights[:, None, :], self.d_g[at, :s])[:, 0]
-        # an extrapolation may not collapse tau towards the infeasible branch
-        keep = z_ext[:, self.size - 1] >= 0.5 * self.zo[at, self.size - 1]
-        return sel[keep], z_ext[keep]
+        x_ext = self.xo[at] - np.matmul(weights[:, None, :], self.d_g[at, :s])[:, 0]
+        keep = _keeps_tau(x_ext[:, -1], self.xo[at, -1])
+        return sel[keep], x_ext[keep]
 
     def _step_one(self, it: int, check: bool):
         """:meth:`_step` for a chunk of one row, on its 1-D views with the 1-D kernels.
 
-        Buffers are swapped, not copied, so the plain output is ``zg`` while
-        the row is on trial and ``z`` otherwise.
+        Buffers are swapped, not copied, so the plain output is ``xg`` while
+        the row is on trial and ``x`` otherwise.
         """
-        z, zo, zg, f = self.z[0], self.zo[0], self.zg[0], self.f[0]
-        self._admm(z, zo, self.w[0], self.t[0], self.r[0], self.c_s[0], self.b_s[0], self.g[0],
+        x, xo, xg, f = self.x[0], self.xo[0], self.xg[0], self.f[0]
+        self._admm(x, self.u[0], xo, self.w[0], self.t[0], self.c_s[0], self.b_s[0], self.g[0],
                    self.denom[0])
-        np.subtract(zo, z, out=f)
+        np.subtract(xo, x, out=f)
         f_sq = np.dot(f, f)
         on_trial = self.on_trial[0]
         if on_trial and not f_sq <= AA_SAFEGUARD ** 2 * self.f_sq_old[0]:
-            self.z, self.zg = self.zg, self.z
+            self.x, self.xg = self.xg, self.x
             self.stored[0] = self.slot[0] = self.on_trial[0] = 0
             return
         d_f, d_g, gram = self.d_f[0], self.d_g[0], self.aa_gram[0]
@@ -1081,7 +1081,7 @@ class _Lockstep:
             sl = int(self.slot[0])
             s = min(s + 1, AA_MEMORY)
             np.subtract(f, self.f_old[0], out=d_f[sl])
-            np.subtract(zo, zg if on_trial else z, out=d_g[sl])
+            np.subtract(xo, xg if on_trial else x, out=d_g[sl])
             np.dot(d_f[:s], d_f[sl], out=gram[sl, :s])
             gram[:s, sl] = gram[sl, :s]
             self.stored[0], self.slot[0] = s, (sl + 1) % AA_MEMORY
@@ -1093,21 +1093,21 @@ class _Lockstep:
             if weights is None or not np.abs(weights).max() <= AA_MAX_WEIGHT:
                 self.stored[0] = self.slot[0] = 0
             else:
-                np.dot(weights, d_g[:s], out=z)
-                np.subtract(zo, z, out=z)
-                trial = z[self.size - 1] >= 0.5 * zo[self.size - 1]
+                np.dot(weights, d_g[:s], out=x)
+                np.subtract(xo, x, out=x)
+                trial = bool(_keeps_tau(x[-1], xo[-1]))
         if trial:
-            self.zg, self.zo = self.zo, self.zg
+            self.xg, self.xo = self.xo, self.xg
         else:
-            self.z, self.zo = self.zo, self.z
+            self.x, self.xo = self.xo, self.x
         self.on_trial[0] = trial
 
     def _check(self, it: int, rows: np.ndarray):
         """Residual check of ``rows`` at iteration ``it``; stopped programs leave the rows."""
-        m, size = self.m, self.size
+        m = self.m
         a, at, d_row, e_col, block_slices = self.setup[:5]
-        z = self.z[self._at(rows)]
-        u, v = z[:, :size], z[:, size:]
+        u = self.u[self._at(rows)]
+        v = u - self.x[self._at(rows)]
         finite = np.isfinite(u).all(axis=1)
         if not finite.all():
             j = self.ids[rows[np.argmin(finite)]]
@@ -1162,7 +1162,7 @@ class _Lockstep:
             # tau collapsed: look for infeasibility certificates
             j = int(self.ids[row])
             self.last_check[j] = None
-            uu = self.z[row, :size]
+            uu = self.u[row]
             gamma, beta = self.gamma[row], self.beta[row]
             message = ""
             eta_c = d_row * uu[m:-1] / gamma

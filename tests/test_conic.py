@@ -5,9 +5,13 @@ solver is checked against answers it cannot influence.
 """
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decnorms import conic
 from decnorms.algebra import AlgebraShape, element, matrix_algebra
@@ -168,6 +172,43 @@ def test_unbounded_program_reported_as_suspected():
     sol = conic.solve(prog)
     assert sol.status == "infeasible_suspected"
     assert "unbounded" in sol.message
+
+
+def test_extrapolation_guard_keeps_tau_and_tau_plus_kappa():
+    # x_tau projects to tau = max(x_tau, 0), and tau + kappa = |x_tau|
+    plain = np.array([2.0, 2.0, -2.0, -2.0, -2.0, 2.0])
+    ext = np.array([1.5, 0.9, -1.5, -0.9, 1.5, -1.5])
+    assert conic._keeps_tau(ext, plain).tolist() == [True, False, True, False, True, False]
+    # the lone step's scalar form: tau stays 0 but tau + kappa falls from 2 to 0.9
+    assert not conic._keeps_tau(np.float64(-0.9), np.float64(-2.0))
+
+
+def test_unbounded_program_certified_at_the_first_check(monkeypatch):
+    # Without the tau + kappa guard, extrapolation takes this program to
+    # x = 0, the embedding's trivial fixed point, and never certifies it.
+    solves, spd_solve = [], conic._spd_solve
+
+    def counted(lhs, rhs):
+        solves.append(lhs.shape[0])
+        return spd_solve(lhs, rhs)
+
+    monkeypatch.setattr(conic, "_spd_solve", counted)
+    sol = conic.solve(_scalar_program(0.0, -1.0, 1.0))
+    assert solves  # acceleration is on
+    assert sol.status == "infeasible_suspected" and "unbounded" in sol.message
+    assert sol.iterations == conic.CHECK_EVERY
+
+
+def test_check_runs_on_a_step_whose_extrapolation_was_dropped(monkeypatch):
+    # With no growth allowed, every extrapolated point is dropped on the next
+    # step, and about half the checks fall on such steps: each must still run.
+    monkeypatch.setattr(conic, "AA_SAFEGUARD", 0.0)
+    programs = [eigenvalue_program(random_hermitian(make_generator(80 + i), 6)) for i in range(2)]
+    for program, sol in zip(programs, conic.solve_all(programs)):
+        assert sol.status == "optimal"
+        checks = [h[0] for h in sol.history]
+        assert checks[-1] == sol.iterations and max(np.diff(checks)) <= conic.CHECK_EVERY
+        _assert_same_solution(sol, conic.solve(program))
 
 
 def test_solver_determinism():
@@ -371,20 +412,24 @@ def test_anderson_solve_refuses_a_gram_that_is_not_positive_definite():
 def test_solver_determinism_multi_block():
     # Several PSD blocks of different sizes, so the sparse assembly, the
     # per-block Ruiz scalars and the grouped projection all take part.
-    xs = random_matrix_tuple(make_generator(38), 6, 4)
-    c1 = dec_norm_linf(xs)
-    c2 = dec_norm_linf(xs)
-    assert len(c1.solver.dual_psd) > 1
+    iterations = []
+    for xs in (random_matrix_tuple(make_generator(38), 6, 4),
+               random_matrix_tuple(make_generator(0, stream=1000), 12, 8)):
+        c1 = dec_norm_linf(xs)
+        c2 = dec_norm_linf(xs)
+        assert len(c1.solver.dual_psd) > 1
+        assert c1.solver.iterations == c2.solver.iterations
+        assert c1.solver.y.tobytes() == c2.solver.y.tobytes()
+        assert [z.tobytes() for z in c1.solver.dual_psd] == [z.tobytes() for z in c2.solver.dual_psd]
+        assert c1.solver.history == c2.solver.history
+        sol = c1.solver
+        assert sol.history[-1] == (sol.iterations, sol.res_primal, sol.res_dual, sol.gap)
+        assert c1.solver.primal_value == c2.solver.primal_value
+        assert c1.solver.dual_value == c2.solver.dual_value
+        assert c1.value == c2.value
+        iterations.append(sol.iterations)
     # over a hundred iterations, so many extrapolated steps are taken
-    assert c1.solver.iterations == c2.solver.iterations > 4 * 25
-    assert c1.solver.y.tobytes() == c2.solver.y.tobytes()
-    assert [z.tobytes() for z in c1.solver.dual_psd] == [z.tobytes() for z in c2.solver.dual_psd]
-    assert c1.solver.history == c2.solver.history
-    sol = c1.solver
-    assert sol.history[-1] == (sol.iterations, sol.res_primal, sol.res_dual, sol.gap)
-    assert c1.solver.primal_value == c2.solver.primal_value
-    assert c1.solver.dual_value == c2.solver.dual_value
-    assert c1.value == c2.value
+    assert max(iterations) > 4 * 25
 
 
 def test_large_program_memory_stays_sparse(traced):
@@ -438,6 +483,44 @@ def _scalar_program(f0, c, sign=None):
     if sign is not None:
         builder.add_scalar_identity(0, 1, 0, sign)
     return conic.ConicProgram(objective=np.array([c]), psd_blocks=[builder.build()])
+
+
+def _linf_choi(seed, n=6, d=4):
+    return _choi(map_from_linf([element(matrix_algebra(d), [x])
+                                for x in random_matrix_tuple(make_generator(seed), n, d)]))
+
+
+def test_iteration_cap_is_the_last_check_lone_and_stacked(monkeypatch):
+    monkeypatch.setattr(conic, "MAX_ITER", 25)
+    programs = [_linf_choi(seed) for seed in (38, 39, 40)]
+    setup = conic._build_setup(programs[0])
+    assert conic.BATCH_BYTES // conic._state_bytes(setup) >= max(len(programs), conic.LOCKSTEP_MIN)
+    for program, sol in zip(programs, conic.solve_all(programs)):
+        assert sol.status == "max_iterations" and sol.iterations == 25
+        assert sol.history[-1][0] == 25
+        _assert_same_solution(sol, conic.solve(program))
+
+
+@pytest.mark.parametrize("case", sorted(_GRAM_CASES))
+def test_state_bytes_cover_what_a_lockstep_holds(case, monkeypatch):
+    # the arrays a run holds after a few steps, per program: stacked rows,
+    # Anderson memory, scratch, projection buffers and stacked CSR indices
+    program = _GRAM_CASES[case][0](make_generator(44))
+    setup = conic._build_setup(program)
+    monkeypatch.setattr(conic, "MAX_ITER", 3)
+
+    def held(n):
+        tracemalloc.start()
+        try:
+            run = conic._Lockstep(setup, [program] * n, [None] * n, 1e-8)
+            run.run()
+            assert run.ids.size == n
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    per_program = (held(6) - held(2)) / 4
+    assert per_program <= conic._state_bytes(setup) <= 1.5 * per_program
 
 
 def test_batch_gives_each_program_its_own_outcome(monkeypatch):
@@ -545,3 +628,23 @@ def test_batch_failure_names_the_program_by_position(monkeypatch):
     with pytest.raises(conic.SolverError, match="^no usable iterate") as err:
         conic.solve(programs[0])
     assert err.value.index is None
+
+
+_POOL = _three_structure_programs()[:12]
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_solutions():
+    return [conic.solve(p) for p in _POOL]
+
+
+@settings(max_examples=6)
+@given(order=st.permutations(range(len(_POOL))), budget=st.sampled_from(["one", "few", "default"]))
+def test_any_order_and_chunking_gives_the_solo_solutions(order, budget):
+    # "few" lets LOCKSTEP_MIN programs of the largest structure share a chunk
+    few = conic.LOCKSTEP_MIN * max(conic._state_bytes(conic._build_setup(p)) for p in _POOL)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conic, "BATCH_BYTES", {"one": 1, "few": few, "default": conic.BATCH_BYTES}[budget])
+        batch = conic.solve_all([_POOL[i] for i in order])
+    for i, sol in zip(order, batch):
+        _assert_same_solution(sol, _pool_solutions()[i])

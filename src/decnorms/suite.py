@@ -122,18 +122,19 @@ class _Outcome(NamedTuple):
     tolerance: float | None = None
 
 
-_RUNNERS: dict = {}
+_RUNNERS: dict = {}  # manifest names -> (runner, whether it reads the injected regressions)
 
 
-def _check(*names):
+def _check(*names, reads_inject=False):
     """Register a runner for the manifest checks ``names``, in report order.
 
     The runner is called with the manifest entry of each name, the instance
-    count, a generator fresh from the first entry's stream, the seed and the
-    injected regressions.  It returns one ``_Outcome`` per name.
+    count, a generator fresh from the first entry's stream and the seed,
+    then, if it ``reads_inject``, the injected regressions.  It returns one
+    ``_Outcome`` per name.
     """
     def register(fn):
-        _RUNNERS[names] = fn
+        _RUNNERS[names] = (fn, reads_inject)
         return fn
     return register
 
@@ -143,7 +144,7 @@ def _check(*names):
 # ---------------------------------------------------------------------------
 
 @_check("solver_eigenvalue")
-def _solver_eigenvalue(cfg, n, gen, seed, inject):
+def _solver_eigenvalue(cfg, n, gen, seed):
     lo, hi = cfg["sizes"]
     worst = 0.0
     clean = True
@@ -158,7 +159,7 @@ def _solver_eigenvalue(cfg, n, gen, seed, inject):
                            + ("" if clean else "; certificate verification failed"), ok=clean)
 
 
-@_check("dec_cb_agreement", "dec_certificates")
+@_check("dec_cb_agreement", "dec_certificates", reads_inject=True)
 def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
     tol = float(cfg["tolerance"])
     lower_slack = float(cfg["lower_slack"])
@@ -198,7 +199,7 @@ def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
 
 
 @_check("closed_form_scalars")
-def _closed_form_scalars(cfg, n, gen, seed, inject):
+def _closed_form_scalars(cfg, n, gen, seed):
     lo, hi = cfg["n_range"]
     worst = 0.0
     draws = [random_ginibre(gen, lo + (i % (hi - lo + 1)), 1).reshape(-1) for i in range(n)]
@@ -210,7 +211,7 @@ def _closed_form_scalars(cfg, n, gen, seed, inject):
 
 
 @_check("closed_form_unitary")
-def _closed_form_unitary(cfg, n, gen, seed, inject):
+def _closed_form_unitary(cfg, n, gen, seed):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
     worst = 0.0
@@ -225,7 +226,7 @@ def _closed_form_unitary(cfg, n, gen, seed, inject):
 
 
 @_check("closed_form_trace")
-def _closed_form_trace(cfg, n, gen, seed, inject):
+def _closed_form_trace(cfg, n, gen, seed):
     lo, hi = cfg["n_range"]
     worst = 0.0
     cod = matrix_algebra(1)
@@ -244,7 +245,7 @@ def _closed_form_trace(cfg, n, gen, seed, inject):
 
 
 @_check("selfadjoint_consistency")
-def _selfadjoint_consistency(cfg, n, gen, seed, inject):
+def _selfadjoint_consistency(cfg, n, gen, seed):
     dd, nn = cfg["d"], cfg["n"]
     worst = 0.0
     tuples = [[random_hermitian(gen, dd) for _ in range(nn)] for _ in range(n)]
@@ -267,7 +268,7 @@ def _product_excess(triples) -> float:
 
 
 @_check("ineq_submultiplicative")
-def _ineq_submultiplicative(cfg, n, gen, seed, inject):
+def _ineq_submultiplicative(cfg, n, gen, seed):
     dd = cfg["d"]
     pairs = [(_random_map(gen, dd, scale=0.7), _random_map(gen, dd, scale=0.7)) for _ in range(n)]
     return _Outcome(_product_excess([(u, v, compose(u, v)) for u, v in pairs]),
@@ -275,7 +276,7 @@ def _ineq_submultiplicative(cfg, n, gen, seed, inject):
 
 
 @_check("ineq_cb_le_dec")
-def _ineq_cb_le_dec(cfg, n, gen, seed, inject):
+def _ineq_cb_le_dec(cfg, n, gen, seed):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
     worst = 0.0
@@ -288,7 +289,7 @@ def _ineq_cb_le_dec(cfg, n, gen, seed, inject):
 
 
 @_check("ineq_factored_bound")
-def _ineq_factored_bound(cfg, n, gen, seed, inject):
+def _ineq_factored_bound(cfg, n, gen, seed):
     nlo, nhi = cfg["n_range"]
     dlo, dhi = cfg["d_range"]
     worst = 0.0
@@ -308,7 +309,7 @@ def _ineq_factored_bound(cfg, n, gen, seed, inject):
 
 
 @_check("ineq_contraction")
-def _ineq_contraction(cfg, n, gen, seed, inject):
+def _ineq_contraction(cfg, n, gen, seed):
     dd, nn = cfg["d"], cfg["n"]
     alg = matrix_algebra(dd)
     triples = []  # (u, xs, u . xs): the max norm of u . xs is at most dec(u) times min(xs)
@@ -321,7 +322,7 @@ def _ineq_contraction(cfg, n, gen, seed, inject):
 
 
 @_check("ineq_tensor_submult")
-def _ineq_tensor_submult(cfg, n, gen, seed, inject):
+def _ineq_tensor_submult(cfg, n, gen, seed):
     dd = cfg["d"]
     pairs = [(_random_map(gen, dd, scale=0.6), _random_map(gen, dd, scale=0.6)) for _ in range(n)]
     return _Outcome(_product_excess([(u, v, tensor(u, v)) for u, v in pairs]),
@@ -329,7 +330,7 @@ def _ineq_tensor_submult(cfg, n, gen, seed, inject):
 
 
 @_check("direct_sum")
-def _direct_sum(cfg, n, gen, seed, inject):
+def _direct_sum(cfg, n, gen, seed):
     worst = 0.0
     us = []  # each map's two blocks, then the map on their direct sum
     for i in range(n):
@@ -354,7 +355,7 @@ def _direct_sum(cfg, n, gen, seed, inject):
 
 
 @_check("nuclearity")
-def _nuclearity(cfg, n, gen, seed, inject):
+def _nuclearity(cfg, n, gen, seed):
     tol = float(cfg["tolerance"])
     dd, nn = cfg["d"], cfg["n"]
     worst = -np.inf
@@ -372,7 +373,7 @@ def _nuclearity(cfg, n, gen, seed, inject):
 
 
 @_check("mult_domain")
-def _mult_domain(cfg, n, gen, seed, inject):
+def _mult_domain(cfg, n, gen, seed):
     floor = float(cfg["negative_floor"])
     dims = cfg["dims"]
     worst = 0.0
@@ -421,7 +422,7 @@ def _mult_domain(cfg, n, gen, seed, inject):
 
 
 @_check("oracle_cross_check")
-def _oracle_cross_check(cfg, n, gen, seed, inject):
+def _oracle_cross_check(cfg, n, gen, seed):
     upper_slack = float(cfg["upper_slack"])
     sizes = [(2, 1), (3, 1), (2, 2), (3, 2)]
     worst = 0.0
@@ -437,7 +438,7 @@ def _oracle_cross_check(cfg, n, gen, seed, inject):
 
 
 @_check("determinism")
-def _determinism(cfg, n, gen, seed, inject):
+def _determinism(cfg, n, gen, seed):
     def one_pass():
         g = make_generator(seed, stream=cfg["stream"])
         xs = random_matrix_tuple(g, 3, 2)
@@ -474,7 +475,7 @@ def run_suite(
     manifest = load_manifest()
     t0 = time.perf_counter()
     results = []
-    for names, runner in _RUNNERS.items():
+    for names, (runner, reads_inject) in _RUNNERS.items():
         cfgs = [_cfg(manifest, name) for name in names]
         n = int(cfgs[0][profile])
         if max_instances is not None:
@@ -482,7 +483,7 @@ def run_suite(
         gen = make_generator(seed, stream=cfgs[0]["stream"])
         t1 = time.perf_counter()
         try:
-            outcomes = runner(*cfgs, n, gen, seed, inject)
+            outcomes = runner(*cfgs, n, gen, seed, *([inject] if reads_inject else []))
         except Exception as exc:
             failed = _Outcome(0.0, f"{type(exc).__name__}: {exc}", ok=False, instances=0)
             outcomes = (failed,) * len(names)

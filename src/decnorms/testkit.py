@@ -9,8 +9,13 @@ its draws in terms of that primitive so the exact stream is pinned down.
 The grid oracle at the bottom maximizes the norm of a unitary-coefficient
 tensor over a brute-force angle grid plus a Nelder-Mead polish.  For 1x1
 coefficients it returns the exact supremum sum |x_i| instead, since all the
-phases can be aligned.  The grid is evaluated in chunks within a fixed byte
-budget, ``GRID_BYTES``, and never built whole, so one call holds a few MB
+phases can be aligned.  It searches only the quotient of the unitary tuples
+by the symmetries the norm has exactly: multiplying every unitary on the
+left by one unitary and on the right by another multiplies the tensor by
+unitaries.  That pins the first unitary to the identity and leaves the
+conjugations, which bring two coefficients down to one phase and three to
+five angles.  The grid is evaluated in chunks within a fixed byte budget,
+``GRID_BYTES``, and never built whole, so one call holds a few MB
 whatever the grid size.  The polish runs all its starts in lockstep, one
 batched objective call per phase of an iteration, and follows scipy's
 Nelder-Mead per start step for step, so each start ends bit for bit where
@@ -91,38 +96,49 @@ def random_unital_cp_map(gen: np.random.Generator, d: int, num_kraus: int = 3) -
 # ---------------------------------------------------------------------------
 
 # Bytes of stacked arrays that one chunk of grid points may hold at once.
-# Per point a chunk holds three 4x4 complex matrices (the running sum, the
-# product being added and the SVD's copy), the n 2x2 unitaries, and three
-# rows of one float or index per angle (the mesh indices, their stacked
-# row and the angles).
+# Per point a chunk holds three kd x kd complex matrices (the running sum,
+# the product being added and the SVD's copy), the n k x k unitaries, and
+# three rows of one float or index per angle (the mesh indices, their
+# stacked row and the angles).
 GRID_BYTES = 2 << 20
 
+# Per arity n: the angles of a point of the quotient, the size k of its
+# unitaries and the grid points per angle.
+_QUOTIENT = {2: (1, 1, 4096), 3: (5, 2, 6)}
 
-def _angles_to_unitary(angles: np.ndarray) -> np.ndarray:
-    """U(2) element from 4 angles (phi, alpha, theta, beta), batched.
 
-    U = exp(i phi) * [[exp(i a) cos t, exp(i b) sin t],
-                      [-exp(-i b) sin t, exp(-i a) cos t]]
-    covers all of U(2).
+def _quotient_families(angles: np.ndarray) -> list[np.ndarray]:
+    """The unitary family (u_1, ..., u_n) at each row of ``angles``, batched.
+
+    One angle theta gives the 1x1 family (1, exp(i theta)).  Five angles
+    (a, b, psi, alpha, t) give (I, diag(exp(i a), exp(i b)), U) with
+
+    U = exp(i psi) * [[exp(i alpha) cos t, sin t],
+                      [-sin t, exp(-i alpha) cos t]].
     """
-    phi, al, th, be = angles[..., 0], angles[..., 1], angles[..., 2], angles[..., 3]
-    ct, st = np.cos(th), np.sin(th)
-    u = np.empty(angles.shape[:-1] + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = np.exp(1j * al) * ct
-    u[..., 0, 1] = np.exp(1j * be) * st
-    u[..., 1, 0] = -np.exp(-1j * be) * st
-    u[..., 1, 1] = np.exp(-1j * al) * ct
-    return u * np.exp(1j * phi)[..., None, None]
+    m = len(angles)
+    if angles.shape[1] == 1:
+        return [np.ones((m, 1, 1), dtype=np.complex128), np.exp(1j * angles)[:, :, None]]
+    a, b, psi, al, t = angles.T
+    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (m, 2, 2))
+    diag = np.zeros((m, 2, 2), dtype=np.complex128)
+    diag[:, 0, 0], diag[:, 1, 1] = np.exp(1j * a), np.exp(1j * b)
+    ct, st = np.cos(t), np.sin(t)
+    u = np.empty((m, 2, 2), dtype=np.complex128)
+    u[:, 0, 0] = np.exp(1j * al) * ct
+    u[:, 0, 1] = st
+    u[:, 1, 0] = -st
+    u[:, 1, 1] = np.exp(-1j * al) * ct
+    return [eye, diag, u * np.exp(1j * psi)[:, None, None]]
 
 
 def _objective_batch(us_batch: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
     """Largest singular value of sum_i u_i (x) x_i for a batch of families."""
     d = xs[0].shape[0]
-    k = us_batch[0].shape[-1]
-    batch = us_batch[0].shape[0]
+    batch, k = us_batch[0].shape[:2]
     acc = np.zeros((batch, k * d, k * d), dtype=np.complex128)
     for u, x in zip(us_batch, xs):
-        acc += np.einsum("bij,kl->bikjl", u, x).reshape(batch, k * d, k * d)
+        acc += (u[:, :, None, :, None] * x[:, None, :]).reshape(batch, k * d, k * d)
     return np.linalg.svd(acc, compute_uv=False)[:, 0]
 
 
@@ -209,13 +225,30 @@ def grid_oracle_min_norm(xs) -> float:
     Supports coefficient dimension d in {1, 2} and up to three
     coefficients.  For d = 1 the supremum is sum |x_i|, reached by
     aligning every phase u_i with that of x_i, and that closed form is
-    returned.  For d = 2 the first unitary is fixed to the identity, which
-    loses nothing: left-multiplying every u_i by a fixed unitary is an
-    isometry of the objective.  A dense angle grid seeds Nelder-Mead
-    refinement, so the returned value approaches the true supremum from
-    below.  The grid and a random layer are evaluated in chunks of at most
-    ``GRID_BYTES``, each mesh point built from its flat index, and every
-    value is the same whatever the chunk size.
+    returned.  For d = 2 the search runs over the quotient of the 2x2
+    unitary tuples by two exact invariances of the objective, so no angle
+    is spent on a direction along which it is constant:
+
+    - (V u_1 W, ..., V u_n W) has the objective of (u_1, ..., u_n) for
+      unitaries V and W, since sum V u_i W (x) x_i is (V (x) 1)
+      (sum u_i (x) x_i) (W (x) 1).  V = u_1* and W = 1 pin u_1 = I.
+    - Conjugation, V = W*, keeps u_1 = I.  For n = 2 take W with
+      u_2 = W diag(exp(i theta_1), exp(i theta_2)) W*: the tensor becomes
+      the direct sum over l of x_1 + exp(i theta_l) x_2, whose norm is the
+      larger of the two.  So the oracle maximizes
+      ||x_1 + exp(i theta) x_2|| over the one phase theta, which is also
+      the supremum over unitaries of every size, as C*(F_1) = C(T).
+    - For n = 3 conjugate u_2 to diag(exp(i a), exp(i b)).  A diagonal
+      conjugation keeps it diagonal and turns real the (1, 2) entry of
+      u_3's SU(2) factor exp(-i psi) u_3, so psi, alpha and t fix u_3 (see
+      ``_quotient_families``): five angles instead of the eight of
+      (u_2, u_3).
+
+    A dense angle grid on the quotient and a seeded random layer seed
+    Nelder-Mead refinement, so the returned value approaches the supremum
+    from below.  The grid and the random layer are evaluated in chunks of
+    at most ``GRID_BYTES``, each mesh point built from its flat index, and
+    every value is the same whatever the chunk size.
     """
     elems = coefficient_tuple(xs)
     if not elems[0].shape.is_factor():
@@ -229,24 +262,19 @@ def grid_oracle_min_norm(xs) -> float:
     if n == 1:
         return linalg.operator_norm(mats[0])
 
-    free = (n - 1) * 4
-    grid = 14 if n == 2 else 4
+    free, k, grid = _QUOTIENT[n]
     axis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    chunk = max(1, GRID_BYTES // (16 * (3 * 16 + 4 * n) + 3 * 8 * free))
+    chunk = max(1, GRID_BYTES // (16 * (3 * (k * d) ** 2 + n * k * k) + 3 * 8 * free))
 
     def mesh_points(flat: np.ndarray) -> np.ndarray:
         # rows of the C-order mesh of ``free`` copies of ``axis``
         return axis[np.stack(np.unravel_index(flat, (grid,) * free), axis=-1)]
 
-    def families(angles: np.ndarray) -> list[np.ndarray]:
-        eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(angles), 2, 2))
-        return [eye, *_angles_to_unitary(angles.reshape(-1, n - 1, 4).swapaxes(0, 1))]
-
     def evaluate(count: int, points) -> np.ndarray:
         vals = np.empty(count)
         for first in range(0, count, chunk):
             rows = slice(first, min(first + chunk, count))
-            vals[rows] = _objective_batch(families(points(rows)), mats)
+            vals[rows] = _objective_batch(_quotient_families(points(rows)), mats)
         return vals
 
     vals = evaluate(grid ** free, lambda rows: mesh_points(np.arange(rows.start, rows.stop)))
@@ -280,7 +308,8 @@ def grid_oracle_min_norm(xs) -> float:
     for idx in np.argsort(-rand_vals, kind="stable")[:6]:
         starts.append(rand_pts[idx])
 
-    mins = _polish_lockstep(lambda flat: -_objective_batch(families(flat), mats), np.array(starts))
+    mins = _polish_lockstep(lambda flat: -_objective_batch(_quotient_families(flat), mats),
+                            np.array(starts))
     return max(best, -float(mins.min()))
 
 

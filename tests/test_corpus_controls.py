@@ -96,3 +96,38 @@ def test_certificate_check_fails_when_the_factors_are_scaled(monkeypatch):
     broken = _on_one_instance("dec_certificates")
     assert not broken.passed and broken.instances == 0
     assert broken.detail.startswith("ValueError: certificate factors miss these coefficients by ")
+
+
+def test_oracle_check_fails_when_the_seesaw_reports_low(monkeypatch):
+    # the grid oracle and the see-saw agree to about 1e-14 on this draw, so
+    # a see-saw 1e-2 low breaks the 1e-3 agreement gate tenfold
+    _only(monkeypatch, "oracle_cross_check")
+    clean, = suite.run_suite(profile="quick", seed=42).results
+    assert clean.name == "oracle_cross_check" and clean.passed
+
+    seesaw_min_norm = suite.seesaw_min_norm
+
+    def low(xs, **kwargs):
+        saw = seesaw_min_norm(xs, **kwargs)
+        return dataclasses.replace(saw, lower=saw.lower - 1e-2)
+
+    monkeypatch.setattr(suite, "seesaw_min_norm", low)
+    broken, = suite.run_suite(profile="quick", seed=42).results
+    assert not broken.passed
+    assert broken.worst == pytest.approx(1e-2, rel=1e-6)
+    assert "SOUNDNESS VIOLATED" not in broken.detail
+
+
+def test_oracle_check_fails_when_the_oracle_exceeds_the_sdp(monkeypatch):
+    # an oracle 1e-4 above the SDP value stays within the agreement gate but
+    # exceeds the SDP value by ten times the check's upper slack (1e-5)
+    _only(monkeypatch, "oracle_cross_check")
+    clean, = suite.run_suite(profile="quick", seed=42).results
+    assert clean.passed
+
+    monkeypatch.setattr(suite, "grid_oracle_min_norm",
+                        lambda xs: suite.dec_norm_linf(xs).value + 1e-4)
+    broken, = suite.run_suite(profile="quick", seed=42).results
+    assert not broken.passed
+    assert broken.worst <= broken.tolerance
+    assert "SOUNDNESS VIOLATED" in broken.detail

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import decnorms
 
 from decnorms import testkit
 from decnorms.algebra import AlgebraShape, is_positive
-from decnorms.cbnorm import seesaw_min_norm
+from decnorms.cbnorm import evaluate_tensor_norm, seesaw_min_norm
 from decnorms.decomposable import dec_norm_linf
 from decnorms.maps import is_cp, is_unital
 
@@ -138,19 +139,51 @@ def test_grid_oracle_is_bitwise_independent_of_the_chunk_size(monkeypatch):
     gen = testkit.make_generator(108)
     for n in (2, 3):
         xs = testkit.random_matrix_tuple(gen, n, 2)
-        per_point = 16 * (3 * 16 + 4 * n) + 3 * 8 * 4 * (n - 1)
         runs = []
-        for points in (1, 7, 1 << 20):  # one point at a time, uneven chunks, all at once
-            monkeypatch.setattr(testkit, "GRID_BYTES", points * per_point)
+        for budget in (1, 100_001, 1 << 40):  # one point at a time, uneven chunks, all at once
+            monkeypatch.setattr(testkit, "GRID_BYTES", budget)
             runs.append(testkit.grid_oracle_min_norm(xs).hex())
         assert runs[1:] == runs[:1] * 2
 
 
 def test_grid_oracle_memory_is_chunked(traced):
-    # built whole, the (3, 2) grid of 65,536 points traced 50.6 MB
+    # built whole, the (3, 2) grid of 7,776 points and its random layer
+    # traced 5.3 MB; chunked within the 2 MiB budget, 1.8 MB
     xs = testkit.random_matrix_tuple(testkit.make_generator(109), 3, 2)
     _, peak = traced(testkit.grid_oracle_min_norm, xs)
-    assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 3e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def _objective_at(angles, xs):
+    return testkit._objective_batch(testkit._quotient_families(np.atleast_2d(angles)), xs)
+
+
+def test_quotient_representative_keeps_the_norm():
+    # the oracle's objective at the representative of a tuple's class under
+    # u -> V u W, with u_1 = I, is the tensor norm of the tuple itself
+    gen = testkit.make_generator(110)
+    for _ in range(10):
+        xs = testkit.random_matrix_tuple(gen, 3, 2)
+        u2, u3 = (testkit.random_haar_unitary(gen, 2) for _ in range(2))
+        eye = np.eye(2)
+
+        # n = 2: the norm is the larger of ||x_1 + e^{i theta_l} x_2|| over
+        # the eigenphases theta_l of u_2
+        want = evaluate_tensor_norm([eye, u2], xs[:2])
+        got = _objective_at(np.angle(np.linalg.eigvals(u2))[:, None], xs[:2]).max()
+        assert abs(got - want) <= 1e-13 * max(1.0, want)
+
+        # n = 3: diagonalize u_2, then make the (1, 2) entry of u_3's SU(2)
+        # factor real with a diagonal conjugation
+        t2, z = scipy.linalg.schur(u2, output="complex")
+        v = z.conj().T @ u3 @ z
+        psi = np.angle(np.linalg.det(v)) / 2
+        s = np.exp(-1j * psi) * v
+        angles = [*np.angle(np.diag(t2)), psi, np.angle(s[0, 0]),
+                  np.arctan2(abs(s[0, 1]), abs(s[0, 0]))]
+        want = evaluate_tensor_norm([eye, u2, u3], xs)
+        got = _objective_at(angles, xs)[0]
+        assert abs(got - want) <= 1e-13 * max(1.0, want)
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():

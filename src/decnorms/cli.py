@@ -165,8 +165,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(**_given(vars(args), "profile", "seed", "max_instances"),
-                       inject=frozenset(args.inject))
+    report = run_suite(**_given(vars(args), "profile", "seed", "max_instances"))
     if args.json:
         _emit(json.dumps(suite_report_dict(report), indent=2, sort_keys=True) + "\n", args.out)
     else:
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--profile", choices=("quick", "full"), default=argparse.SUPPRESS)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--inject", action="append", default=[],
-                          help="inject a named regression to exercise the harness")
 
     p_bench = sub.add_parser("bench", help="time the solver and see-saw on a size grid")
     p_bench.add_argument("--sizes", default="",

@@ -197,11 +197,10 @@ def kraus_map(kraus: list[np.ndarray]) -> LinearMapRep:
     for m in ms:
         if m.shape != (d, c):
             raise ValueError("all Kraus operators must share one shape")
-    domain = matrix_algebra(d)
     codomain = matrix_algebra(c)
 
     def f(e):
         x = e.blocks[0]
         return AlgebraElement(codomain, [sum(m.conj().T @ x @ m for m in ms)])
 
-    return LinearMapRep(domain, codomain, [f(matrix_unit_element(domain, 0, r, s)) for r in range(d) for s in range(d)])
+    return map_from_function(matrix_algebra(d), codomain, f)

@@ -6,10 +6,6 @@ Every check draws its instances from a Philox stream keyed by
 the manifest.  Checks are listed in a canonical order; each one returns
 its worst residual against a stated tolerance, and the suite passes only
 if every check does.
-
-``inject`` names deliberate regressions (for exercising the harness
-itself): ``"seesaw_frozen"`` cripples the see-saw lower bound inside the
-agreement check, which must then fail.
 """
 
 from __future__ import annotations
@@ -58,9 +54,6 @@ from decnorms.testkit import (
     random_matrix_tuple,
     random_unital_cp_map,
 )
-
-INJECTABLE = ("seesaw_frozen",)
-
 
 @dataclass
 class CheckResult:
@@ -122,19 +115,18 @@ class _Outcome(NamedTuple):
     tolerance: float | None = None
 
 
-_RUNNERS: dict = {}  # manifest names -> (runner, whether it reads the injected regressions)
+_RUNNERS: dict = {}  # manifest names -> runner
 
 
-def _check(*names, reads_inject=False):
+def _check(*names):
     """Register a runner for the manifest checks ``names``, in report order.
 
     The runner is called with the manifest entry of each name, the instance
-    count, a generator fresh from the first entry's stream and the seed,
-    then, if it ``reads_inject``, the injected regressions.  It returns one
-    ``_Outcome`` per name.
+    count, a generator fresh from the first entry's stream and the seed.  It
+    returns one ``_Outcome`` per name.
     """
     def register(fn):
-        _RUNNERS[names] = (fn, reads_inject)
+        _RUNNERS[names] = fn
         return fn
     return register
 
@@ -159,8 +151,8 @@ def _solver_eigenvalue(cfg, n, gen, seed):
                            + ("" if clean else "; certificate verification failed"), ok=clean)
 
 
-@_check("dec_cb_agreement", "dec_certificates", reads_inject=True)
-def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
+@_check("dec_cb_agreement", "dec_certificates")
+def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed):
     tol = float(cfg["tolerance"])
     lower_slack = float(cfg["lower_slack"])
     rec_tol = float(cert_cfg["tolerance"])
@@ -170,17 +162,11 @@ def _dec_cb_agreement(cfg, cert_cfg, n, gen, seed, inject):
     most_negative = np.inf
     worst_rec = 0.0
     worst_val = 0.0
-    frozen = "seesaw_frozen" in inject
     tuples = [random_matrix_tuple(gen, *grid[i % len(grid)]) for i in range(n)]
     for i, (xs, cert) in enumerate(zip(tuples, dec_norms(tuples))):
-        sub = _sub_seed(seed, i)
-        if frozen:
-            saw = seesaw_min_norm(xs, aux_dim=len(xs[0]), restarts=1, max_sweeps=1, seed=sub)
-            upper, lower = cert.value, saw.lower
-        else:
-            agg = cb_norm_linf(xs, restarts=16, seed=sub, agree_tol=tol, certificate=cert)
-            upper, lower = agg.upper, agg.lower
-        rel = (upper - lower) / max(1.0, upper)
+        agg = cb_norm_linf(xs, restarts=16, seed=_sub_seed(seed, i), agree_tol=tol,
+                           certificate=cert)
+        rel = (agg.upper - agg.lower) / max(1.0, agg.upper)
         worst_gap = max(worst_gap, rel)
         most_negative = min(most_negative, rel)
         scale = max(1.0, max(linalg.operator_norm(x) for x in xs))
@@ -457,7 +443,6 @@ def run_suite(
     profile: str = "quick",
     seed: int = 42,
     max_instances: int | None = None,
-    inject: frozenset = frozenset(),
 ) -> SuiteReport:
     """Run the whole corpus; canonical check order, one result per check.
 
@@ -469,13 +454,10 @@ def run_suite(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if max_instances is not None and max_instances < 1:
         raise ValueError(f"max_instances must be at least 1, got {max_instances}")
-    for name in inject:
-        if name not in INJECTABLE:
-            raise ValueError(f"unknown injected regression {name!r}")
     manifest = load_manifest()
     t0 = time.perf_counter()
     results = []
-    for names, (runner, reads_inject) in _RUNNERS.items():
+    for names, runner in _RUNNERS.items():
         cfgs = [_cfg(manifest, name) for name in names]
         n = int(cfgs[0][profile])
         if max_instances is not None:
@@ -483,7 +465,7 @@ def run_suite(
         gen = make_generator(seed, stream=cfgs[0]["stream"])
         t1 = time.perf_counter()
         try:
-            outcomes = runner(*cfgs, n, gen, seed, *([inject] if reads_inject else []))
+            outcomes = runner(*cfgs, n, gen, seed)
         except Exception as exc:
             failed = _Outcome(0.0, f"{type(exc).__name__}: {exc}", ok=False, instances=0)
             outcomes = (failed,) * len(names)

@@ -280,24 +280,11 @@ def grid_oracle_min_norm(xs) -> float:
     vals = evaluate(grid ** free, lambda rows: mesh_points(np.arange(rows.start, rows.stop)))
     best = float(vals.max())
 
-    # starts must cover distinct basins: the top mesh points cluster around
-    # one peak, so enforce a torus separation of half the grid spacing
-    order = np.argsort(-vals, kind="stable")
-    min_dist = np.pi / grid
-    starts = []
-    for idx in order:
-        p = mesh_points(idx)
-        separated = True
-        for q in starts:
-            delta = np.abs(p - q)
-            delta = np.minimum(delta, 2 * np.pi - delta)
-            if delta.max() < min_dist:
-                separated = False
-                break
-        if separated:
-            starts.append(p)
-        if len(starts) >= 16:  # grid points polished
-            break
+    # the top 16 mesh points start the polish.  They can cluster in few
+    # basins: on tuple 6 of random_matrix_tuple(make_generator(2024,
+    # stream=99), 3, 2) every start ends at the commuting local maximum
+    # a = b, about 1e-5 relative below the supremum
+    grid_starts = mesh_points(np.argsort(-vals, kind="stable")[:16])
 
     # a fixed-seed random layer breaks any alignment between the mesh and
     # the objective's ridges; deterministic, so the oracle stays reproducible
@@ -305,11 +292,10 @@ def grid_oracle_min_norm(xs) -> float:
     rand_pts = rg.uniform(0.0, 2 * np.pi, size=(4096, free))
     rand_vals = evaluate(len(rand_pts), lambda rows: rand_pts[rows])
     best = max(best, float(rand_vals.max()))
-    for idx in np.argsort(-rand_vals, kind="stable")[:6]:
-        starts.append(rand_pts[idx])
+    rand_starts = rand_pts[np.argsort(-rand_vals, kind="stable")[:6]]
 
     mins = _polish_lockstep(lambda flat: -_objective_batch(_quotient_families(flat), mats),
-                            np.array(starts))
+                            np.concatenate([grid_starts, rand_starts]))
     return max(best, -float(mins.min()))
 
 

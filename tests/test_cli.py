@@ -378,15 +378,6 @@ def test_verify_deterministic_modulo_timing(capsys):
     assert second[-1].startswith("overall: pass")
 
 
-def test_verify_injected_regression_caught(capsys):
-    code = main(["verify", "--instances", "3", "--seed", "42",
-                 "--inject", "seesaw_frozen"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "dec_cb_agreement" in out
-
-
 def test_verify_runner_that_raises_fails_its_checks(monkeypatch, capsys):
     def raising(exc):
         def routine(*args, **kwargs):
@@ -425,11 +416,6 @@ def test_verify_runner_that_raises_fails_its_checks(monkeypatch, capsys):
         else:
             assert not follows.startswith(" ")
     assert len(rows) == len(checks)
-
-
-def test_verify_unknown_injection(capsys):
-    assert main(["verify", "--inject", "bogus_name"]) == 2
-    assert "unknown injected regression" in capsys.readouterr().err
 
 
 def test_bench_table(capsys):

@@ -6,6 +6,7 @@ caught.  The check alone also passes on the same draw without the defect.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -58,6 +59,26 @@ def test_bracket_check_fails_when_the_sdp_under_reports(monkeypatch, name):
     assert not broken.passed
     assert broken.worst <= broken.tolerance
     assert "-1.00e-04" in broken.detail
+
+
+def test_agreement_check_fails_when_the_seesaw_is_frozen(monkeypatch):
+    # one restart of one sweep leaves the lower end short of the SDP value:
+    # by about 3e-4 relative on the first tuple of this draw, within the 5e-4
+    # gate, and by about 8e-3 over the first three
+    _only(monkeypatch, "dec_cb_agreement")
+    clean, _ = suite.run_suite(profile="quick", seed=42, max_instances=3).results
+    assert clean.name == "dec_cb_agreement" and clean.passed and clean.instances == 3
+
+    seesaw_min_norm = suite.seesaw_min_norm
+
+    def frozen(xs, *, seed, certificate, **kwargs):
+        saw = seesaw_min_norm(xs, aux_dim=len(xs[0]), restarts=1, max_sweeps=1, seed=seed)
+        return SimpleNamespace(upper=certificate.value, lower=saw.lower)
+
+    monkeypatch.setattr(suite, "cb_norm_linf", frozen)
+    broken, _ = suite.run_suite(profile="quick", seed=42, max_instances=3).results
+    assert broken.name == "dec_cb_agreement" and not broken.passed
+    assert broken.worst > 10 * broken.tolerance
 
 
 def test_certificate_check_fails_when_the_value_is_inflated(monkeypatch):

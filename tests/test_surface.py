@@ -8,15 +8,18 @@ use belongs in the tests.  The solver stops on one tolerance, ``tol``,
 and one cap, ``conic.MAX_ITER``, so no function takes separate
 tolerances or an iteration cap.  No package or test module imports a name
 it never uses.  Every instance option is read by the routine of some kind,
-and every option flag of ``decnorms norm`` sets an instance option.
+every option flag of ``decnorms norm`` sets an instance option, and the
+option flags of ``decnorms verify`` are exactly the keywords of
+``suite.run_suite``: the profile, the seed and the instance cap.
 """
 
 import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import decnorms
-from decnorms import cli
+from decnorms import cli, suite
 from decnorms.iofmt import OPTIONS
 
 SRC = Path(decnorms.__file__).resolve().parent
@@ -119,3 +122,10 @@ def test_every_option_has_a_reader_and_every_norm_flag_sets_an_option():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest for a in sub.choices["norm"]._actions if a.option_strings}
     assert flags - {"help", "json", "out"} <= set(OPTIONS)
+
+
+def test_every_verify_flag_is_a_run_suite_keyword_and_back():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["verify"]._actions if a.option_strings}
+    keywords = set(inspect.signature(suite.run_suite).parameters)
+    assert flags - {"help", "json", "out"} == keywords == {"profile", "seed", "max_instances"}

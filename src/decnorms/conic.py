@@ -40,6 +40,16 @@ that score decays the next check is placed where the measured geometric
 rate says it reaches it, so a solve stops within a few iterations of
 converging, or at ``MAX_ITER`` iterations.
 
+A program starts from zero with tau = 1, or from its ``start``, a
+primal-dual point (y, z) that need not be feasible.  The start enters the
+homogeneous embedding with tau = 1 and kappa = 0 (O'Donoghue, Chu,
+Parikh and Boyd, 2016): in scaled coordinates x_hat = y beta / E,
+eta_hat = z gamma / D and s_hat = b_s - A x_hat, and the iterate is
+(x_hat, eta_hat - s_hat, 1), whose projection returns (x_hat, eta_hat)
+when eta_hat and s_hat are complementary cone points.  A started program
+is checked at iteration 0, so a start that meets ``tol`` ends the solve
+there.  The Anderson memory starts empty either way.
+
 :func:`solve_all` solves many programs at once, and :func:`solve` is its
 batch of one.  Programs of one constraint structure form a group that
 iterates in lockstep on stacked arrays, one row per program, in chunks
@@ -151,14 +161,14 @@ def _svec_map(q: int) -> _SvecMap:
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
+    """Isometric real coordinates of a Hermitian matrix; a stack ``(..., q, q)`` gives ``(..., q*q)``.
 
     Layout: q diagonal entries (real parts), then sqrt(2) * Re of the
     strict upper triangle row-major, then sqrt(2) * Im of the same.
     """
     m = np.ascontiguousarray(mat, dtype=np.complex128)
-    mp = _svec_map(m.shape[0])
-    return m.reshape(-1).view(np.float64)[mp.read] * mp.read_scale
+    mp = _svec_map(m.shape[-1])
+    return m.reshape(m.shape[:-2] + (-1,)).view(np.float64)[..., mp.read] * mp.read_scale
 
 
 def unsvec(vec: np.ndarray, q: int) -> np.ndarray:
@@ -304,10 +314,15 @@ class PsdBlockSpec:
 
 @dataclass
 class ConicProgram:
-    """Hermitian SDP in variational form; see the module docstring."""
+    """Hermitian SDP in variational form; see the module docstring.
+
+    ``start`` is None or a point ``(y, z)``: the variables, and the dual
+    blocks' svec coordinates back to back in block order.
+    """
 
     objective: np.ndarray
     psd_blocks: list[PsdBlockSpec]
+    start: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64).ravel()
@@ -323,6 +338,12 @@ class ConicProgram:
                 raise SolverError(
                     f"block linear part has {blk.lin.shape[1]} columns, expected {m}"
                 )
+        if self.start is not None:
+            rows = sum(blk.size ** 2 for blk in self.psd_blocks)
+            y, z = (np.asarray(v, dtype=np.float64) for v in self.start)
+            if y.shape != (m,) or z.shape != (rows,) or not (np.isfinite(y).all() and np.isfinite(z).all()):
+                raise SolverError(f"start must be finite vectors of lengths {m} and {rows}")
+            self.start = (y, z)
 
     @property
     def num_vars(self) -> int:
@@ -912,6 +933,18 @@ class _Lockstep:
         # the last plain output, the point an extrapolated x on trial falls back to.
         self.x, self.u, self.xo, self.xg, self.f, self.f_old = np.zeros((6, n, self.size))
         self.x[:, -1] = self.u[:, -1] = 1.0  # tau = 1, kappa = 0
+        self.warm = warm = np.flatnonzero([program.start is not None for program in programs])
+        if warm.size:
+            # a start (y, z) in scaled coordinates: x_hat = y beta / E, eta_hat = z gamma / D and
+            # s_hat = b_s - A x_hat; the iterate is (x_hat, eta_hat - s_hat, 1), and u = Pi of it
+            y, z = (np.stack([programs[k].start[i] for k in warm]) for i in (0, 1))
+            x_hat = y * self.beta[warm, None] / e_col
+            eta_hat = z * self.gamma[warm, None] / d_row
+            self.x[warm, :m] = x_hat
+            self.x[warm, m:-1] = eta_hat - (self.b_s[warm] - a @ x_hat)
+            u = np.empty_like(self.x[warm])
+            self._project(self.x[warm], u)
+            self.u[warm] = u
         self.d_f, self.d_g = (np.zeros((n, AA_MEMORY, self.size)) for _ in range(2))
         self.aa_gram = np.zeros((n, AA_MEMORY, AA_MEMORY))
         self.stored, self.slot = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -942,7 +975,15 @@ class _Lockstep:
         return x
 
     def run(self):
-        """Iterate until every program has stopped or reached ``MAX_ITER``."""
+        """Iterate until every program has stopped or reached ``MAX_ITER``.
+
+        Started programs are checked at iteration 0, which also gives the
+        check schedule its first rate.
+        """
+        if self.warm.size:
+            self._check(0, self.warm)
+            if not self.ids.size:
+                return
         next_check = int(self.next_check.min())
         for it in range(1, self.max_iter + 1):
             check = it == next_check

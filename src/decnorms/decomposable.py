@@ -37,6 +37,11 @@ and the recomputed residuals and bounds run on arrays stacked over the
 group's inputs and its pair blocks of one shape, and only the boxing into
 elements runs per input.  A lone input is a group of one, and every
 certificate has the bits it has alone.
+
+Each Choi program starts from a fixed point over the states of
+Watrous's dual (:func:`_state_start`), run on the group's stacked data.
+The start changes how many iterations the solver takes, not what it
+certifies.  The self-adjoint split starts from zero.
 """
 
 from __future__ import annotations
@@ -148,6 +153,11 @@ def _trivial_solution() -> conic.ConicSolution:
 # Structure groups: one program build and one stacked finish each
 # ---------------------------------------------------------------------------
 
+def _h(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def _choi_data(u: LinearMapRep) -> dict:
     """Choi data of ``u`` per (domain block i, codomain block t).
 
@@ -211,6 +221,101 @@ def _norm_programs(m: int, blocks: list[list[conic.PsdBlockSpec]]) -> list[conic
     return [conic.ConicProgram(objective=cvec, psd_blocks=list(specs)) for specs in zip(*blocks)]
 
 
+# The fixed point over states that starts each Choi program: an input stops once a
+# step raises f(rho, sigma) by less than STATE_GAIN relative, or after STATE_STEPS
+# steps, and its states are then mixed with STATE_MIX of the maximally mixed state.
+STATE_STEPS = 50
+STATE_GAIN = 1e-8
+STATE_MIX = 1e-7
+
+
+def _blockwise(a: np.ndarray, mat: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``(1_n (x) a) mat (1_n (x) b)`` for stacks ``(inputs, pairs, n c, n c)`` and ``(inputs, pairs, c, c)``."""
+    if n == 1:
+        return a @ mat @ b
+    c = a.shape[-1]
+    blocks = mat.reshape(mat.shape[:2] + (n, c, n, c)).swapaxes(3, 4)
+    out = a[:, :, None, None] @ blocks @ b[:, :, None, None]
+    return out.swapaxes(3, 4).reshape(mat.shape)
+
+
+def _sandwich(shapes: dict, xs: dict, states: list) -> dict:
+    """Per pair shape, the state roots and the SVD of M = (1 (x) rho_t^(1/2)) X (1 (x) sigma_t^(1/2)).
+
+    ``shapes`` is :func:`_pair_shapes` of the group, and ``states`` holds
+    per codomain block t the stack ``(2, inputs, c_t, c_t)`` of rho_t and
+    sigma_t.  The roots come back as ``(2, inputs, pairs, c, c)``.
+    """
+    roots = []
+    for st in states:
+        w, v = np.linalg.eigh(st)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _h(v))
+    out = {}
+    for (n, c), pairs in shapes.items():
+        half = np.stack([roots[t] for _, t in pairs], axis=2)
+        out[(n, c)] = (half, *np.linalg.svd(_blockwise(half[0], xs[(n, c)], half[1], n)))
+    return out
+
+
+def _state_start(dn: tuple, cn: tuple, xs: dict):
+    """Watrous's fixed point over states, and the start of the Choi program it gives.
+
+    dec(u) is the largest f(rho, sigma) = sum ||M||_1 over states on the
+    codomain, M = (1 (x) rho_t^(1/2)) X (1 (x) sigma_t^(1/2)) for the Choi
+    data X of each pair (i, t) (Watrous, Chicago J. Theor. Comput. Sci.
+    2013).  From I / m, each step sets rho_t to sum_i ptr |M*| / f and
+    sigma_t to sum_i ptr |M| / f.  An input stops, and leaves the stack,
+    once a step raises f by less than ``STATE_GAIN`` relative or after
+    ``STATE_STEPS`` steps, so its states have the bits they have alone.
+    At the states mixed by ``STATE_MIX``, with M = U S V*, the start is
+    C1 = (1 (x) rho^(-1/2)) |M*| (1 (x) rho^(-1/2)), C2 likewise from sigma
+    and |M|, balanced into the norm s by :func:`_repair`; the pair duals
+    (1/2) [[1 (x) rho, -(1 (x) rho^(1/2)) U V* (1 (x) sigma^(1/2))],
+    [., 1 (x) sigma]], which pair with the data to -f; and the
+    operator-norm duals rho / 2, sigma / 2.  Returns s, C1, C2 and the
+    pair duals per pair shape, then the states rho_t and sigma_t.
+    """
+    shapes = _pair_shapes(dn, cn)
+    ts = {key: np.array([t for _, t in pairs]) for key, pairs in shapes.items()}  # codomain blocks
+    family, dim = len(next(iter(xs.values()))), sum(cn)
+    states = [np.broadcast_to(np.eye(c) / dim, (2, family, c, c)).astype(np.complex128) for c in cn]
+    f_old = np.full(family, -np.inf)
+    on = np.arange(family)
+    for _ in range(STATE_STEPS):
+        every = on.size == family
+        svds = _sandwich(shapes, xs if every else {key: x[on] for key, x in xs.items()},
+                         states if every else [st[:, on] for st in states])
+        new, f = [0.0] * len(cn), 0.0
+        for (n, c), (_, u, sv, vh) in svds.items():
+            w = np.stack((u, _h(vh)))
+            ptr = (w * sv[..., None, :]) @ _h(w)
+            if n > 1:
+                ptr = ptr.reshape(w.shape[:3] + (n, c, n, c)).trace(axis1=3, axis2=5)
+            for t in set(ts[(n, c)].tolist()):
+                new[t] = new[t] + ptr[:, :, ts[(n, c)] == t].sum(axis=2)
+            f = f + sv.sum(axis=(1, 2))
+        for st, m in zip(states, new):
+            st[:, on] = m / f[:, None, None]
+        going = f - f_old[on] > STATE_GAIN * f
+        f_old[on] = f
+        on = on[going]
+        if not on.size:
+            break
+
+    states = [(1.0 - STATE_MIX) * st + (STATE_MIX / dim) * np.eye(st.shape[-1]) for st in states]
+    dressing, duals = {}, {}
+    for (n, c), (half, u, sv, vh) in _sandwich(shapes, xs, states).items():
+        inv, v = np.linalg.inv(half), _h(vh)
+        dressing[(n, c)] = (_blockwise(inv[0], (u * sv[..., None, :]) @ _h(u), inv[0], n),
+                            _blockwise(inv[1], (v * sv[..., None, :]) @ _h(v), inv[1], n))
+        off = -0.5 * _blockwise(half[0], u @ vh, half[1], n)
+        eye = np.broadcast_to(np.eye(n * c), off.shape)
+        duals[(n, c)] = np.block([[0.5 * _blockwise(half[0], eye, half[0], n), off],
+                                  [_h(off), 0.5 * _blockwise(half[1], eye, half[1], n)]])
+    c1, c2, value = _repair(dn, cn, xs, dressing)
+    return value, c1, c2, duals, [st[0] for st in states] + [st[1] for st in states]
+
+
 def _choi_programs(dn: tuple, cn: tuple, live: tuple, xs: dict):
     """SDPs over Choi blocks of the dressing maps S1, S2, one per input of a group.
 
@@ -226,7 +331,8 @@ def _choi_programs(dn: tuple, cn: tuple, live: tuple, xs: dict):
     elsewhere the optimal dressing is zero, and ``decode`` returns exact
     zeros there.  ``xs`` stacks the Choi data ``(inputs, pairs, q, q)``
     per pair shape ``(n, c)``.  The blocks are built once, and the
-    programs differ only in F0.  ``decode`` reads the stacked solutions
+    programs differ only in F0 and in their starts, those of
+    :func:`_state_start`.  ``decode`` reads the stacked solutions
     ``(inputs, vars)`` into C1 and C2 stacks in the layout of ``xs``.
     """
     family = len(next(iter(xs.values())))
@@ -258,11 +364,21 @@ def _choi_programs(dn: tuple, cn: tuple, live: tuple, xs: dict):
                 bb.add_partial_trace_var(offs[(i, t)], dn[i], c_t, 0, -1.0)
             blocks.append(bb.build_family())
 
+    programs = _norm_programs(m, blocks)
+    value, c1, c2, duals, states = _state_start(dn, cn, xs)
+    c1, c2, duals = (_by_pair(dn, cn, d) for d in (c1, c2, duals))
+    # the variables are s, then C1 and C2 of each live pair in turn
+    y = np.concatenate([value[:, None]] + [conic.svec(c[p]) for p in offs1 for c in (c1, c2)], axis=1)
+    z = np.concatenate([conic.svec(duals[p]) for p in offs1]
+                       + [conic.svec(st / 2.0) for st in states], axis=1)
+    for program, y_k, z_k in zip(programs, y, z):
+        program.start = (y_k, z_k)
+
     def decode(y: np.ndarray) -> dict:
         return {(n, c): (_read(y, pairs, offs1, n * c), _read(y, pairs, offs2, n * c))
                 for (n, c), pairs in _pair_shapes(dn, cn).items()}
 
-    return _norm_programs(m, blocks), decode
+    return programs, decode
 
 
 def _repair(dn: tuple, cn: tuple, xs: dict, dressing: dict):
@@ -278,8 +394,8 @@ def _repair(dn: tuple, cn: tuple, xs: dict, dressing: dict):
     """
     r1, r2 = {}, {}
     for key, x in xs.items():
-        h1, h2 = ((c + np.swapaxes(c.conj(), -1, -2)) / 2.0 for c in dressing[key])
-        w = np.linalg.eigvalsh(np.block([[h1, x], [np.swapaxes(x.conj(), -1, -2), h2]]))
+        h1, h2 = ((c + _h(c)) / 2.0 for c in dressing[key])
+        w = np.linalg.eigvalsh(np.block([[h1, x], [_h(x), h2]]))
         eps = -w[..., 0]
         shift = np.where(eps > 0.0, eps, 0.0)[..., None, None] * np.eye(x.shape[-1])
         r1[key] = h1 + shift
@@ -323,7 +439,7 @@ def extract_factorization(x: np.ndarray, c1: np.ndarray, c2: np.ndarray
     contraction = p_inv @ x @ q_inv
     uu, sv, vh = linalg.svd(contraction)
     contraction = (uu * np.clip(sv, 0.0, 1.0)[..., None, :]) @ vh
-    return np.swapaxes((p_half @ contraction).conj(), -1, -2), q_half
+    return _h(p_half @ contraction), q_half
 
 
 def _stacks(elems: list[AlgebraElement]) -> list[np.ndarray]:
@@ -343,7 +459,7 @@ def _column_bounds(fa: list[np.ndarray], fb: list[np.ndarray]) -> np.ndarray:
     def gram_norm(fam: list[np.ndarray]) -> np.ndarray:
         norms = []
         for f in fam:
-            terms = np.swapaxes(f.conj(), -1, -2) @ f
+            terms = _h(f) @ f
             gram = terms[:, 0]
             for j in range(1, terms.shape[1]):
                 gram = gram + terms[:, j]
@@ -378,7 +494,7 @@ def _residuals(dn: tuple, images: list[np.ndarray], fa: list[np.ndarray],
         units = slice(o, o + n * n)
         for img, a, b in zip(images, fa, fb, strict=True):
             shape = (len(a), n, n) + a.shape[2:]
-            ah = np.swapaxes(a[:, units].reshape(shape).conj(), -1, -2)
+            ah = _h(a[:, units].reshape(shape))
             bs = b[:, units].reshape(shape)
             acc = sum(ah[:, k, :, None] @ bs[:, k, None, :] for k in range(n))
             err = np.linalg.norm(img[:, units].reshape(shape) - acc, 2, axis=(-2, -1))
@@ -414,7 +530,8 @@ def _certify_all(inputs: list, item, tol: float) -> list[DecCertificate]:
     coefficient its variable, the live domain blocks (those where the map
     is nonzero).  Each group
     gets one program build, the split for kind ``selfadjoint``, else the
-    Choi program, whose programs differ only in F0.  All programs are
+    Choi program, whose programs differ only in F0 and start from the
+    group's fixed point over states.  All programs are
     solved in one :func:`conic.solve_all` call at tolerance ``tol``, so
     programs of one structure run in lockstep and each gets the solution
     it gets alone.  Each group is then finished on stacked arrays: its
@@ -621,13 +738,13 @@ def _selfadjoint_programs(dn: tuple, cn: tuple, xs: dict):
         for j in range(len(dn)):
             bb.add_hermitian_var(offs[(j, t)], c, 0, -2.0)
             acc += x_of[(j, t)]
-        bb.add_constant((acc + np.swapaxes(acc.conj(), -1, -2)) / 2.0)
+        bb.add_constant((acc + _h(acc)) / 2.0)
         blocks.append(bb.build_family())
     def decode(y: np.ndarray) -> dict:
         out = {}
         for (n, c), pairs in _pair_shapes(dn, cn).items():
             r = _read(y, pairs, offs, c)
-            dressing = (r + np.swapaxes(r.conj(), -1, -2)) - xs[(n, c)]
+            dressing = (r + _h(r)) - xs[(n, c)]
             out[(n, c)] = (dressing, dressing)
         return out
 

@@ -1,6 +1,7 @@
 """Command line entry points: exit codes, report formats, determinism."""
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from decnorms import cli, conic, suite
+from decnorms import cli, conic, decomposable, suite
 from decnorms.cli import main
 from decnorms.iofmt import OPTIONS
 
@@ -128,7 +129,16 @@ def test_norm_forwards_exactly_the_options_set(monkeypatch, capsys, path, with_f
     str(p) for p in Path("instances").glob("*.json")
     if json.loads(p.read_text(encoding="utf-8"))["kind"] != "mult_domain"))
 def test_norm_exits_3_when_the_sdp_stops_at_its_iteration_limit(monkeypatch, capsys, path):
-    # every kind but mult_domain solves an SDP
+    # every kind but mult_domain solves an SDP.  The Choi programs start cold:
+    # from the fixed point's start every one of these instances meets the
+    # tolerance at iteration 0, before any cap.
+    choi_programs = decomposable._choi_programs
+
+    def cold(*args):
+        programs, decode = choi_programs(*args)
+        return [dataclasses.replace(p, start=None) for p in programs], decode
+
+    monkeypatch.setattr(decomposable, "_choi_programs", cold)
     monkeypatch.setattr(conic, "MAX_ITER", 5)
     assert main(["norm", path]) == 3
     captured = capsys.readouterr()

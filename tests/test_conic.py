@@ -113,6 +113,9 @@ def test_program_validation_errors():
     with pytest.raises(conic.SolverError):
         builder = conic.BlockBuilder(4, 1)
         builder.add_constant_offdiag(np.eye(2), 0, 0)
+    for start in ((np.zeros(1), np.zeros(4)), (np.zeros(2), np.zeros(3)), (np.zeros(2), np.full(4, np.nan))):
+        with pytest.raises(conic.SolverError, match="^start must be finite vectors of lengths 2 and 4"):
+            conic.ConicProgram(objective=np.array([1.0, 0.0]), psd_blocks=[spec], start=start)
 
 
 def test_eigenvalue_program_matches_eigh():
@@ -333,12 +336,13 @@ def test_setup_reuse_is_exact_and_bounded(monkeypatch):
     assert len(built) == 1 + 3 + 3 + 3
 
 
-def _choi(u):
-    # the Choi program of u alone, every domain block live
+def _choi(u, warm=False):
+    # the Choi program of u alone, every domain block live; cold unless warm
     dn, cn = u.domain.block_dims, u.codomain.block_dims
     x_choi = _choi_data(u)
     xs = {key: np.array([[x_choi[p] for p in pairs]]) for key, pairs in _pair_shapes(dn, cn).items()}
-    return _choi_programs(dn, cn, tuple(range(len(dn))), xs)[0][0]
+    program = _choi_programs(dn, cn, tuple(range(len(dn))), xs)[0][0]
+    return program if warm else dataclasses.replace(program, start=None)
 
 
 def _direct_sum_map(gen):
@@ -409,27 +413,34 @@ def test_anderson_solve_refuses_a_gram_that_is_not_positive_definite():
     assert np.allclose(lhs @ conic._spd_solve(lhs, np.ones(2)), np.ones(2), rtol=0, atol=1e-15)
 
 
+def _multi_block_programs():
+    # the Choi programs of two tuples, cold and with the start dec_norms gives them
+    for xs in (random_matrix_tuple(make_generator(38), 6, 4),
+               random_matrix_tuple(make_generator(0, stream=1000), 12, 8)):
+        u = map_from_linf([element(matrix_algebra(len(x)), [x]) for x in xs])
+        yield _choi(u), _choi(u, warm=True)
+
+
 def test_solver_determinism_multi_block():
     # Several PSD blocks of different sizes, so the sparse assembly, the
     # per-block Ruiz scalars and the grouped projection all take part.
     iterations = []
-    for xs in (random_matrix_tuple(make_generator(38), 6, 4),
-               random_matrix_tuple(make_generator(0, stream=1000), 12, 8)):
-        c1 = dec_norm_linf(xs)
-        c2 = dec_norm_linf(xs)
-        assert len(c1.solver.dual_psd) > 1
-        assert c1.solver.iterations == c2.solver.iterations
-        assert c1.solver.y.tobytes() == c2.solver.y.tobytes()
-        assert [z.tobytes() for z in c1.solver.dual_psd] == [z.tobytes() for z in c2.solver.dual_psd]
-        assert c1.solver.history == c2.solver.history
-        sol = c1.solver
-        assert sol.history[-1] == (sol.iterations, sol.res_primal, sol.res_dual, sol.gap)
-        assert c1.solver.primal_value == c2.solver.primal_value
-        assert c1.solver.dual_value == c2.solver.dual_value
-        assert c1.value == c2.value
-        iterations.append(sol.iterations)
+    for cold, _ in _multi_block_programs():
+        s1, s2 = conic.solve(cold), conic.solve(cold)
+        assert s1.status == "optimal" and len(s1.dual_psd) > 1
+        _assert_same_solution(s1, s2)
+        assert s1.history[-1] == (s1.iterations, s1.res_primal, s1.res_dual, s1.gap)
+        iterations.append(s1.iterations)
     # over a hundred iterations, so many extrapolated steps are taken
     assert max(iterations) > 4 * 25
+
+
+def test_warm_solve_is_repeatable_and_shorter():
+    for cold, warm in _multi_block_programs():
+        s1, s2 = conic.solve(warm), conic.solve(warm)
+        assert s1.status == "optimal"
+        _assert_same_solution(s1, s2)
+        assert s1.iterations < conic.solve(cold).iterations
 
 
 def test_large_program_memory_stays_sparse(traced):
@@ -450,6 +461,83 @@ def test_tensor_submult_corpus_tail_converges_quickly():
     sol = dec_norms([tensor(u, v)])[0].solver
     assert sol.status == "optimal"
     assert sol.iterations <= 3000
+
+
+def _agreement_tail():
+    # Instance 77 of the full dec_cb_agreement check at seed 5, a 4-tuple in M_3,
+    # drawn as the check draws it: grid point 77 % 6 of (2, 3, 4) x (2, 3).
+    gen = make_generator(5, stream=102)
+    grid = [(n, d) for n in (2, 3, 4) for d in (2, 3)]
+    return [random_matrix_tuple(gen, *grid[i % len(grid)]) for i in range(78)][77]
+
+
+def test_agreement_corpus_tail_is_bounded():
+    # From a cold start this program took 39,566 iterations (about 6 s), 20 %
+    # of MAX_ITER: its optimal states have eigenvalues near 5e-6, where ADMM is
+    # slow.  The fixed point's start brings it to 22,128; the target for the
+    # corpus's tail is 2,000 iterations or a certified stop.
+    sol = dec_norms([_agreement_tail()])[0].solver
+    assert sol.status == "optimal"
+    assert sol.iterations <= 25_000
+
+
+def _unevenly_scaled_program(gen):
+    # minimize y_0 + 2 y_1 subject to w y_0 I + y_1 / w I - h >= 0 for three
+    # weights w, so that Ruiz scaling leaves neither D nor E at 1
+    blocks = []
+    for q, w in ((3, 1.0), (2, 4.0), (1, 0.25)):
+        builder = conic.BlockBuilder(q, 2)
+        builder.add_constant(-random_hermitian(gen, q))
+        builder.add_scalar_identity(0, q, 0, w)
+        builder.add_scalar_identity(1, q, 0, 1.0 / w)
+        blocks.append(builder.build())
+    return conic.ConicProgram(objective=np.array([1.0, 2.0]), psd_blocks=blocks)
+
+
+def test_a_solved_point_given_as_start_stops_at_iteration_0():
+    # A cold solution at tol 1e-10, handed back as the start, meets tol 1e-8 at
+    # the check at iteration 0 only if the start enters the scaled coordinates
+    # as x_hat = y beta / E and eta_hat = z gamma / D.
+    gen = make_generator(81)
+    for program in (_linf_choi(38), _choi(_random_map(gen, 3)), _choi(_direct_sum_map(gen)),
+                    _unevenly_scaled_program(gen)):
+        sol = conic.solve(program, tol=1e-10)
+        z = np.concatenate([conic.svec(block) for block in sol.dual_psd])
+        again = conic.solve(dataclasses.replace(program, start=(sol.y, z)))
+        assert again.iterations == 0
+        assert again.primal_value == pytest.approx(sol.primal_value, rel=1e-8)
+
+
+def _start_cases(gen):
+    # one input of each Choi kind whose states the fixed point reaches within its
+    # steps; in the direct sum codomain block 0 dominates, so the optimal states
+    # vanish on block 1
+    codomain = AlgebraShape((3, 2))
+    images = [element(codomain, [random_ginibre(gen, 3, 3), 0.3 * random_ginibre(gen, 2, 2)])
+              for _ in range(5)]
+    return {"linf": (map_from_linf([element(matrix_algebra(8), [x])
+                                    for x in random_matrix_tuple(gen, 12, 8)]), 1e-3),
+            "matrix_domain": (_random_map(gen, 3), 1e-3),
+            "direct_sum": (LinearMapRep(AlgebraShape((2, 1)), codomain, images), 1e-1)}
+
+
+@pytest.mark.parametrize("kind", ["linf", "matrix_domain", "direct_sum"])
+def test_state_start_beats_a_cold_start_at_the_first_check(kind):
+    # The first regular check (iteration 25) scores the warm iterate orders of
+    # magnitude below the cold one.  With the pair duals' off-diagonal block of
+    # the wrong sign the start's dual value is -f, its check at iteration 0
+    # scores about 0.9, and at iteration 25 it is no better than a cold start.
+    u, ratio = _start_cases(make_generator(80))[kind]
+
+    def score_at_25(sol):
+        return max(next(h for h in sol.history if h[0] == 25)[1:])
+
+    cold, warm = conic.solve(_choi(u)), conic.solve(_choi(u, warm=True))
+    assert cold.status == warm.status == "optimal"
+    assert warm.history[0][0] == 0
+    assert score_at_25(warm) <= ratio * score_at_25(cold)
+    assert warm.iterations < cold.iterations
+    assert warm.primal_value == pytest.approx(cold.primal_value, rel=1e-7)
 
 
 def test_extrapolation_never_collapses_tau():
@@ -582,34 +670,44 @@ def test_bad_tolerance_is_rejected_before_any_setup(monkeypatch):
             conic.solve_all([prog], tol=bad)
 
 
-def _three_structure_programs() -> list:
+def _three_structure_programs(warm: bool = False) -> list:
     """20 programs of three structures, interleaved: matrix-domain Choi
-    programs on M_2, 3-tuples in M_2 and eigenvalue programs of size 4."""
+    programs on M_2, 3-tuples in M_2 and eigenvalue programs of size 4.
+    With ``warm`` every other program has a start: the Choi programs the
+    one ``dec_norms`` gives them, the eigenvalue programs the point
+    y = 1, Z = I / 4."""
     gen = make_generator(60)
     programs = []
     for i in range(20):
+        on = warm and i % 2 == 0
         if i % 5 in (0, 3):
-            programs.append(_choi(_random_map(gen, 2, scale=0.7)))
+            programs.append(_choi(_random_map(gen, 2, scale=0.7), warm=on))
         elif i % 5 in (1, 4):
             programs.append(_choi(map_from_linf([element(matrix_algebra(2), [x])
-                                                 for x in random_matrix_tuple(gen, 3, 2)])))
+                                                 for x in random_matrix_tuple(gen, 3, 2)]), warm=on))
         else:
-            programs.append(eigenvalue_program(random_hermitian(gen, 4)))
+            program = eigenvalue_program(random_hermitian(gen, 4))
+            programs.append(dataclasses.replace(program, start=(np.ones(1), conic.svec(np.eye(4) / 4)))
+                            if on else program)
     return programs
 
 
 def test_lockstep_solutions_are_the_solo_solutions_bitwise(monkeypatch):
-    programs = _three_structure_programs()
-    assert len({conic._structure_key(p) for p in programs}) == 3
-    solo = [conic.solve(p) for p in programs]
-    assert all(sol.status == "optimal" for sol in solo)
-    assert len({sol.iterations for sol in solo}) > 3  # rows leave the batch at different checks
-    for batch in (conic.solve_all(programs), conic.solve_all(programs[::-1])[::-1]):
-        for got, want in zip(batch, solo):
-            _assert_same_solution(got, want)
-    monkeypatch.setattr(conic, "BATCH_BYTES", 1)  # every chunk holds one program
-    for got, want in zip(conic.solve_all(programs), solo):
-        _assert_same_solution(got, want)
+    # cold programs, then the same with every other one started, so warm and cold rows share chunks
+    for warm in (False, True):
+        programs = _three_structure_programs(warm)
+        assert len({conic._structure_key(p) for p in programs}) == 3
+        assert sum(p.start is not None for p in programs) == (10 if warm else 0)
+        solo = [conic.solve(p) for p in programs]
+        assert all(sol.status == "optimal" for sol in solo)
+        assert len({sol.iterations for sol in solo}) > 3  # rows leave the batch at different checks
+        for batch in (conic.solve_all(programs), conic.solve_all(programs[::-1])[::-1]):
+            for got, want in zip(batch, solo):
+                _assert_same_solution(got, want)
+        with monkeypatch.context() as mp:
+            mp.setattr(conic, "BATCH_BYTES", 1)  # every chunk holds one program
+            for got, want in zip(conic.solve_all(programs), solo):
+                _assert_same_solution(got, want)
 
 
 def test_batch_failure_names_the_program_by_position(monkeypatch):

@@ -410,6 +410,26 @@ def test_batch_entry_matches_the_single_entries(monkeypatch):
         decomposable.dec_norms([zeros, xs])
 
 
+def test_inputs_that_leave_the_fixed_point_early_keep_their_bits(monkeypatch):
+    # the state fixed point drops an input from its stack once it stops, so a
+    # group steps on fewer rows as it goes; each certificate keeps its lone bits
+    heights, sandwich = [], decomposable._sandwich
+
+    def spy(shapes, xs, states):
+        heights.append(len(next(iter(xs.values()))))
+        return sandwich(shapes, xs, states)
+
+    monkeypatch.setattr(decomposable, "_sandwich", spy)
+    gen = make_generator(63)
+    tuples = [random_matrix_tuple(gen, 12, 4) for _ in range(4)]
+    batch = decomposable.dec_norms(tuples)
+    assert {1, 3} < set(heights)
+    for got, xs in zip(batch, tuples, strict=True):
+        want = decomposable.dec_norm_linf(xs)
+        assert _certificate_bytes(got) == _certificate_bytes(want)
+        assert got.solver.history == want.solver.history
+
+
 def test_solver_failure_names_the_input_behind_a_zero_one(monkeypatch):
     # a zero input gets no program, so the failing input's position among the
     # programs (0 alone, 1 in a batch) is not its position among the inputs
@@ -480,6 +500,22 @@ def test_edge_inputs_meet_their_closed_forms_in_one_call():
     assert max(norms) * (1 - 1e-7) <= wide.value <= sum(norms) * (1 + 1e-7)
     for cert in (n_one, d_one, nil, rank, wide):
         assert not cert.flagged
+
+
+def test_scale_spread_tuples_stop_at_the_first_check():
+    # From a cold start the first tuple ran all 200,000 iterations (30.7 s) and
+    # raised SolverError, its best primal residual 1.3e-8 at iteration 27,748;
+    # its diagonal twin took 12,539.  The fixed point's start finishes both at
+    # the first regular check.
+    spread = [1e8 * np.eye(3), np.diag([1.0, 2.0, 3.0]), 1e-8 * np.ones((3, 3))]
+    diagonal = [1e8 * np.eye(3), np.diag([1.0, 2.0, 3.0]), 1e-8 * np.eye(3)]
+    for xs in (spread, diagonal):
+        cert = decomposable.dec_norm_linf(xs)
+        assert cert.solver.status == "optimal"
+        assert not cert.flagged
+        assert cert.solver.iterations <= 25
+    # commuting coefficients: max_i sum_j |lambda_ij| = 1e8 + 3 + 1e-8
+    assert cert.value == pytest.approx(100000003.00000001, rel=1e-8)
 
 
 # Property tests: a Ginibre tuple of n <= 4 matrices in M_d, d <= 3, drawn from
